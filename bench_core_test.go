@@ -69,7 +69,7 @@ func BenchmarkCoreFlushManyBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreFlushExpired measures the periodic flusher body in the same
+// BenchmarkCoreFlushExpired measures the flusher's expiry pass in the same
 // clean-prefix scenario: every expired block cost a full-list scan before;
 // the expiry queue plus dirty sublists make it proportional to the dirty
 // blocks only, with an O(1) nothing-expired exit.
@@ -88,12 +88,12 @@ func BenchmarkCoreFlushExpired(b *testing.B) {
 		}
 		c.now += m.Config().DirtyExpire + float64(coreBenchDirtyCnt) + 1
 		b.StartTimer()
-		if got := m.FlushExpired(c); got != int64(coreBenchDirtyCnt)*coreBenchBlock {
+		if got := m.FlushExpiredDomain(c, 0); got != int64(coreBenchDirtyCnt)*coreBenchBlock {
 			b.Fatalf("flushed %d", got)
 		}
 		// The common steady-state call: nothing expired, must return fast.
-		if got := m.FlushExpired(c); got != 0 {
-			b.Fatalf("second FlushExpired flushed %d", got)
+		if got := m.FlushExpiredDomain(c, 0); got != 0 {
+			b.Fatalf("second expiry pass flushed %d", got)
 		}
 	}
 }

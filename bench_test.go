@@ -1,6 +1,7 @@
 // Package repro's root benchmark harness: one testing.B benchmark per table
-// and figure of the paper's evaluation (see DESIGN.md §4 for the index),
-// plus the design-choice ablations and substrate micro-benchmarks.
+// and figure of the paper's evaluation (named after it; cmd/experiments/
+// README.md lists the experiments), plus the design-choice ablations and
+// substrate micro-benchmarks.
 //
 // Figure benchmarks execute the same experiment code as cmd/experiments at
 // a reduced sweep so `go test -bench=.` finishes in minutes; the full-scale
@@ -172,7 +173,7 @@ func BenchmarkFig8_CacheLocal32(b *testing.B)  { benchSimTime(b, engine.ModeWrit
 func BenchmarkFig8_CacheNFS32(b *testing.B)    { benchSimTime(b, engine.ModeWriteback, true, 32) }
 
 // ---------------------------------------------------------------------------
-// Ablations (design choices in DESIGN.md)
+// Ablations (the design choices listed in internal/exp/ablation.go)
 
 func BenchmarkAblation_DesignChoices(b *testing.B) {
 	for i := 0; i < b.N; i++ {

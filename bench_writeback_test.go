@@ -86,7 +86,7 @@ func BenchmarkWritebackDirtyChurn(b *testing.B) {
 				case 2:
 					m.Flush(c, coreBenchBlock/2) // partial: splits and requeues
 				case 3:
-					m.FlushExpired(c)
+					m.FlushExpiredDomain(c, 0)
 				case 4:
 					m.InvalidateFile(fmt.Sprintf("w%d", (i+2)%64))
 				}

@@ -17,10 +17,11 @@
 //
 // Platform JSON hosts accept "writebackPolicy" and "dirtyBackgroundRatio"
 // (overridden host-wide by -writeback and -dirty-background), and
-// "perDeviceWriteback": true, which gives each of the host's disks its own
-// writeback domain — per-device dirty thresholds scaled by bandwidth
-// share, a flusher process per device with writer-driven wakeups, and
-// per-device writer-throttle accounting. Per-disk "dirtyRatio" /
+// "perDeviceWriteback": true. Every host's page cache has one writeback
+// domain with one flusher by default; perDeviceWriteback adds a domain per
+// disk — per-device dirty thresholds scaled by bandwidth share, a flusher
+// per device running the same loop, writer-driven wakeups, and per-device
+// writer-throttle accounting. Per-disk "dirtyRatio" /
 // "dirtyBackgroundRatio" override a single domain's scaled thresholds
 // (they require the host to set perDeviceWriteback). Scenario documents
 // can bound a device's writer stalls with the "max-device-throttle"
@@ -32,9 +33,12 @@
 // the rest analytically (disable with -ffwd=false; tune with -ffwd-k and
 // -ffwd-tol). -ffwd-oracle runs both paths and reports the makespan and
 // hit-ratio error, failing above 1% makespan error. -snapshot-out saves the
-// final cache state (and the backing-file list) as versioned JSON;
-// -snapshot-in restores one before the run, rebasing block timestamps to the
-// new run's t=0 — scenario documents get the same via their "warmup" stanza.
+// final cache state (and the backing-file list) as versioned JSON, each
+// cache in one layout that lists its writeback domains; -snapshot-in
+// restores one into a host with the same domains, rebasing block timestamps
+// to the new run's t=0 — scenario documents get the same via their "warmup"
+// stanza. Snapshots written before that layout (version 1) are rejected;
+// re-create them with -snapshot-out.
 //
 //	pcsim -iterations 60 -size 1GB -ram 8GiB -ffwd-oracle
 //	pcsim -iterations 500 -size 1GB -ram 8GiB

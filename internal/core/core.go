@@ -23,11 +23,11 @@
 // is shared by all policies.
 //
 // Writeback is a third seam: the order dirty blocks are persisted in by
-// Flush and FlushExpired lives behind the WritebackPolicy interface,
+// the flush passes lives behind the WritebackPolicy interface,
 // selected by Config.Writeback from its own registry ("list-order" — the
 // paper's implicit order, front dirty block of the replacement policy's
 // lists, bit-identical to the pre-seam implementation and the default;
-// "oldest-first" — global Entry order off the expiry queue; "file-rr" —
+// "oldest-first" — Entry order off the expiry queue; "file-rr" —
 // per-file round robin, the shape of Linux's per-inode b_io writeback;
 // "proportional" — largest per-file dirty backlog first, approximating
 // Linux's proportional writeback). The flush mechanics
@@ -39,17 +39,22 @@
 // back above the background threshold (0 — the default — keeps the paper's
 // single-threshold model).
 //
-// Per-device writeback domains (ConfigureDomains) split the manager's
-// single dirty domain into one domain per backing device plus the
-// unconfigured backstop (domain 0), the shape of Linux's per-bdi writeback.
-// Each domain owns a WritebackPolicy instance over the shared lists, its
-// own dirty/flushed/throttle counters, and bandwidth-share-scaled dirty and
-// background thresholds; FlushDomain / FlushExpiredDomain /
-// FlushBackgroundDomain are the per-domain flusher bodies
-// (RunDomainFlusher), and SetDomainWake installs the writer-driven wakeup a
-// write crossing the domain's background threshold fires. An unconfigured
-// manager has exactly one domain and every per-domain path degenerates to
-// the single-domain code — byte-identical to the pre-domain implementation.
+// Writeback is organized in N ≥ 1 writeback domains, the shape of Linux's
+// per-bdi writeback, and there is one code path for every N. Each domain
+// owns a WritebackPolicy instance over the shared lists, its own expiry
+// queue, its own dirty/flushed/throttle counters, and its dirty and
+// background thresholds. A manager starts with domain 0 at the full global
+// thresholds — the paper's single global model, byte-identical to it;
+// ConfigureDomains adds one domain per backing device with
+// bandwidth-share-scaled thresholds, domain 0 staying the backstop for
+// files on no configured device. One flusher loop (RunFlusher) serves every
+// domain: each wake-up runs FlushPass — the domain's expiry pass
+// (FlushExpiredDomain), then its background pass (FlushBackgroundDomain) —
+// and waits out the interval. Writers throttle on their own domain first
+// (FlushDomain), with the cross-domain Flush as the backstop, and
+// SetDomainWake installs the writer-driven wakeup a write crossing the
+// domain's background threshold fires. Snapshots record every domain in one
+// layout (ManagerState.Domains).
 //
 // # Complexity of the Manager operations
 //
@@ -63,8 +68,8 @@
 // (before indexing → after):
 //
 //	Flush (per flushed block)      O(n) full-list rescan  → O(1) dirty-front peek
-//	FlushExpired, idle wake-up     O(n)                   → O(1) expiry-queue head check
-//	FlushExpired (per flushed)     O(n)                   → O(d) dirty-sublist walk, worst case
+//	expiry pass, idle wake-up      O(n)                   → O(1) expiry-queue head check
+//	expiry pass (per flushed)      O(n)                   → O(d) dirty-sublist walk, worst case
 //	CacheRead                      O(n) two-list walk     → O(f) per-file chain walk
 //	InvalidateFile                 O(n) two-list walk     → O(f) per-file chain walk
 //	Evictable                      O(n) inactive walk     → O(1), or O(w) with the heuristic
@@ -102,12 +107,12 @@
 //	WritebackPolicy.NextExpired    O(1) expiry-queue head check for every
 //	                               policy; list-order then walks only the
 //	                               dirty sublists, worst case O(d)
-//	Manager.FlushBackground        O(1) when disabled or under threshold,
-//	                               else the Flush costs above per block
+//	Manager.FlushBackgroundDomain  O(1) when disabled or under threshold,
+//	                               else the FlushDomain costs per block
 //
-// The per-device domain split (m = configured domains, a small constant)
-// keeps every per-block cost in the same class — domain selection never
-// degenerates into cache walks:
+// The domain split (m = writeback domains, 1 unless ConfigureDomains ran,
+// a small constant) keeps every per-block cost in the same class — domain
+// selection never degenerates into cache walks:
 //
 //	Manager.domainOf               O(1) resolve call + domain-index lookup
 //	Manager.DomainDirty/Stats      O(1) per-domain counters (O(m) for the
@@ -116,10 +121,10 @@
 //	                               block — same costs as Flush, filtered
 //	                               structurally (each domain's policy
 //	                               indexes only its own dirty blocks)
-//	Manager.Flush (cross-domain)   O(m) oldest-candidate scan per block;
-//	                               one domain degenerates to a direct peek
+//	Manager.Flush (cross-domain)   O(m) oldest-candidate scan per block
 //	Manager.FlushExpiredDomain     O(1) idle check via the domain policy's
 //	                               expiry view, O(d_dom) worst-case walk
+//	Manager.FlushPass              the expiry pass plus the background pass
 //	writer wakeup (WriteToCache)   O(1) threshold compare + signal hook
 //
 // The snapshot/restore seam (Manager.SnapshotState / RestoreState /

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -247,9 +248,9 @@ func testMultiDomainSnapshotRoundTrip(t *testing.T, policy, wb string) {
 		}
 
 		st := r1.m.SnapshotState()
-		if st.Version != ManagerStateVersionPerDevice {
-			t.Logf("seed %d: multi-domain snapshot version %d, want %d",
-				seed, st.Version, ManagerStateVersionPerDevice)
+		if st.Version != ManagerStateVersion || len(st.Domains) != r1.m.DomainCount() {
+			t.Logf("seed %d: multi-domain snapshot version %d with %d domains, want %d with %d",
+				seed, st.Version, len(st.Domains), ManagerStateVersion, r1.m.DomainCount())
 			return false
 		}
 		raw, err := json.Marshal(st)
@@ -322,8 +323,10 @@ func testMultiDomainSnapshotRoundTrip(t *testing.T, policy, wb string) {
 	}
 }
 
-// TestMultiDomainRestoreRejects covers the per-device restore preconditions:
-// cross-mode restores and domain-layout drift must fail loudly.
+// TestMultiDomainRestoreRejects covers the restore preconditions on the
+// domain layout: a snapshot restores only into a manager with the same
+// domains, so a 1-domain snapshot into a per-device manager, the reverse,
+// and domain-name drift must all fail loudly.
 func TestMultiDomainRestoreRejects(t *testing.T) {
 	build := func(domains bool) *Manager {
 		m, err := NewManager(DefaultConfig(100000))
@@ -340,31 +343,38 @@ func TestMultiDomainRestoreRejects(t *testing.T) {
 	src.WriteToCache(c, "a", 4000)
 	src.WriteToCache(c, "c", 3000)
 	st := src.SnapshotState()
-	if st.Version != ManagerStateVersionPerDevice {
-		t.Fatalf("snapshot version %d, want %d", st.Version, ManagerStateVersionPerDevice)
+	if st.Version != ManagerStateVersion || len(st.Domains) != 3 {
+		t.Fatalf("snapshot version %d with %d domains, want %d with 3",
+			st.Version, len(st.Domains), ManagerStateVersion)
 	}
 
-	if err := build(false).RestoreState(st); err == nil {
-		t.Error("per-device snapshot accepted by single-domain manager")
+	wantErr := func(what string, err error, substr string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), substr) {
+			t.Errorf("%s: got %v, want an error containing %q", what, err, substr)
+		}
 	}
+	wantErr("3-domain snapshot into a 1-domain manager",
+		build(false).RestoreState(st), "snapshot has 3 writeback domains, manager 1")
 	single := build(false)
 	single.WriteToCache(newFakeCaller(), "a", 1000)
 	singleSt := single.SnapshotState()
-	if err := build(true).RestoreState(singleSt); err == nil {
-		t.Error("single-domain snapshot accepted by per-device manager")
+	if len(singleSt.Domains) != 1 {
+		t.Fatalf("single-domain snapshot has %d domains, want 1", len(singleSt.Domains))
 	}
+	wantErr("1-domain snapshot into a per-device manager",
+		build(true).RestoreState(singleSt), "snapshot has 1 writeback domains, manager 3")
 	mismatched, err := NewManager(DefaultConfig(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mismatched.ConfigureDomains([]DomainConfig{
+		{Dev: "fast", WriteBW: 300},
 		{Dev: "other", WriteBW: 100},
 	}, func(string) string { return "other" }); err != nil {
 		t.Fatal(err)
 	}
-	if err := mismatched.RestoreState(st); err == nil {
-		t.Error("domain-layout mismatch accepted")
-	}
+	wantErr("domain-name mismatch", mismatched.RestoreState(st), `domain 2 is "other", snapshot "slow"`)
 	// The happy path still works after the rejected attempts.
 	m := build(true)
 	if err := m.RestoreState(st); err != nil {

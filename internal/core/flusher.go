@@ -1,49 +1,32 @@
 package core
 
-// RunPeriodicFlusher executes Algorithm 1: an infinite loop that flushes
-// expired dirty blocks — plus, when Config.DirtyBackgroundRatio is set, the
-// dirty data exceeding the background threshold (the kernel's
-// dirty_background_ratio writeback, which starts persisting data long
-// before writers are throttled at DirtyRatio) — and sleeps the remainder of
-// each flush interval. `sleep` suspends the simulated background thread;
-// `hostOn` lets the driver terminate the loop (the algorithm's "while host
-// is on"). The engine runs this inside a dedicated simulated process; the
-// sequential prototype emulates it with catch-up calls instead.
+// RunFlusher executes Algorithm 1, the periodic flusher of one writeback
+// domain: while hostOn(), it runs pass — one wake-up's writeback, normally
+// Manager.FlushPass over the domain — then waits out the remainder of the
+// flush interval. It is the only flusher loop: the engine runs one per
+// writeback domain of each host (every page cache has N ≥ 1 domains; a
+// single-domain host runs exactly one, over domain 0), the NFS server's
+// flusher wraps the same pass in its server-down guard, and the sequential
+// prototype replays the loop on a tick clock to catch up on the wake-ups it
+// skipped.
 //
-// Each wake-up costs O(1) real time when nothing is expired and the cache
-// is under the background threshold: FlushExpired answers the idle case
-// from the manager's expiry-queue head instead of scanning the LRU lists,
-// and FlushBackground is a counter comparison, so hosts with large
-// quiescent caches no longer pay a full-cache walk every FlushInterval.
-func RunPeriodicFlusher(c Caller, m *Manager, sleep func(seconds float64), hostOn func() bool) {
-	interval := m.Config().FlushInterval
+// now reads the flusher's clock. wait suspends the flusher for at most the
+// given seconds and may return early: the engine passes a DES signal's
+// WaitTimeout, and per-device writeback installs the signal's Broadcast as
+// the domain's wake hook (Manager.SetDomainWake), so a write crossing the
+// domain's background threshold starts the next pass at once. Without a
+// wake hook the wait always runs to its timeout, a plain sleep.
+//
+// Each wake-up costs O(1) real time when nothing is expired and the domain
+// is under its background threshold: the expiry pass answers the idle case
+// from the domain's expiry-queue head instead of scanning the LRU lists,
+// and the background pass is a counter comparison, so hosts with large
+// quiescent caches pay no cache walk every FlushInterval.
+func RunFlusher(now func() float64, interval float64, pass func(), wait func(seconds float64), hostOn func() bool) {
 	for hostOn() {
-		start := c.Now()
-		m.FlushExpired(c)
-		m.FlushBackground(c)
-		elapsed := c.Now() - start
-		if elapsed < interval {
-			sleep(interval - elapsed)
-		}
-	}
-}
-
-// RunDomainFlusher is RunPeriodicFlusher for one writeback domain of a
-// per-device manager — the body of a per-bdi flusher thread. `wait` suspends
-// the flusher for at most the given seconds; unlike RunPeriodicFlusher's
-// plain sleep it may return early, which is how writer-driven wakeups reach
-// the loop: the engine passes a DES Signal's WaitTimeout and installs the
-// signal's Broadcast as the domain's wake hook (Manager.SetDomainWake), so a
-// write crossing the domain's background threshold starts the next flush
-// pass immediately instead of after the remaining poll interval.
-func RunDomainFlusher(c Caller, m *Manager, dom int, wait func(seconds float64), hostOn func() bool) {
-	interval := m.Config().FlushInterval
-	for hostOn() {
-		start := c.Now()
-		m.FlushExpiredDomain(c, dom)
-		m.FlushBackgroundDomain(c, dom)
-		elapsed := c.Now() - start
-		if elapsed < interval {
+		start := now()
+		pass()
+		if elapsed := now() - start; elapsed < interval {
 			wait(interval - elapsed)
 		}
 	}

@@ -176,17 +176,14 @@ func (io *IOController) WriteFile(c Caller, file string, size int64) error {
 func (io *IOController) WriteChunk(c Caller, file string, chunkSize int64) error {
 	m := io.m
 	var memAmt int64
-	dom := 0
 	remainDirty := m.DirtyThreshold() - m.Dirty() // line 5
-	if m.PerDevice() {
-		// Per-device writeback: the writer is also limited by its own
-		// device's dirty threshold (the global pair stays the backstop, as
-		// in Linux), so a slow device's backlog cannot consume a fast
-		// device's headroom — and vice versa.
-		dom = m.domainOf(file)
-		if gap := m.DomainDirtyThreshold(dom) - m.DomainDirty(dom); gap < remainDirty {
-			remainDirty = gap
-		}
+	// The writer is also limited by its own writeback domain's threshold
+	// (the global pair stays the backstop, as in Linux), so under
+	// per-device writeback a slow device's backlog cannot consume a fast
+	// device's headroom — and vice versa. On one domain the two coincide.
+	dom := m.domainOf(file)
+	if gap := m.DomainDirtyThreshold(dom) - m.DomainDirty(dom); gap < remainDirty {
+		remainDirty = gap
 	}
 	if remainDirty > 0 { // lines 6-10
 		want := chunkSize
@@ -209,16 +206,11 @@ func (io *IOController) WriteChunk(c Caller, file string, chunkSize int64) error
 	remaining := chunkSize - memAmt // line 11
 	for remaining > 0 {             // lines 12-18
 		throttleStart := c.Now()
-		var flushed int64
-		if m.PerDevice() {
-			// balance_dirty_pages writes back the writer's own bdi first;
-			// the cross-domain pass is the backstop when the writer's
-			// domain holds nothing dirty.
-			flushed = m.FlushDomain(c, dom, chunkSize-memAmt)
-			if flushed == 0 {
-				flushed = m.Flush(c, chunkSize-memAmt)
-			}
-		} else {
+		// balance_dirty_pages writes back the writer's own bdi first; the
+		// cross-domain pass is the backstop when the writer's domain holds
+		// nothing dirty.
+		flushed := m.FlushDomain(c, dom, chunkSize-memAmt)
+		if flushed == 0 {
 			flushed = m.Flush(c, chunkSize-memAmt)
 		}
 		evicted := m.Evict(chunkSize-memAmt-m.Free(), "")

@@ -301,7 +301,8 @@ func TestPeriodicFlusherLoop(t *testing.T) {
 	c := newFakeCaller()
 	m.WriteToCache(c, "f", 1000)
 	ticks := 0
-	RunPeriodicFlusher(c, m, func(s float64) { c.now += s; ticks++ }, func() bool {
+	pass := func() { m.FlushPass(c, 0) }
+	RunFlusher(c.Now, m.Config().FlushInterval, pass, func(s float64) { c.now += s; ticks++ }, func() bool {
 		return c.now < 61 // run past expiry (30s) in 5s intervals
 	})
 	if m.Dirty() != 0 {

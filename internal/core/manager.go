@@ -32,7 +32,7 @@ type Config struct {
 	// the DirtyRatio throttle. 0 (the default) disables background
 	// writeback, keeping the paper's single-threshold model; when set it
 	// must be strictly below DirtyRatio (Linux: 0.10 vs 0.20). The engine's
-	// periodic flusher enforces it each wake-up (Manager.FlushBackground).
+	// periodic flusher enforces it each wake-up (Manager.FlushPass).
 	DirtyBackgroundRatio float64
 	// Policy selects the replacement policy by registry name ("lru",
 	// "clock", "fifo", "lfu", plus anything RegisterPolicy added). Empty
@@ -111,9 +111,10 @@ func (c Config) Validate() error {
 // dirty/background thresholds (a write-bandwidth-proportional share of the
 // global pair, or explicit per-device overrides), per-domain flush/throttle
 // counters, and an optional flusher wake hook fired when a write pushes the
-// domain past its background threshold. Managers without ConfigureDomains
-// run exactly one domain — the pre-domain global model, byte-identical to
-// it — and every block carries domain 0.
+// domain past its background threshold. Every manager has N ≥ 1 domains
+// and one code path for all of them: without ConfigureDomains it runs
+// exactly domain 0 — the paper's global model, byte-identical to it — and
+// every block carries domain 0.
 type Manager struct {
 	cfg     Config
 	pol     Policy
@@ -137,9 +138,9 @@ type Manager struct {
 	// bytes (the policy-ablation experiment's hit-ratio metric).
 	readHits, readMisses int64
 
-	// flushedBytes counts bytes written back by Flush and FlushExpired;
-	// throttledSec accumulates simulated time writers spent in the
-	// over-threshold foreground-flush loop (the writeback-ablation
+	// flushedBytes counts bytes written back by Flush, FlushDomain and the
+	// flusher passes; throttledSec accumulates simulated time writers spent
+	// in the over-threshold foreground-flush loop (the writeback-ablation
 	// experiment's observables).
 	flushedBytes int64
 	throttledSec float64
@@ -281,9 +282,6 @@ func (m *Manager) ConfigureDomains(devs []DomainConfig, resolve func(file string
 	m.resolve = resolve
 	return nil
 }
-
-// PerDevice reports whether the manager runs per-device writeback domains.
-func (m *Manager) PerDevice() bool { return len(m.domains) > 1 }
 
 // DomainCount returns the number of writeback domains (1 unless
 // ConfigureDomains ran).
@@ -450,9 +448,9 @@ func (m *Manager) domainBackgroundEnabled(dom int) bool {
 	return m.domains[dom].bgRatio > 0 || m.cfg.DirtyBackgroundRatio > 0
 }
 
-// FlushedBytes returns the bytes written back by Flush and FlushExpired
-// since construction (the writeback-ablation experiment's flush-volume
-// observable).
+// FlushedBytes returns the bytes written back by Flush, FlushDomain and the
+// flusher passes since construction (the writeback-ablation experiment's
+// flush-volume observable).
 func (m *Manager) FlushedBytes() int64 { return m.flushedBytes }
 
 // WriteThrottledSeconds returns the cumulative simulated time writers spent
@@ -715,10 +713,11 @@ func (m *Manager) Evict(amount int64, exclude string) int64 {
 // The selection restarts after every blocking write so that concurrent list
 // mutations (other simulated processes) are observed — and thanks to the
 // writeback policies' incremental structures each restart is an O(1)–
-// O(lists) peek, not a list walk. On per-device managers the selection is
-// cross-domain: each domain's policy nominates its candidate and the
-// globally oldest (by Entry; ties to the lowest domain) is flushed —
-// degenerating to the plain single-policy selection with one domain.
+// O(lists) peek, not a list walk. The selection is cross-domain: each
+// domain's policy nominates its candidate and the globally oldest (by
+// Entry; ties to the lowest domain) is flushed, which on one domain is the
+// domain's own policy order. Syncs and the writer backstop use it; the
+// flushers and a writer's own-domain throttle use FlushDomain.
 func (m *Manager) Flush(c Caller, amount int64) int64 {
 	return m.flushSelect(c, amount, m.nextDirtyAny)
 }
@@ -752,11 +751,7 @@ func (m *Manager) flushSelect(c Caller, amount int64, next func() *Block) int64 
 
 // nextDirtyAny picks the cross-domain flush candidate: each domain's
 // NextDirty, globally oldest Entry first, ties to the lowest domain index.
-// One domain (the unconfigured manager) is a single direct peek.
 func (m *Manager) nextDirtyAny() *Block {
-	if len(m.domains) == 1 {
-		return m.domains[0].wb.NextDirty(m)
-	}
 	var best *Block
 	for _, d := range m.domains {
 		if b := d.wb.NextDirty(m); b != nil && (best == nil || b.Entry < best.Entry) {
@@ -766,34 +761,26 @@ func (m *Manager) nextDirtyAny() *Block {
 	return best
 }
 
-// FlushBackground writes back the dirty data exceeding the background
-// threshold (vm.dirty_background_ratio), in the writeback policy's flush
-// order. A no-op when background writeback is disabled (the default) or the
-// cache is below the threshold. The engine's periodic flusher calls it on
-// every wake-up, after the expiry pass. On per-device managers every
-// domain's overage over its own background threshold is written back, each
-// domain in its own policy order. Returns the flushed byte count.
-func (m *Manager) FlushBackground(c Caller) int64 {
-	if len(m.domains) == 1 {
-		// Gate on the configured ratio, not the computed byte threshold:
-		// under extreme anonymous-memory pressure the threshold can
-		// truncate to 0, and that must mean "flush everything", not
-		// "disabled".
-		if m.cfg.DirtyBackgroundRatio <= 0 {
-			return 0
-		}
-		return m.Flush(c, m.Dirty()-m.DirtyBackgroundThreshold())
-	}
-	var flushed int64
-	for dom := range m.domains {
-		flushed += m.FlushBackgroundDomain(c, dom)
-	}
-	return flushed
+// FlushPass is one flusher wake-up over writeback domain dom — the body of
+// Algorithm 1: the expiry pass (FlushExpiredDomain), then the background
+// pass (FlushBackgroundDomain, a no-op unless background writeback is
+// enabled). RunFlusher calls it once per FlushInterval. Returns the flushed
+// byte count.
+func (m *Manager) FlushPass(c Caller, dom int) int64 {
+	flushed := m.FlushExpiredDomain(c, dom)
+	return flushed + m.FlushBackgroundDomain(c, dom)
 }
 
-// FlushBackgroundDomain writes back one domain's dirty overage over its
-// background threshold — the per-device flusher's background pass.
+// FlushBackgroundDomain writes back one domain's dirty data exceeding its
+// background threshold (vm.dirty_background_ratio, or the domain's share or
+// override of it), in the domain's writeback policy order — the flusher's
+// background pass. A no-op when background writeback is disabled (the
+// default) or the domain is below its threshold. Returns the flushed byte
+// count.
 func (m *Manager) FlushBackgroundDomain(c Caller, dom int) int64 {
+	// Gate on the configured ratios, not the computed byte threshold: under
+	// extreme anonymous-memory pressure the threshold can truncate to 0, and
+	// that must mean "flush everything", not "disabled".
 	if !m.domainBackgroundEnabled(dom) {
 		return 0
 	}
@@ -819,30 +806,18 @@ func (m *Manager) cleanBlockPrefix(l *List, b *Block, want int64) int64 {
 	return want
 }
 
-// FlushExpired implements the body of the periodic flusher (Algorithm 1):
-// every dirty block older than DirtyExpire is cleaned and written to its
-// backing store, in the writeback policy's expiry order (default
-// list-order: inactive list before active list, LRU first; the other
-// policies flush globally oldest-first). The expiry-queue head answers the
-// common "nothing expired" case in O(1) for every policy. On per-device
-// managers the pass crosses domains, oldest candidate first. Returns
-// flushed bytes.
-func (m *Manager) FlushExpired(c Caller) int64 {
-	return m.flushExpiredSelect(c, m.nextExpiredAny)
-}
-
-// FlushExpiredDomain is FlushExpired restricted to one writeback domain —
-// the expiry pass of a per-device flusher.
+// FlushExpiredDomain is the flusher's expiry pass (Algorithm 1) over one
+// writeback domain: every dirty block of the domain older than DirtyExpire
+// is cleaned and written to its backing store, in the domain's writeback
+// policy expiry order (default list-order: inactive list before active
+// list, LRU first; the other policies flush oldest-first). The domain's
+// expiry-queue head answers the common "nothing expired" case in O(1) for
+// every policy. Returns flushed bytes.
 func (m *Manager) FlushExpiredDomain(c Caller, dom int) int64 {
-	return m.flushExpiredSelect(c, func(now float64) *Block {
-		return m.domains[dom].wb.NextExpired(m, now)
-	})
-}
-
-func (m *Manager) flushExpiredSelect(c Caller, next func(now float64) *Block) int64 {
+	d := m.domains[dom]
 	var flushed int64
 	for {
-		b := next(c.Now())
+		b := d.wb.NextExpired(m, c.Now())
 		if b == nil {
 			return flushed
 		}
@@ -850,24 +825,9 @@ func (m *Manager) flushExpiredSelect(c Caller, next func(now float64) *Block) in
 		m.noteClean(b)
 		flushed += b.Size
 		m.flushedBytes += b.Size
-		m.domains[b.dom].flushed += b.Size
+		d.flushed += b.Size
 		c.DiskWrite(b.File, b.Size) // blocking; rescan afterwards
 	}
-}
-
-// nextExpiredAny picks the cross-domain expired candidate, oldest Entry
-// first (ties to the lowest domain index).
-func (m *Manager) nextExpiredAny(now float64) *Block {
-	if len(m.domains) == 1 {
-		return m.domains[0].wb.NextExpired(m, now)
-	}
-	var best *Block
-	for _, d := range m.domains {
-		if b := d.wb.NextExpired(m, now); b != nil && (best == nil || b.Entry < best.Entry) {
-			best = b
-		}
-	}
-	return best
 }
 
 // AddToCache inserts n freshly disk-read bytes of file as one clean block at

@@ -209,7 +209,7 @@ func TestFlushExpiredOnlyOldBlocks(t *testing.T) {
 	c.now = 20
 	m.WriteToCache(c, "young", 100) // entry ≈ 20
 	c.now = 31                      // old expired (30s), young not
-	flushed := m.FlushExpired(c)
+	flushed := m.FlushExpiredDomain(c, 0)
 	if flushed != 100 {
 		t.Fatalf("flushed %d, want 100", flushed)
 	}
@@ -466,7 +466,7 @@ func TestPropertyManagerInvariants(t *testing.T) {
 			case 3:
 				m.Flush(c, amt)
 			case 4:
-				m.FlushExpired(c)
+				m.FlushExpiredDomain(c, 0)
 			case 5:
 				if cached := m.Cached(file); cached > 0 {
 					n := 1 + rng.Int63n(cached)

@@ -191,7 +191,7 @@ func TestPolicyDefaultBitIdenticalSpotCheck(t *testing.T) {
 		m.CacheRead(c, "a", 250)
 		m.Flush(c, 100)
 		m.Evict(150, "b")
-		m.FlushExpired(c)
+		m.FlushExpiredDomain(c, 0)
 		mustNoInvariantErr(t, m)
 		return m.Snapshot()
 	}

@@ -113,8 +113,7 @@ func testIOControllerConservation(t *testing.T, policy, wb string) {
 					anon = 0
 				}
 			case 3: // background flush catch-up
-				m.FlushExpired(c)
-				m.FlushBackground(c)
+				m.FlushPass(c, 0)
 			case 4: // echo 3 > drop_caches (chaos cache-drop fault)
 				preCache, preDirty := m.CacheBytes(), m.Dirty()
 				dropped := m.DropCaches()
@@ -401,7 +400,7 @@ func testIndexedStructures(t *testing.T, policy, wb string) {
 			case 3:
 				m.Flush(c, amt)
 			case 4:
-				m.FlushExpired(c)
+				m.FlushExpiredDomain(c, 0)
 			case 5:
 				if cached := m.Cached(file); cached > 0 {
 					m.CacheRead(c, file, 1+rng.Int63n(cached))

@@ -19,17 +19,13 @@ import "fmt"
 // with history-dependent structure (the file-queue ring and its round-robin
 // cursor) implement StatefulWritebackPolicy to capture it explicitly.
 
-// ManagerStateVersion is the ManagerState schema version written for
-// single-domain managers (the default) — unchanged since the format was
-// introduced, so pre-refactor snapshots restore as before.
-// ManagerStateVersionPerDevice is written when the manager has per-device
-// writeback domains configured: the expiry queue, writeback aux structure,
-// and flush/throttle counters are then recorded per domain. Restore rejects
-// snapshots whose version does not match the target manager's mode.
-const (
-	ManagerStateVersion          = 1
-	ManagerStateVersionPerDevice = 2
-)
+// ManagerStateVersion is the ManagerState schema version. There is one
+// layout: every writeback domain — domain 0 included, and the only one of a
+// manager without per-device writeback — records its expiry queue,
+// writeback aux structure and flush/throttle counters in Domains. Version 1,
+// which kept a single domain's state in top-level fields, is no longer
+// read; re-create such snapshots with -snapshot-out.
+const ManagerStateVersion = 2
 
 // BlockState is one cached block, policy metadata included, in a
 // serializable form.
@@ -83,19 +79,17 @@ type ManagerState struct {
 	ForcedEvictions int64          `json:"forcedEvictions,omitempty"`
 	Writing         map[string]int `json:"writing,omitempty"`
 
-	Lists        []ListState     `json:"lists"`
-	Expiry       []BlockRef      `json:"expiry,omitempty"`
-	WritebackAux *WritebackState `json:"writebackAux,omitempty"`
+	Lists []ListState `json:"lists"`
 
-	// Domains carries the per-domain writeback state of a per-device manager
-	// (version ManagerStateVersionPerDevice), in domain-index order; Expiry
-	// and WritebackAux above are then unused.
-	Domains []DomainSnapshot `json:"domains,omitempty"`
+	// Domains carries each writeback domain's state in domain-index order,
+	// domain 0 first; RestoreState requires the target manager to have the
+	// same domains.
+	Domains []DomainSnapshot `json:"domains"`
 }
 
-// DomainSnapshot is one writeback domain's state in a per-device snapshot:
-// the domain's expiry queue in Entry order (as refs into Lists), its
-// writeback policy's aux structure, and its flush/throttle counters.
+// DomainSnapshot is one writeback domain's state: the domain's expiry queue
+// in Entry order (as refs into Lists), its writeback policy's aux
+// structure, and its flush/throttle counters.
 type DomainSnapshot struct {
 	Dev          string          `json:"dev"`
 	Expiry       []BlockRef      `json:"expiry,omitempty"`
@@ -156,25 +150,15 @@ func (m *Manager) SnapshotState() *ManagerState {
 		}
 		st.Lists = append(st.Lists, ls)
 	}
-	if m.PerDevice() {
-		st.Version = ManagerStateVersionPerDevice
-		for _, d := range m.domains {
-			ds := DomainSnapshot{Dev: d.dev, FlushedBytes: d.flushed, ThrottledSec: d.throttled}
-			for b := d.eqHead; b != nil; b = b.enext {
-				ds.Expiry = append(ds.Expiry, refs[b])
-			}
-			if sp, ok := d.wb.(StatefulWritebackPolicy); ok {
-				ds.WritebackAux = sp.SnapshotWriteback()
-			}
-			st.Domains = append(st.Domains, ds)
+	for _, d := range m.domains {
+		ds := DomainSnapshot{Dev: d.dev, FlushedBytes: d.flushed, ThrottledSec: d.throttled}
+		for b := d.eqHead; b != nil; b = b.enext {
+			ds.Expiry = append(ds.Expiry, refs[b])
 		}
-		return st
-	}
-	for b := m.domains[0].eqHead; b != nil; b = b.enext {
-		st.Expiry = append(st.Expiry, refs[b])
-	}
-	if sp, ok := m.domains[0].wb.(StatefulWritebackPolicy); ok {
-		st.WritebackAux = sp.SnapshotWriteback()
+		if sp, ok := d.wb.(StatefulWritebackPolicy); ok {
+			ds.WritebackAux = sp.SnapshotWriteback()
+		}
+		st.Domains = append(st.Domains, ds)
 	}
 	return st
 }
@@ -190,26 +174,18 @@ func (m *Manager) RestoreState(st *ManagerState) error {
 	if st == nil {
 		return fmt.Errorf("core: RestoreState: nil state")
 	}
-	switch st.Version {
-	case ManagerStateVersion:
-		if m.PerDevice() {
-			return fmt.Errorf("core: RestoreState: single-domain snapshot (version %d) into per-device manager", st.Version)
+	if st.Version != ManagerStateVersion {
+		return fmt.Errorf("core: RestoreState: snapshot version %d, this build reads version %d",
+			st.Version, ManagerStateVersion)
+	}
+	if len(st.Domains) != len(m.domains) {
+		return fmt.Errorf("core: RestoreState: snapshot has %d writeback domains, manager %d",
+			len(st.Domains), len(m.domains))
+	}
+	for dom, ds := range st.Domains {
+		if ds.Dev != m.domains[dom].dev {
+			return fmt.Errorf("core: RestoreState: domain %d is %q, snapshot %q", dom, m.domains[dom].dev, ds.Dev)
 		}
-	case ManagerStateVersionPerDevice:
-		if !m.PerDevice() {
-			return fmt.Errorf("core: RestoreState: per-device snapshot (version %d) into single-domain manager", st.Version)
-		}
-		if len(st.Domains) != len(m.domains) {
-			return fmt.Errorf("core: RestoreState: snapshot has %d domains, manager %d", len(st.Domains), len(m.domains))
-		}
-		for dom, ds := range st.Domains {
-			if ds.Dev != m.domains[dom].dev {
-				return fmt.Errorf("core: RestoreState: domain %d is %q, snapshot %q", dom, m.domains[dom].dev, ds.Dev)
-			}
-		}
-	default:
-		return fmt.Errorf("core: RestoreState: snapshot version %d, want %d or %d",
-			st.Version, ManagerStateVersion, ManagerStateVersionPerDevice)
 	}
 	for _, d := range m.domains {
 		if d.eqHead != nil {
@@ -257,9 +233,10 @@ func (m *Manager) RestoreState(st *ManagerState) error {
 	// per-file Entry order — the writeback policies' per-file queues too. The
 	// ring order and cursor are history-dependent; WritebackAux re-applies
 	// them.
-	replay := func(dom int, refs []BlockRef) error {
+	for dom, ds := range st.Domains {
+		d := m.domains[dom]
 		var prev *Block
-		for _, ref := range refs {
+		for _, ref := range ds.Expiry {
 			if ref.List < 0 || ref.List >= len(blocks) || ref.Index < 0 || ref.Index >= len(blocks[ref.List]) {
 				return fmt.Errorf("core: RestoreState: expiry ref %+v out of range", ref)
 			}
@@ -271,47 +248,23 @@ func (m *Manager) RestoreState(st *ManagerState) error {
 				return fmt.Errorf("core: RestoreState: expiry ref %+v block %v resolves to domain %d, listed under %d",
 					ref, b, b.dom, dom)
 			}
-			if b.eprev != nil || b == m.domains[dom].eqHead {
+			if b.eprev != nil || b == d.eqHead {
 				return fmt.Errorf("core: RestoreState: expiry ref %+v repeated", ref)
 			}
 			m.enqueueExpiryAfter(b, prev)
-			m.domains[dom].wb.NoteDirty(m, b, nil)
+			d.wb.NoteDirty(m, b, nil)
 			prev = b
 		}
-		return nil
-	}
-	restoreAux := func(dom int, aux *WritebackState) error {
-		if aux == nil {
-			return nil
-		}
-		d := m.domains[dom]
-		sp, ok := d.wb.(StatefulWritebackPolicy)
-		if !ok {
-			return fmt.Errorf("core: RestoreState: snapshot has writeback aux state but policy %q is stateless", d.wb.Name())
-		}
-		if err := sp.RestoreWriteback(aux); err != nil {
-			return fmt.Errorf("core: RestoreState: %w", err)
-		}
-		return nil
-	}
-	if m.PerDevice() {
-		for dom, ds := range st.Domains {
-			if err := replay(dom, ds.Expiry); err != nil {
-				return err
+		if ds.WritebackAux != nil {
+			sp, ok := d.wb.(StatefulWritebackPolicy)
+			if !ok {
+				return fmt.Errorf("core: RestoreState: snapshot has writeback aux state but policy %q is stateless", d.wb.Name())
 			}
-			if err := restoreAux(dom, ds.WritebackAux); err != nil {
-				return err
+			if err := sp.RestoreWriteback(ds.WritebackAux); err != nil {
+				return fmt.Errorf("core: RestoreState: %w", err)
 			}
-			m.domains[dom].flushed = ds.FlushedBytes
-			m.domains[dom].throttled = ds.ThrottledSec
 		}
-	} else {
-		if err := replay(0, st.Expiry); err != nil {
-			return err
-		}
-		if err := restoreAux(0, st.WritebackAux); err != nil {
-			return err
-		}
+		d.flushed, d.throttled = ds.FlushedBytes, ds.ThrottledSec
 	}
 	m.anon = st.Anon
 	m.readHits, m.readMisses = st.ReadHits, st.ReadMisses

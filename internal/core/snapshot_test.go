@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -81,8 +83,7 @@ func (r *snapshotRig) step(t *testing.T, seed int64, op int, kind int, name stri
 			r.anon = 0
 		}
 	case 3: // periodic flusher tick
-		r.m.FlushExpired(r.c)
-		r.m.FlushBackground(r.c)
+		r.m.FlushPass(r.c, 0)
 	case 4: // open/close for write (populates ManagerState.Writing)
 		r.m.OpenWrite(name)
 	case 5:
@@ -247,10 +248,13 @@ func TestRestoreStateRejects(t *testing.T) {
 	if err := build("", "").RestoreState(nil); err == nil {
 		t.Error("nil state accepted")
 	}
-	bad := *st
-	bad.Version = ManagerStateVersion + 1
-	if err := build("", "").RestoreState(&bad); err == nil {
-		t.Error("future snapshot version accepted")
+	for _, v := range []int{1, ManagerStateVersion + 1} {
+		bad := *st
+		bad.Version = v
+		err := build("", "").RestoreState(&bad)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Errorf("snapshot version %d: got %v, want an error naming the version", v, err)
+		}
 	}
 	if err := build("clock", "").RestoreState(st); err == nil {
 		t.Error("policy mismatch accepted")

@@ -6,10 +6,12 @@ import (
 	"strings"
 )
 
-// WritebackPolicy owns the writeback side of the page cache: in which order
-// dirty blocks are written to their backing stores by Flush (writer
-// throttling and background writeback) and FlushExpired (the periodic
-// flusher). It is the second policy seam, symmetric to Policy: Policy
+// WritebackPolicy owns the writeback side of one writeback domain: in which
+// order the domain's dirty blocks are written to their backing stores by
+// FlushDomain (writer throttling and the flusher's background pass), Flush
+// (the cross-domain drain, which merges the domains' candidates) and
+// FlushExpiredDomain (the flusher's expiry pass). Every manager has N ≥ 1
+// domains, each with its own instance. It is the second policy seam, symmetric to Policy: Policy
 // decides which clean block dies first, WritebackPolicy decides which dirty
 // block is persisted first. Everything else — dirty accounting, the expiry
 // queue, the flush mechanics (clean-before-write, partial splits, scan
@@ -26,8 +28,8 @@ import (
 //   - NextDirty and NextExpired are selection queries: they must not mutate
 //     policy state (rotation happens in NoteFlushed) and must return nil
 //     exactly when no (expired) dirty block exists. The common idle case of
-//     NextExpired must stay O(1) — the manager-wide expiry queue's head is
-//     the globally oldest dirty block, so ExpiredHead answers it.
+//     NextExpired must stay O(1) — the domain expiry queue's head is the
+//     domain's oldest dirty block, so ExpiredHeadDomain answers it.
 //   - Selection is deterministic: given the same event sequence, the same
 //     blocks come back in the same order (simulation reproducibility).
 //   - Mutations keep Manager.CheckInvariants happy; policy-specific
@@ -49,11 +51,12 @@ type WritebackPolicy interface {
 	// may since have been cleaned, resized, or both). Round-robin policies
 	// advance their cursor here; order-static policies ignore it.
 	NoteFlushed(m *Manager, b *Block)
-	// NextDirty returns the dirty block Flush should write next (nil when
-	// the cache holds no dirty data).
+	// NextDirty returns the domain's dirty block FlushDomain should write
+	// next (nil when the domain holds no dirty data).
 	NextDirty(m *Manager) *Block
-	// NextExpired returns the dirty block FlushExpired should write next:
-	// one older than DirtyExpire at simulated time now (nil when none is).
+	// NextExpired returns the domain's dirty block FlushExpiredDomain should
+	// write next: one older than DirtyExpire at simulated time now (nil when
+	// none is).
 	NextExpired(m *Manager, now float64) *Block
 	// CheckInvariants verifies policy-specific structure. The Manager's own
 	// CheckInvariants verifies everything policy-independent (including the
@@ -118,9 +121,10 @@ func newWritebackPolicy(name string) (WritebackPolicy, error) {
 }
 
 // DomainBound is implemented by writeback policies that need to know which
-// writeback domain they serve. When the Manager is configured with
-// per-device domains it constructs one policy instance per domain and calls
-// BindDomain with the domain's index before any dirty block is noted; the
+// writeback domain they serve. The Manager constructs one policy instance
+// per domain; for each domain ConfigureDomains adds it calls BindDomain with
+// the domain's index before any dirty block is noted (domain 0's instance
+// keeps the zero index); the
 // policy then restricts its selection queries to that domain's dirty
 // segments and expiry queue. Policies that never walk manager structure
 // directly (pure event-driven queues) may ignore the interface.
@@ -128,18 +132,11 @@ type DomainBound interface {
 	BindDomain(dom int)
 }
 
-// ExpiredHead returns the default domain's oldest dirty block when it is
-// older than DirtyExpire at time now, else nil — the domain expiry queue's
-// head, an O(1) peek. On a single-domain manager (the default) this is the
-// globally oldest dirty block. It is both the shared idle-case fast path of
+// ExpiredHeadDomain returns a writeback domain's oldest dirty block when it
+// is older than DirtyExpire at time now, else nil — the domain expiry
+// queue's head, an O(1) peek. It is both the shared idle-case fast path of
 // NextExpired and the complete answer for Entry-ordered expiry policies:
 // the queue is Entry-sorted, so its head is the first block to expire.
-func (m *Manager) ExpiredHead(now float64) *Block {
-	return m.ExpiredHeadDomain(0, now)
-}
-
-// ExpiredHeadDomain is ExpiredHead for one writeback domain: the domain's
-// oldest dirty block when older than DirtyExpire at time now, else nil.
 func (m *Manager) ExpiredHeadDomain(dom int, now float64) *Block {
 	h := m.domains[dom].eqHead
 	if h == nil || now-h.Entry < m.cfg.DirtyExpire {

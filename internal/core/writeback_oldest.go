@@ -11,9 +11,9 @@ func init() {
 // writeback analogue of FIFO. It keeps no structure of its own: the
 // per-domain expiry queue already threads the domain's dirty blocks in Entry
 // order (split halves adjacent), so both selection queries are O(1) head
-// peeks. Under this policy Flush and FlushExpired drain the same queue; the
-// only difference is the age cutoff. On a per-device manager each domain
-// gets its own instance, bound via BindDomain.
+// peeks. Under this policy FlushDomain and FlushExpiredDomain drain the
+// same queue; the only difference is the age cutoff. Each domain gets its
+// own instance, bound via BindDomain.
 type oldestFirstWriteback struct {
 	dom int
 }

@@ -163,12 +163,12 @@ func TestWritebackExpiredOrder(t *testing.T) {
 		c := newFakeCaller()
 		script(m, c)
 		c.now = 100 // everything expired (DirtyExpire 30)
-		m.FlushExpired(c)
+		m.FlushExpiredDomain(c, 0)
 		if got := strings.Join(c.writeLog, ","); got != strings.Join(want, ",") {
 			t.Errorf("%s: expired flush order %v, want %v", wb, c.writeLog, want)
 		}
 		if m.Dirty() != 0 {
-			t.Errorf("%s: dirty %d after FlushExpired", wb, m.Dirty())
+			t.Errorf("%s: dirty %d after the expiry pass", wb, m.Dirty())
 		}
 	}
 }
@@ -195,7 +195,7 @@ func TestWritebackInvalidateCleansQueues(t *testing.T) {
 }
 
 // TestWritebackBackgroundThreshold verifies the split threshold pair:
-// FlushBackground is a no-op at the paper-faithful default (ratio 0) and
+// the background pass is a no-op at the paper-faithful default (ratio 0) and
 // drains exactly to the background threshold when configured.
 func TestWritebackBackgroundThreshold(t *testing.T) {
 	m := wbTestManager(t, "", 1000)
@@ -204,8 +204,8 @@ func TestWritebackBackgroundThreshold(t *testing.T) {
 	if m.DirtyBackgroundThreshold() != 0 {
 		t.Fatalf("default background threshold %d, want 0 (disabled)", m.DirtyBackgroundThreshold())
 	}
-	if got := m.FlushBackground(c); got != 0 {
-		t.Fatalf("disabled FlushBackground flushed %d", got)
+	if got := m.FlushBackgroundDomain(c, 0); got != 0 {
+		t.Fatalf("disabled background pass flushed %d", got)
 	}
 
 	cfg := DefaultConfig(1000)
@@ -219,8 +219,8 @@ func TestWritebackBackgroundThreshold(t *testing.T) {
 	if got, want := m2.DirtyBackgroundThreshold(), int64(100); got != want {
 		t.Fatalf("background threshold %d, want %d", got, want)
 	}
-	if got := m2.FlushBackground(c2); got != 50 {
-		t.Fatalf("FlushBackground flushed %d, want 50", got)
+	if got := m2.FlushBackgroundDomain(c2, 0); got != 50 {
+		t.Fatalf("background pass flushed %d, want 50", got)
 	}
 	if m2.Dirty() != 100 {
 		t.Fatalf("dirty %d after background flush, want 100", m2.Dirty())

@@ -92,6 +92,9 @@ type Syncer interface {
 type coreModel struct {
 	io   *core.IOController
 	mode Mode
+	// flushSig is the signal domain 0's flusher waits on (nil before Start
+	// and in direct-I/O mode, which runs no flusher).
+	flushSig *des.Signal
 }
 
 // NewCoreModel builds the paper's block-granularity model in the given mode.
@@ -143,20 +146,28 @@ func (m *coreModel) CachedByFile() map[string]int64 {
 	return m.io.Manager().CachedByFile()
 }
 
+// Start spawns domain 0's flusher; EnablePerDeviceWriteback adds one per
+// device domain it creates.
 func (m *coreModel) Start(k *des.Kernel, mkCaller func(*des.Proc) core.Caller, running func() bool) {
 	if m.mode == ModeDirectIO {
 		return // nothing cached, nothing to flush
 	}
-	mgr := m.io.Manager()
-	k.Spawn("pdflush", func(p *des.Proc) {
-		if mgr.PerDevice() {
-			// Per-device writeback replaces the host-wide flusher with one
-			// proc per domain, spawned by EnablePerDeviceWriteback (which
-			// runs after this proc is created but before simulated time 0).
-			return
-		}
-		core.RunPeriodicFlusher(mkCaller(p), mgr, p.Sleep, running)
+	m.flushSig = spawnFlusher(k, "pdflush", mkCaller, m.io.Manager(), 0, running)
+}
+
+// spawnFlusher starts writeback domain dom's flusher proc — core.RunFlusher
+// over the domain's FlushPass — and returns the signal it waits on between
+// passes. Until a wake hook broadcasts that signal (SetDomainWake, installed
+// only by per-device writeback), each wait is a single timer event exactly
+// like a plain Sleep.
+func spawnFlusher(k *des.Kernel, name string, mkCaller func(*des.Proc) core.Caller, mgr *core.Manager, dom int, running func() bool) *des.Signal {
+	sig := des.NewSignal(k)
+	k.Spawn(name, func(p *des.Proc) {
+		c := mkCaller(p)
+		core.RunFlusher(c.Now, mgr.Config().FlushInterval, func() { mgr.FlushPass(c, dom) },
+			func(seconds float64) { sig.WaitTimeout(p, seconds) }, running)
 	})
+	return sig
 }
 
 // directTransfer moves data chunk-by-chunk at backing-store speed; reads

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/des"
 )
 
 // DiskWritebackKnobs are one disk's optional writeback-threshold overrides
@@ -17,28 +16,29 @@ type DiskWritebackKnobs struct {
 	DirtyBackgroundRatio float64
 }
 
-// EnablePerDeviceWriteback switches the host's cache model from one global
-// writeback domain to per-device domains: one domain per local disk (plus
-// the retained default domain 0 as the cross-device backstop for files that
-// live on no local disk — remote mounts, unplaced files), each with its own
-// dirty thresholds, its own flusher proc scheduled through the DES kernel,
-// and writer-driven wakeups (a write crossing a domain's background
-// threshold kicks that domain's flusher signal immediately instead of
-// waiting out the FlushInterval poll).
+// EnablePerDeviceWriteback adds one writeback domain per local disk to the
+// host's cache, next to the default domain 0, which stays the cross-device
+// backstop for files that live on no local disk (remote mounts, unplaced
+// files). Each new domain gets its own dirty thresholds and its own flusher
+// proc scheduled through the DES kernel, and every domain — domain 0
+// included — gets writer-driven wakeups: a write crossing a domain's
+// background threshold kicks that domain's flusher signal immediately
+// instead of waiting out the FlushInterval poll.
 //
 // Must be called after the host's disks are attached and before the
-// simulation runs; the host's model must be backed by a core.Manager. knobs
-// may be nil or name a subset of the disks. Strictly opt-in: hosts that
-// never call this are byte-identical to the single-flusher engine.
+// simulation runs; the host's model must be the engine's core.Manager-backed
+// model (AddHost, NewCoreModel). knobs may be nil or name a subset of the
+// disks. Strictly opt-in: hosts that never call this keep one domain, whose
+// flusher never wakes early.
 func (hr *HostRuntime) EnablePerDeviceWriteback(knobs map[string]DiskWritebackKnobs) error {
-	mp, ok := hr.Model.(ManagerProvider)
+	cm, ok := hr.Model.(*coreModel)
 	if !ok {
 		return fmt.Errorf("engine: per-device writeback on %s: model has no core.Manager", hr.Host.Name())
 	}
 	if len(hr.disks) == 0 {
 		return fmt.Errorf("engine: per-device writeback on %s: host has no disks", hr.Host.Name())
 	}
-	m := mp.Manager()
+	m := cm.Manager()
 	devs := make([]core.DomainConfig, 0, len(hr.disks))
 	for _, dev := range hr.disks {
 		dc := core.DomainConfig{Dev: dev.Name(), WriteBW: dev.Spec().WriteBW}
@@ -51,25 +51,17 @@ func (hr *HostRuntime) EnablePerDeviceWriteback(knobs map[string]DiskWritebackKn
 	if err := m.ConfigureDomains(devs, hr.writebackDeviceOf); err != nil {
 		return fmt.Errorf("engine: per-device writeback on %s: %w", hr.Host.Name(), err)
 	}
-	// One flusher proc per domain, including the backstop (the host-wide
-	// "pdflush" spawned by Model.Start exits immediately in per-device
-	// mode). Each waits on its own signal so writers wake exactly their
-	// device's flusher.
+	// Domain 0's flusher is the model's own "pdflush"; each device domain
+	// gets its own proc. Each waits on its own signal so writers wake
+	// exactly their device's flusher.
+	if cm.flushSig != nil {
+		m.SetDomainWake(0, cm.flushSig.Broadcast)
+	}
 	s := hr.sim
-	for dom := 0; dom < m.DomainCount(); dom++ {
-		dom := dom
-		name := "pdflush-" + m.DomainDev(dom)
-		if dom == 0 {
-			name = "pdflush-default"
-		}
-		sig := des.NewSignal(s.K)
+	running := func() bool { return s.running }
+	for dom := 1; dom < m.DomainCount(); dom++ {
+		sig := spawnFlusher(s.K, "pdflush-"+m.DomainDev(dom), hr.Caller, m, dom, running)
 		m.SetDomainWake(dom, sig.Broadcast)
-		s.K.Spawn(name, func(p *des.Proc) {
-			c := hr.Caller(p)
-			core.RunDomainFlusher(c, m, dom, func(seconds float64) {
-				sig.WaitTimeout(p, seconds)
-			}, func() bool { return s.running })
-		})
 	}
 	return nil
 }

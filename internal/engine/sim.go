@@ -170,16 +170,10 @@ func (hr *HostRuntime) MountRemote(part *storage.Partition, link *platform.Link,
 	r.Retry = opts.Retry
 	hr.remotes[part] = &mount{remote: r, chunk: opts.Chunk, clientWriteCache: opts.ClientWriteCache}
 	if opts.ServerWriteback && opts.SrvMgr != nil {
-		interval := opts.SrvMgr.Config().FlushInterval
 		s := hr.sim
 		s.K.Spawn("nfsd-flush", func(p *des.Proc) {
-			for s.running {
-				start := p.Now()
-				r.BackgroundTick(p)
-				if d := interval - (p.Now() - start); d > 0 {
-					p.Sleep(d)
-				}
-			}
+			core.RunFlusher(p.Now, opts.SrvMgr.Config().FlushInterval, func() { r.BackgroundTick(p) },
+				p.Sleep, func() bool { return s.running })
 		})
 	}
 	return nil

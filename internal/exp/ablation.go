@@ -118,7 +118,7 @@ func MergeAblation(size int64, ps []grid.Payload) (*AblationResult, error) {
 	return res, nil
 }
 
-// RunAblations quantifies the design choices documented in DESIGN.md on the
+// RunAblations quantifies the design choices listed in ablationVariants on the
 // Exp 1 workload at the given size. Cells fan out over the default
 // in-process pool.
 func RunAblations(size int64) (*AblationResult, error) {

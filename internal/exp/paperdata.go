@@ -1,9 +1,9 @@
 package exp
 
 // PaperReported collects the quantitative claims the paper's evaluation
-// makes, for side-by-side comparison in EXPERIMENTS.md. These are the
-// numbers printed in the text; figure-only values are qualitative and are
-// compared by shape (see the per-experiment notes in EXPERIMENTS.md).
+// makes, for side-by-side comparison in the experiments report (report.go
+// prints them next to the reproduced numbers). These are the numbers printed
+// in the text; figure-only values are qualitative and are compared by shape.
 type PaperReported struct {
 	// Exp 1 mean absolute relative errors (%), averaged over ops/sizes.
 	Exp1WrenchErr, Exp1PysimErr, Exp1CacheErr float64

@@ -1,8 +1,7 @@
 // Package exp reproduces the paper's evaluation: experiments 1–4 plus the
 // simulation-time study, each emitting the same rows/series the paper's
 // tables and figures report, with the paper's published numbers embedded for
-// side-by-side comparison (EXPERIMENTS.md is generated from this package's
-// output).
+// side-by-side comparison in the report cmd/experiments prints.
 package exp
 
 import (
@@ -141,7 +140,7 @@ func NewNFSSim(mode engine.Mode) (*NFSRig, error) {
 
 // NewNFSReal builds the ground-truth NFS platform: linuxref on the client,
 // measured asymmetric bandwidths everywhere, server read cache in
-// writethrough (block-granularity server cache; see DESIGN.md).
+// writethrough (block-granularity server cache; see internal/nfs).
 func NewNFSReal(jitter float64) (*NFSRig, error) {
 	sim := engine.NewSimulation()
 	cfg := linuxref.DefaultConfig(RAM)

@@ -20,7 +20,7 @@ type WritebackRow struct {
 	Writeback string
 	BGRatio   float64 // vm.dirty_background_ratio (0: disabled)
 	Makespan  float64 // simulated seconds until the last operation completes
-	Flushed   int64   // bytes written back by Flush/FlushExpired
+	Flushed   int64   // bytes written back by the flush passes
 	Throttled float64 // simulated seconds writers spent throttled
 	HitRatio  float64 // cached fraction of application read bytes
 }

@@ -1,5 +1,5 @@
 // Package linuxref is the repository's stand-in for the paper's "Real
-// execution" measurements (see DESIGN.md §1): a folio-granularity emulator
+// execution" measurements: a folio-granularity emulator
 // of the Linux page cache with the kernel mechanisms the paper's
 // block-level model deliberately simplifies away:
 //

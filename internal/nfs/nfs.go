@@ -187,16 +187,16 @@ func (r *Remote) write(p *des.Proc, file string, n int64) {
 	_ = r.mgr.AddToCache(file, n, p.Now())
 }
 
-// BackgroundTick flushes expired server-side dirty data — plus, when the
-// server manager has a background dirty threshold configured, the dirty
-// data exceeding it — in the server's writeback-policy order (only
-// meaningful for a writeback server; a no-op otherwise). The flusher
-// process is owned by whoever built the Remote.
+// BackgroundTick is one wake-up of the server's flusher: the server
+// cache's FlushPass over its single writeback domain — expired dirty data,
+// plus, when a background dirty threshold is configured, the dirty data
+// exceeding it — in the server's writeback-policy order. It is a no-op
+// unless the server caches in writeback mode, and while the server is down.
+// The flusher process (core.RunFlusher) is owned by whoever built the
+// Remote.
 func (r *Remote) BackgroundTick(p *des.Proc) {
 	if r.mgr == nil || !r.ServerWriteback || r.down {
 		return
 	}
-	c := srvCaller{p: p, r: r}
-	r.mgr.FlushExpired(c)
-	r.mgr.FlushBackground(c)
+	r.mgr.FlushPass(srvCaller{p: p, r: r}, 0)
 }

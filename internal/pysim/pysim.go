@@ -95,28 +95,25 @@ func (c seqCaller) MemWrite(n int64) { c.s.clock += float64(n) / c.s.cfg.MemBW }
 // and no application time is charged (the prototype has no bandwidth
 // sharing, so background disk writes are free for the app — the same
 // simplification the paper's prototype makes).
-type bgCaller struct {
-	s    *Sim
-	tick float64
-}
+type bgCaller struct{ tick float64 }
 
-func (c bgCaller) Now() float64            { return c.tick }
-func (c bgCaller) DiskRead(string, int64)  {}
-func (c bgCaller) DiskWrite(string, int64) {}
-func (c bgCaller) MemRead(int64)           {}
-func (c bgCaller) MemWrite(int64)          {}
+func (c *bgCaller) Now() float64            { return c.tick }
+func (c *bgCaller) DiskRead(string, int64)  {}
+func (c *bgCaller) DiskWrite(string, int64) {}
+func (c *bgCaller) MemRead(int64)           {}
+func (c *bgCaller) MemWrite(int64)          {}
 
-// catchUp runs the periodic flusher for every tick that has passed: the
+// catchUp replays the flusher for every tick that has passed: the engine's
+// loop (core.RunFlusher) and pass (Manager.FlushPass over domain 0, the
 // expiry pass plus, when Config.Cache.DirtyBackgroundRatio is set, the
-// background pass — the same wake-up body the engine's RunPeriodicFlusher
-// executes, so the prototype and the engine agree on every configuration.
+// background pass), run on the tick clock. Background writes are free, so
+// each wait advances the clock by a full FlushInterval, and the prototype
+// and the engine agree on every configuration.
 func (s *Sim) catchUp() {
-	for s.nextTick <= s.clock {
-		c := bgCaller{s: s, tick: s.nextTick}
-		s.mgr.FlushExpired(c)
-		s.mgr.FlushBackground(c)
-		s.nextTick += s.cfg.Cache.FlushInterval
-	}
+	c := &bgCaller{tick: s.nextTick}
+	core.RunFlusher(c.Now, s.cfg.Cache.FlushInterval, func() { s.mgr.FlushPass(c, 0) },
+		func(seconds float64) { c.tick += seconds }, func() bool { return c.tick <= s.clock })
+	s.nextTick = c.tick
 }
 
 func (s *Sim) sample() {

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -396,5 +398,24 @@ func TestLoadReader(t *testing.T) {
 	}
 	if _, err := LoadReader(strings.NewReader(`{"name": "x", "bogusField": 1}`), "."); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// TestWarmupSnapshotFileWithNullStateFails feeds a snapshot whose host
+// entry is null to the warmup stanza: the run must fail with an error naming
+// the entry, never dereference the missing state.
+func TestWarmupSnapshotFileWithNullStateFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "null.snap.json")
+	if err := os.WriteFile(path, []byte(`{"version": 2, "hosts": {"node0": null}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := baseDoc()
+	d.Warmup = &WarmupDoc{SnapshotFile: path}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Run(d, RunOpts{})
+	if err == nil || !strings.Contains(err.Error(), `host "node0" has a null state`) {
+		t.Fatalf("err = %v, want the null host state named", err)
 	}
 }

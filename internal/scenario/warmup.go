@@ -84,6 +84,10 @@ func restoreSnapshot(sim *engine.Simulation, plat *engine.Platform, groups map[s
 		cp := *st
 		cp.ReadHits, cp.ReadMisses, cp.FlushedBytes = 0, 0, 0
 		cp.ThrottledSec, cp.ForcedEvictions = 0, 0
+		cp.Domains = append([]core.DomainSnapshot(nil), st.Domains...)
+		for i := range cp.Domains {
+			cp.Domains[i].FlushedBytes, cp.Domains[i].ThrottledSec = 0, 0
+		}
 		if err := mgr.RestoreState(&cp); err != nil {
 			return fmt.Errorf("scenario: warmup: restoring %s %q: %w", kind, name, err)
 		}

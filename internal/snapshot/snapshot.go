@@ -6,9 +6,12 @@
 // DSL's "warmup": {"snapshotFile": ...} stanza, so a steady state captured
 // once can warm-start any number of later runs.
 //
-// Timestamps inside the ManagerStates are in the saving run's simulated
-// clock; SavedAtSimS records that clock so restorers can rebase block times
-// to their own t=0 with Manager.ShiftTimes(-SavedAtSimS).
+// Every ManagerState has one layout, core.ManagerStateVersion: the cache's
+// writeback domains as a list, domain 0 included (a host without per-device
+// writeback has exactly that one). Timestamps inside the ManagerStates are
+// in the saving run's simulated clock; SavedAtSimS records that clock so
+// restorers can rebase block times to their own t=0 with
+// Manager.ShiftTimes(-SavedAtSimS).
 package snapshot
 
 import (
@@ -16,19 +19,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/core"
 )
 
-// Version is the file-format version written by this build; Decode accepts
-// it and VersionLegacy. Version 2 added per-device writeback domains inside
-// the embedded core.ManagerStates (core.ManagerStateVersionPerDevice);
-// version-1 files — whose managers are all single-domain — remain readable
-// unchanged.
-const (
-	Version       = 2
-	VersionLegacy = 1
-)
+// Version is the file-format version written and read by this build: its
+// embedded states are core.ManagerStateVersion. Version-1 files, whose
+// states kept a single domain in top-level fields, are rejected; re-create
+// them with pcsim -snapshot-out.
+const Version = 2
 
 // FileMeta describes one backing file the snapshot's cache state refers to.
 // Restorers recreate missing files before restoring managers, so restored
@@ -63,8 +63,10 @@ func Encode(w io.Writer, f *File) error {
 	return enc.Encode(f)
 }
 
-// Decode reads a snapshot document, rejecting unknown fields and version
-// mismatches.
+// Decode reads a snapshot document, rejecting unknown fields, a file
+// version other than Version, and any host, cgroup or server entry whose
+// state is null or not core.ManagerStateVersion — so restorers never see a
+// nil or foreign-layout state.
 func Decode(r io.Reader) (*File, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -72,8 +74,28 @@ func Decode(r io.Reader) (*File, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("snapshot: decoding: %w", err)
 	}
-	if f.Version != Version && f.Version != VersionLegacy {
-		return nil, fmt.Errorf("snapshot: file version %d, this build reads %d and %d", f.Version, Version, VersionLegacy)
+	if f.Version != Version {
+		return nil, fmt.Errorf("snapshot: file version %d, this build reads %d", f.Version, Version)
+	}
+	for _, group := range []struct {
+		kind   string
+		states map[string]*core.ManagerState
+	}{{"host", f.Hosts}, {"cgroup", f.Cgroups}, {"server", f.Servers}} {
+		names := make([]string, 0, len(group.states))
+		for name := range group.states {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			st := group.states[name]
+			if st == nil {
+				return nil, fmt.Errorf("snapshot: %s %q has a null state", group.kind, name)
+			}
+			if st.Version != core.ManagerStateVersion {
+				return nil, fmt.Errorf("snapshot: %s %q state version %d, this build reads %d",
+					group.kind, name, st.Version, core.ManagerStateVersion)
+			}
+		}
 	}
 	return &f, nil
 }

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -82,10 +83,44 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("future version accepted")
 	}
+	if _, err := Decode(strings.NewReader(`{"version": 1}`)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 file: got %v, want an error naming version 1", err)
+	}
 	if _, err := Decode(strings.NewReader(`{"version": 1, "bogus": true}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 	if _, err := Decode(strings.NewReader(`not json`)); err == nil {
 		t.Error("malformed document accepted")
+	}
+}
+
+// TestDecodeRejectsBadStates checks that every state entry is validated at
+// decode time, so a null or foreign-layout state surfaces as an error naming
+// the entry rather than as a nil dereference in a restorer.
+func TestDecodeRejectsBadStates(t *testing.T) {
+	var good bytes.Buffer
+	if err := Encode(&good, sampleFile(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"hosts", "cgroups", "servers"} {
+		for _, tc := range []struct {
+			state string
+			want  string
+		}{
+			{`null`, `has a null state`},
+			{`{"version": 1, "policy": "lru", "writeback": "list-order", "lists": [], "domains": []}`, `state version 1`},
+			{`{"version": 3, "policy": "lru", "writeback": "list-order", "lists": [], "domains": []}`, `state version 3`},
+		} {
+			doc := fmt.Sprintf(`{"version": %d, %q: {"bad": %s}}`, Version, kind, tc.state)
+			_, err := Decode(strings.NewReader(doc))
+			entry := strings.TrimSuffix(kind, "s") + ` "bad"`
+			if err == nil || !strings.Contains(err.Error(), entry) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s entry %s: got %v, want an error naming %s and containing %q",
+					kind, tc.state, err, entry, tc.want)
+			}
+		}
+	}
+	if _, err := Decode(&good); err != nil {
+		t.Fatalf("well-formed document rejected: %v", err)
 	}
 }

@@ -181,7 +181,8 @@ func RunIterative(r Runner, spec IterativeSpec) error {
 // a file produced earlier — region extraction consumes the tissue
 // classification output (1376 MB, exact match), cortical reconstruction the
 // skull stripping output (393 MB, exact match), and tissue classification a
-// 197 MB subset of the skull stripping output (see DESIGN.md).
+// 197 MB subset of the skull stripping output (the input sizes of Table II,
+// listed in NighresSteps).
 type NighresStep struct {
 	Name       string
 	InputFile  string
