@@ -35,10 +35,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/exp"
@@ -123,8 +121,13 @@ func Main(args []string, stdout io.Writer) int {
 		st.Render(stdout)
 		return 0
 	}
+	// Every drain — the in-memory grid, the queue coordinator's local slots
+	// and a -queue-worker fleet — runs its cells the same way.
+	drain := grid.Options{Workers: *workers, Timeout: *cellTO, Retries: *cellRetry,
+		WorkerCmd: strings.Fields(*workerCmd)}
 	if *queueWorker {
-		return queueWorkerMain(*queueDir, *workers, *queueTTL, *queueMax, *cellTO, *cellRetry, *timings)
+		drain.MaxCells = *queueMax
+		return queueWorkerMain(*queueDir, *queueTTL, drain, *timings)
 	}
 	if !(*exp1 || *exp2 || *exp3 || *exp4 || *fig8 || *ablations || *tables || *policies || *wbacks || *devs || *ffwd) {
 		*all = true
@@ -322,26 +325,14 @@ func Main(args []string, stdout io.Writer) int {
 	if *queueDir != "" {
 		var progress func(done, total int, r grid.Result)
 		if *timings {
-			progress = func(done, total int, r grid.Result) {
-				status := "ok"
-				if r.Err != "" {
-					status = "FAILED"
-				}
-				fmt.Fprintf(os.Stderr, "experiments: [%d/%d] %s %s (%.1fs)\n",
-					done, total, r.Coord, status, r.Seconds)
-			}
-		}
-		n := *workers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
+			progress = printProgress
 		}
 		var err error
 		stats, err = exp.RunQueue(em, sections, exp.QueueRunOptions{
 			Dir:         *queueDir,
-			Workers:     n,
 			LeaseTTL:    *queueTTL,
 			EnqueueOnly: *queueEnqueue,
-			Exec:        func(s grid.Spec) grid.Result { return grid.Attempt(s, *cellTO, *cellRetry) },
+			Drain:       drain,
 			Progress:    progress,
 			Log:         os.Stderr,
 		})
@@ -354,22 +345,8 @@ func Main(args []string, stdout io.Writer) int {
 		}
 	} else {
 		specs := exp.SpecsOf(sections)
-		opts := grid.Options{Workers: *workers, Timeout: *cellTO, Retries: *cellRetry}
-		if *workerCmd != "" {
-			opts.WorkerCmd = strings.Fields(*workerCmd)
-		}
-		if *timings {
-			opts.Progress = func(done, total int, r grid.Result) {
-				status := "ok"
-				if r.Err != "" {
-					status = "FAILED"
-				}
-				fmt.Fprintf(os.Stderr, "experiments: [%d/%d] %s %s (%.1fs, worker %d)\n",
-					done, total, r.Coord, status, r.Seconds, r.Worker)
-			}
-		}
 		var err error
-		stats, err = grid.Run(specs, opts, em.Deliver)
+		stats, err = grid.Run(specs, drain, withProgress(*timings, len(specs), em.Deliver))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			return 1
@@ -416,61 +393,48 @@ func writeTimingsJSON(path string, stats metrics.GridStats) int {
 	return 0
 }
 
-// queueWorkerMain attaches n drain loops to an existing queue and exits when
-// it is drained (or each loop has run its -queue-max-cells share). Cell
+// printProgress is the -timings per-cell progress line on stderr.
+func printProgress(done, total int, r grid.Result) {
+	status := "ok"
+	if r.Err != "" {
+		status = "FAILED"
+	}
+	fmt.Fprintf(os.Stderr, "experiments: [%d/%d] %s %s (%.1fs)\n", done, total, r.Coord, status, r.Seconds)
+}
+
+// withProgress wraps a drain's deliver callback to print each delivered
+// cell's progress line out of total when on is set.
+func withProgress(on bool, total int, deliver func(grid.Result)) func(grid.Result) {
+	if !on {
+		return deliver
+	}
+	done := 0
+	return func(r grid.Result) {
+		done++
+		printProgress(done, total, r)
+		if deliver != nil {
+			deliver(r)
+		}
+	}
+}
+
+// queueWorkerMain drains an existing queue with grid.Drain and exits when it
+// is drained (or each slot has run its -queue-max-cells share). Cell
 // failures are recorded in the queue, not in the exit code: the coordinator
 // owns reporting.
-func queueWorkerMain(dir string, workers int, ttl time.Duration, maxCells int, cellTO time.Duration, cellRetry int, verbose bool) int {
+func queueWorkerMain(dir string, ttl time.Duration, drain grid.Options, verbose bool) int {
 	q, err := queue.Open(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 2
 	}
-	n := workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var total queue.DrainStats
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			opts := queue.DrainOptions{
-				LeaseTTL: ttl,
-				MaxCells: maxCells,
-				Exec:     func(s grid.Spec) grid.Result { return grid.Attempt(s, cellTO, cellRetry) },
-			}
-			if verbose {
-				opts.Progress = func(r grid.Result) {
-					status := "ok"
-					if r.Err != "" {
-						status = "FAILED"
-					}
-					fmt.Fprintf(os.Stderr, "experiments: %s %s (%.1fs)\n", r.Coord, status, r.Seconds)
-				}
-			}
-			st, err := q.Drain(opts)
-			mu.Lock()
-			total.Ran += st.Ran
-			total.Failed += st.Failed
-			total.BusySeconds += st.BusySeconds
-			mu.Unlock()
-			if err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	stats, err := grid.Drain(q.Source(ttl), drain, withProgress(verbose, q.Cells(), nil))
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "experiments: queue worker done: ran %d cells (%d failed) in %.1fs busy\n",
-		total.Ran, total.Failed, total.BusySeconds)
+		stats.Cells, stats.Failed, stats.Busy())
 	return 0
 }
 

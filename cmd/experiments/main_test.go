@@ -84,13 +84,17 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 }
 
 // TestSubprocessFanoutByteIdentical runs the same grid over -worker-cmd
-// subprocesses (the test binary in worker mode) and demands the same bytes
-// as the in-process single-worker run.
+// subprocesses (the test binary in worker mode), from memory and through a
+// durable queue, and demands the same bytes as the in-process
+// single-worker run.
 func TestSubprocessFanoutByteIdentical(t *testing.T) {
 	stdout1, csv1 := runGrid(t, "-workers", "1")
 	t.Setenv("EXPERIMENTS_WORKER_TEST", "1") // inherited by the spawned workers
 	stdoutSub, csvSub := runGrid(t, "-workers", "3", "-worker-cmd", os.Args[0])
 	expectIdentical(t, "in-process vs subprocess", stdout1, stdoutSub, csv1, csvSub)
+	qdir := filepath.Join(t.TempDir(), "q")
+	stdoutQ, csvQ := runGrid(t, "-workers", "3", "-worker-cmd", os.Args[0], "-queue-dir", qdir)
+	expectIdentical(t, "in-process vs queue subprocess", stdout1, stdoutQ, csv1, csvQ)
 }
 
 // TestFailingCellFailsSectionNotRun injects a failing cell kind (exp1 at a

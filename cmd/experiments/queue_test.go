@@ -55,8 +55,8 @@ func TestQueueResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ttl := 50 * time.Millisecond
-	if _, _, outcome, err := q.Claim("kill-nined", ttl, 0); err != nil || outcome != queue.Claimed {
-		t.Fatalf("crash-sim claim: outcome=%v err=%v", outcome, err)
+	if _, ok, _, err := q.Source(ttl).Claim(0); err != nil || !ok {
+		t.Fatalf("crash-sim claim: ok=%v err=%v", ok, err)
 	}
 	time.Sleep(ttl + 20*time.Millisecond)
 
@@ -75,6 +75,46 @@ func TestQueueResumeByteIdentical(t *testing.T) {
 	}
 	if st.Releases == 0 {
 		t.Fatal("the crashed worker's cell was never re-leased — the crash was not simulated")
+	}
+}
+
+// TestQueueBadWorkerCmdFails: -worker-cmd applies to queue drains too. A
+// worker command that cannot start fails every cell, so a queue coordinator
+// exits 1 exactly as the in-memory path does, and a -queue-worker fleet
+// journals the failures for its coordinator to report.
+func TestQueueBadWorkerCmdFails(t *testing.T) {
+	const bad = "/nonexistent/worker"
+	for _, extra := range [][]string{
+		{"-workers", "2", "-worker-cmd", bad},
+		{"-workers", "2", "-worker-cmd", bad, "-queue-dir", filepath.Join(t.TempDir(), "q")},
+	} {
+		var b strings.Builder
+		if code := Main(runGridArgs(t.TempDir(), extra...), &b); code != 1 {
+			t.Errorf("%v: exit %d, want 1", extra, code)
+		}
+	}
+
+	qdir := filepath.Join(t.TempDir(), "q")
+	var b strings.Builder
+	if code := Main(runGridArgs(t.TempDir(), "-queue-dir", qdir, "-queue-enqueue"), &b); code != 0 {
+		t.Fatalf("enqueue exit %d", code)
+	}
+	if code := Main([]string{"-queue-dir", qdir, "-queue-worker", "-workers", "2", "-worker-cmd", bad}, &b); code != 0 {
+		t.Fatalf("queue worker exit %d, want 0 (cell failures belong to the coordinator)", code)
+	}
+	q, err := queue.Open(qdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := q.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Failed != st.Cells {
+		t.Fatalf("%d of %d cells failed, want every cell", st.Failed, st.Cells)
+	}
+	if err := st.FailedCells[0].Err; !strings.Contains(err, "starting worker") {
+		t.Fatalf("cell error %q, want a worker start failure", err)
 	}
 }
 

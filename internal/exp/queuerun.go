@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/grid"
@@ -16,18 +15,15 @@ type QueueRunOptions struct {
 	// Dir is the queue directory (created if absent; resumed — after a
 	// fingerprint check — if present).
 	Dir string
-	// Workers is the number of local drain loops to attach; <=0 attaches
-	// none (enqueue/merge-only coordinator: some other fleet drains).
-	Workers int
-	// LeaseTTL is each local worker's lease TTL (0: the queue default).
+	// LeaseTTL is the lease TTL of the local drain slots (0: the queue
+	// default).
 	LeaseTTL time.Duration
-	// MaxLeases is the per-cell lease budget (0: default, <0: unlimited).
-	MaxLeases int
 	// EnqueueOnly creates/validates the queue and returns without draining
 	// or merging — the fleet attaches later with `-queue-worker`.
 	EnqueueOnly bool
-	// Exec runs one claimed cell in the local drain loops (nil: grid.RunSpec).
-	Exec func(grid.Spec) grid.Result
+	// Drain configures the local grid.Drain over the queue: slot count,
+	// per-cell timeout and retries, and -worker-cmd subprocesses.
+	Drain grid.Options
 	// Progress, if set, is called serially as finished cells stream out of
 	// the queue's result store (cells done by remote workers included).
 	Progress func(done, total int, r grid.Result)
@@ -37,10 +33,12 @@ type QueueRunOptions struct {
 
 // RunQueue is the durable-queue counterpart of grid.Run for a full report:
 // it enumerates the sections' cells into the queue at Dir (or resumes an
-// interrupted run, skipping completed cells), attaches local drain loops,
-// and feeds every finished cell from the queue's result store into the
-// emitter, which renders sections in report order exactly as the in-memory
-// pool path does. The returned stats aggregate the journal's per-worker
+// interrupted run, skipping completed cells), drains it locally with
+// grid.Drain over the queue's Source, and feeds every finished cell from
+// the queue's result store into the emitter, which renders sections in
+// report order exactly as the in-memory path does. If the local drain
+// fails, RunQueue returns its error instead of waiting for cells nobody is
+// left to finish. The returned stats aggregate the journal's per-worker
 // busy time across every participating worker — local, remote, and from
 // prior interrupted sessions — with this call's wall clock.
 func RunQueue(em *Emitter, sections []Section, o QueueRunOptions) (metrics.GridStats, error) {
@@ -68,33 +66,23 @@ func RunQueue(em *Emitter, sections []Section, o QueueRunOptions) (metrics.GridS
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	drainErrs := make(chan error, o.Workers)
-	for i := 0; i < o.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := q.Drain(queue.DrainOptions{
-				LeaseTTL:  o.LeaseTTL,
-				MaxLeases: o.MaxLeases,
-				Exec:      o.Exec,
-			})
-			if err != nil {
-				drainErrs <- err
-			}
-		}()
-	}
+	drained := make(chan error, 1)
+	go func() {
+		_, err := grid.Drain(q.Source(o.LeaseTTL), o.Drain, nil)
+		if err != nil {
+			q.StopWait(err)
+		}
+		drained <- err
+	}()
 	// The emitter reads from the queue's result store: every cell that any
 	// worker — this process, another coordinator, a remote fleet, a previous
 	// interrupted run — completed arrives through WaitDrain exactly once.
 	waitErr := q.WaitDrain(0, em.Deliver, o.Progress)
-	wg.Wait()
-	close(drainErrs)
+	if err := <-drained; err != nil {
+		return metrics.GridStats{}, err
+	}
 	if waitErr != nil {
 		return metrics.GridStats{}, waitErr
-	}
-	for err := range drainErrs {
-		return metrics.GridStats{}, err
 	}
 	st, err = q.Status()
 	if err != nil {

@@ -1,18 +1,25 @@
-// Package grid fans the experiment grid's independent simulation cells out
-// over a worker pool and hands the results back for a deterministic,
-// coordinate-ordered merge.
+// Package grid drains the experiment grid's independent simulation cells
+// and hands the results back for a deterministic, coordinate-ordered merge.
 //
 // A cell is a Spec: a registered kind plus JSON-encoded arguments and a grid
 // Coord. Specs are self-describing — any process that imports the package
 // that registered the kind can execute one — which is what lets
 // `experiments -worker` subprocesses (including workers on other hosts fed
-// through ssh pipes) drain the same queue as in-process workers.
+// through ssh pipes) run cells for the same drain as in-process slots.
+//
+// There is one scheduler, Drain: its slots claim cells from a Source, run
+// each with the attempt/retry/timeout policy of Options (in process, or on
+// the slot's -worker-cmd subprocess), heartbeat the claim, and complete it.
+// A Source has two backends: the in-memory spec list behind Run, and the
+// durable queue journal of package queue, which leases cells under a TTL so
+// several processes and hosts can drain it. Both claim costliest first
+// (ClaimOrder).
 //
 // Payloads always round-trip through JSON, in-process included, so a run's
 // bytes cannot depend on which side of a process boundary a cell happened to
 // execute on: Go's float64 encoding is exact under round-trip, and the
 // merger orders payloads by Coord, so stdout reports and CSVs are
-// byte-identical for every worker count and fan-out mode.
+// byte-identical for every worker count, fan-out mode and source.
 package grid
 
 import (
@@ -60,7 +67,7 @@ type Spec struct {
 	Kind  string `json:"kind"`
 	Label string `json:"label,omitempty"`
 	// Cost is the cell's self-estimated relative cost (any consistent unit;
-	// the exp package uses simulated bytes × instances). The scheduler runs
+	// the exp package uses simulated bytes × instances). Drain claims
 	// costlier cells first so a long cell starts early instead of becoming
 	// the straggler tail.
 	Cost float64         `json:"cost,omitempty"`
@@ -88,7 +95,7 @@ type Result struct {
 	Err      string  `json:"err,omitempty"`
 	Attempts int     `json:"attempts,omitempty"`
 	Seconds  float64 `json:"seconds,omitempty"` // execution wall-clock, all attempts
-	// Worker is the pool slot that ran the cell (not part of the protocol;
+	// Worker is the drain slot that ran the cell (not part of the protocol;
 	// subprocess workers don't know their slot).
 	Worker int `json:"-"`
 }
@@ -144,7 +151,8 @@ func lookup(kind string) (func(json.RawMessage) (any, error), bool) {
 
 // RunSpec executes one cell in the current process with panic isolation: a
 // panicking cell yields a Result carrying the panic value and stack, never
-// an aborted run. Used by both the in-process pool and worker subprocesses.
+// an aborted run. Used by both in-process drain slots and worker
+// subprocesses.
 func RunSpec(s Spec) Result {
 	res := Result{Coord: s.Coord, Kind: s.Kind}
 	start := time.Now()

@@ -127,17 +127,17 @@ func TestScheduleOrderLongestFirst(t *testing.T) {
 		spec("test-square", 3, 5), // ties keep enumeration order (stable)
 		spec("test-square", 4, 0),
 	}
-	got := scheduleOrder(specs)
+	got := ClaimOrder(specs)
 	wantI := []int{1, 3, 2, 0, 4}
-	for i, s := range got {
-		if s.Coord.I != wantI[i] {
-			t.Fatalf("schedule position %d: got cell %d, want %d", i, s.Coord.I, wantI[i])
+	for i, c := range got {
+		if c != wantI[i] {
+			t.Fatalf("claim position %d: got cell %d, want %d", i, c, wantI[i])
 		}
 	}
 	// The input slice is untouched.
 	for i, s := range specs {
 		if s.Coord.I != i {
-			t.Fatalf("scheduleOrder mutated its input at %d", i)
+			t.Fatalf("ClaimOrder mutated its input at %d", i)
 		}
 	}
 }
@@ -463,5 +463,39 @@ func TestPayloadJSONRoundTripIsExact(t *testing.T) {
 		if back != v {
 			t.Fatalf("float64 %v did not round-trip (got %v)", v, back)
 		}
+	}
+}
+
+// failingSource hands out cells forever and fails every completion.
+type failingSource struct {
+	mu     sync.Mutex
+	claims int
+}
+
+func (f *failingSource) Claim(int) (Claim, bool, time.Duration, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.claims++
+	return Claim{Cell: f.claims, Spec: spec("test-square", f.claims, 0)}, true, 0, nil
+}
+
+func (f *failingSource) Beat(int) error { return nil }
+
+func (f *failingSource) Complete(int, Claim, Result) error {
+	return fmt.Errorf("result store gone")
+}
+
+func TestDrainStopsOnSourceError(t *testing.T) {
+	// A source error is a drain error: every slot stops claiming and Drain
+	// returns it, instead of looping over a source that cannot record work.
+	src := &failingSource{}
+	stats, err := Drain(src, Options{Workers: 3}, func(r Result) {
+		t.Errorf("cell %v delivered although its completion failed", r.Coord)
+	})
+	if err == nil || !strings.Contains(err.Error(), "result store gone") {
+		t.Fatalf("err = %v, want the source's error", err)
+	}
+	if stats.Cells != 0 || src.claims > 3 {
+		t.Fatalf("stats = %+v after %d claims: want no cells and one claim per slot", stats, src.claims)
 	}
 }

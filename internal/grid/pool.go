@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,15 +12,16 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-// Options configures a pool run.
+// Options configures a drain.
 type Options struct {
-	// Workers is the pool size; ≤0 selects GOMAXPROCS. It is clamped to the
-	// cell count (idle workers would only cost startup).
+	// Workers is the number of drain slots; ≤0 selects GOMAXPROCS. Run
+	// clamps it to the cell count (idle slots would only cost startup).
 	Workers int
 	// Timeout bounds one cell attempt; 0 disables. An in-process attempt
 	// that times out is abandoned (its goroutine left to finish, result
@@ -29,10 +31,13 @@ type Options struct {
 	// Retries is the number of extra attempts after a failed one (error,
 	// panic, timeout, or dead worker). 0 means one attempt.
 	Retries int
-	// WorkerCmd, when set, execs this argv once per worker slot and feeds it
-	// cells over the stdin/stdout JSON protocol (see ServeWorker) instead of
+	// MaxCells, when positive, stops each slot after that many cells.
+	// Bounded drains suit spot capacity and make interruption testable.
+	MaxCells int
+	// WorkerCmd, when set, execs this argv once per slot and feeds it cells
+	// over the stdin/stdout JSON protocol (see ServeWorker) instead of
 	// running them in-process. "ssh host experiments -worker" fans the same
-	// queue out across hosts.
+	// source out across hosts.
 	WorkerCmd []string
 	// WorkerEnv appends to the subprocess environment (tests use it to put
 	// the test binary into worker mode).
@@ -41,58 +46,78 @@ type Options struct {
 	// prefixed with the worker's slot id so multi-host failure output stays
 	// attributable; nil selects os.Stderr.
 	WorkerStderr io.Writer
-	// Progress, if set, is called serially (from Run's goroutine) after each
-	// cell completes.
-	Progress func(done, total int, r Result)
 }
 
-// Run executes the specs over the pool and calls deliver serially (from the
-// calling goroutine) with each cell's Result as it completes, in completion
-// order. Cell failures are reported in their Result, never as a run error —
-// one bad cell fails that cell, not the run. The returned stats cover the
-// whole run: per-worker busy time, wall clock, failure and retry counts.
+// Claim is one cell a Source handed to a drain slot.
+type Claim struct {
+	// Cell is the source's handle on the cell, passed back to Complete.
+	Cell int
+	Spec Spec
+	// Beat is how often Drain calls Source.Beat while the cell runs; 0 means
+	// the claim never expires and needs no heartbeat.
+	Beat time.Duration
+}
+
+// Source is where Drain's slots claim cells and return their results: the
+// in-memory spec list behind Run, or the durable queue journal
+// (queue.Queue.Source), which leases cells under a TTL. It must be safe
+// for concurrent use by all slots.
+type Source interface {
+	// Claim hands slot its next cell. Otherwise ok is false and poll is 0
+	// when every cell is finished, or how long to wait before asking again
+	// while other claimers hold every remaining cell.
+	Claim(slot int) (c Claim, ok bool, poll time.Duration, err error)
+	// Beat renews slot's claim while its cell runs.
+	Beat(slot int) error
+	// Complete records the outcome of slot's claim c.
+	Complete(slot int, c Claim, r Result) error
+}
+
+// Run drains specs from memory: Drain over a source that hands the specs
+// out costliest first and never leases, beats or polls. Workers is clamped
+// to the cell count.
 func Run(specs []Spec, opts Options, deliver func(Result)) (metrics.GridStats, error) {
-	n := clampWorkers(opts.Workers, len(specs))
-	stats := metrics.GridStats{Cells: len(specs), BusySeconds: make([]float64, n)}
-	if len(specs) == 0 {
-		return stats, nil
+	opts.Workers = clampWorkers(opts.Workers, len(specs))
+	src := make(memSource, len(specs))
+	for _, i := range ClaimOrder(specs) {
+		src <- Claim{Cell: i, Spec: specs[i]}
 	}
+	close(src)
+	return Drain(src, opts, deliver)
+}
 
-	queue := make(chan Spec, len(specs))
-	for _, s := range scheduleOrder(specs) {
-		queue <- s
-	}
-	close(queue)
-
+// Drain is the grid's one cell scheduler. Each of opts.Workers slots
+// claims a cell from src, runs it (in process, or on the slot's WorkerCmd
+// subprocess) under opts' timeout and retries, heartbeats the claim
+// meanwhile, and completes it. deliver is called serially, from the
+// calling goroutine, with each completed Result. A failed cell is reported
+// in its Result, never as a drain error. A source error stops every slot
+// from claiming more and is returned once the running cells finish. The
+// stats cover the cells this drain ran.
+func Drain(src Source, opts Options, deliver func(Result)) (metrics.GridStats, error) {
+	n := clampWorkers(opts.Workers, 0)
+	stats := metrics.GridStats{BusySeconds: make([]float64, n)}
 	results := make(chan Result, n)
+	errs := make([]error, n)
+	var stop atomic.Bool
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < n; w++ {
+	for slot := 0; slot < n; slot++ {
 		wg.Add(1)
-		go func(id int) {
+		go func(slot int) {
 			defer wg.Done()
-			exec := cellExec(runInProcess)
-			if len(opts.WorkerCmd) > 0 {
-				pw := &procWorker{cmdline: opts.WorkerCmd, env: opts.WorkerEnv,
-					id: id, stderr: opts.WorkerStderr}
-				defer pw.stop()
-				exec = pw.exec
+			if errs[slot] = drainSlot(src, slot, opts, &stop, results); errs[slot] != nil {
+				stop.Store(true)
 			}
-			for s := range queue {
-				res := runCell(s, opts, exec)
-				res.Worker = id
-				results <- res
-			}
-		}(w)
+		}(slot)
 	}
 	go func() {
 		wg.Wait()
 		close(results)
 	}()
 
-	done := 0
 	for r := range results {
-		done++
+		stats.Cells++
 		stats.BusySeconds[r.Worker] += r.Seconds
 		if r.Err != "" {
 			stats.Failed++
@@ -100,19 +125,99 @@ func Run(specs []Spec, opts Options, deliver func(Result)) (metrics.GridStats, e
 		if r.Attempts > 1 {
 			stats.Retried++
 		}
-		if opts.Progress != nil {
-			opts.Progress(done, len(specs), r)
-		}
 		if deliver != nil {
 			deliver(r)
 		}
 	}
 	stats.WallSeconds = time.Since(start).Seconds()
-	return stats, nil
+	return stats, errors.Join(errs...)
 }
 
-// clampWorkers resolves the requested pool size: ≤0 means GOMAXPROCS, and
-// the result is clamped to [1, cells].
+// drainSlot is one slot's claim → run → complete loop.
+func drainSlot(src Source, slot int, opts Options, stop *atomic.Bool, out chan<- Result) error {
+	exec := cellExec(runInProcess)
+	if len(opts.WorkerCmd) > 0 {
+		pw := &procWorker{cmdline: opts.WorkerCmd, env: opts.WorkerEnv,
+			id: slot, stderr: opts.WorkerStderr}
+		defer pw.stop()
+		exec = pw.exec
+	}
+	for ran := 0; opts.MaxCells <= 0 || ran < opts.MaxCells; ran++ {
+		c, ok, err := claim(src, slot, stop)
+		if err != nil {
+			return fmt.Errorf("grid: claiming a cell: %w", err)
+		}
+		if !ok {
+			return nil
+		}
+		endBeat := heartbeat(src, slot, c.Beat)
+		res := runCell(c.Spec, opts, exec)
+		endBeat()
+		// The executor owns the payload; the spec owns the identity.
+		res.Coord, res.Kind, res.Worker = c.Spec.Coord, c.Spec.Kind, slot
+		if err := src.Complete(slot, c, res); err != nil {
+			return fmt.Errorf("grid: completing %s: %w", c.Spec.Coord, err)
+		}
+		out <- res
+	}
+	return nil
+}
+
+// claim asks src for slot's next cell, polling while other claimers hold
+// every remaining one. ok is false once src is drained or the drain stops.
+func claim(src Source, slot int, stop *atomic.Bool) (c Claim, ok bool, err error) {
+	for !stop.Load() {
+		c, ok, poll, err := src.Claim(slot)
+		if err != nil || ok || poll <= 0 {
+			return c, ok, err
+		}
+		time.Sleep(poll)
+	}
+	return Claim{}, false, nil
+}
+
+// heartbeat calls src.Beat for slot every period until the returned stop
+// function is called; a zero period starts nothing. A failed beat (a
+// transient filesystem error) is not fatal: the claim just ages toward
+// expiry and the next beat retries.
+func heartbeat(src Source, slot int, period time.Duration) (stop func()) {
+	if period <= 0 {
+		return func() {}
+	}
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				src.Beat(slot)
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
+}
+
+// memSource hands out in-memory claims in queued order. They never expire,
+// so it never beats, polls or records anything.
+type memSource chan Claim
+
+func (m memSource) Claim(int) (Claim, bool, time.Duration, error) {
+	c, ok := <-m
+	return c, ok, 0, nil
+}
+
+func (memSource) Beat(int) error                    { return nil }
+func (memSource) Complete(int, Claim, Result) error { return nil }
+
+// clampWorkers resolves the requested slot count: ≤0 means GOMAXPROCS, and
+// the result is clamped to [1, cells] (cells 0: no upper clamp).
 func clampWorkers(requested, cells int) int {
 	n := requested
 	if n <= 0 {
@@ -127,26 +232,22 @@ func clampWorkers(requested, cells int) int {
 	return n
 }
 
-// scheduleOrder returns the longest-cell-first run order: descending
-// self-estimated cost, stable on the enumeration order so equal-cost cells
-// keep a deterministic sequence. Starting the costliest cells first keeps
-// the pool's tail short: the last cells to finish are the cheap ones.
-func scheduleOrder(specs []Spec) []Spec {
-	out := append([]Spec(nil), specs...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost > out[j].Cost })
-	return out
+// ClaimOrder returns the longest-cell-first claim order of specs, as
+// indices: descending self-estimated cost, stable on the enumeration order
+// so equal-cost cells keep a deterministic sequence. Starting the costliest
+// cells first keeps a drain's tail short: the last cells to finish are the
+// cheap ones. Both sources claim in this order.
+func ClaimOrder(specs []Spec) []int {
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return specs[order[a]].Cost > specs[order[b]].Cost })
+	return order
 }
 
 // cellExec runs one attempt of one cell.
 type cellExec func(s Spec, timeout time.Duration) Result
-
-// Attempt executes one cell in this process with the pool's attempt/retry
-// loop: up to 1+retries attempts, each bounded by timeout (0: unbounded).
-// Durable-queue drain loops use it so `-cell-timeout`/`-cell-retries` mean
-// the same thing with and without a queue.
-func Attempt(s Spec, timeout time.Duration, retries int) Result {
-	return runCell(s, Options{Timeout: timeout, Retries: retries}, runInProcess)
-}
 
 // runCell drives the attempt/retry loop for one cell.
 func runCell(s Spec, opts Options, exec cellExec) Result {
@@ -182,11 +283,11 @@ func runInProcess(s Spec, timeout time.Duration) Result {
 
 // procWorker owns one worker subprocess and its protocol pipes. A dead or
 // timed-out worker is killed and lazily restarted on the next cell, so a
-// crashing cell costs one process, not the pool slot.
+// crashing cell costs one process, not the drain slot.
 type procWorker struct {
 	cmdline []string
 	env     []string
-	id      int       // pool slot, stamped onto relayed stderr lines
+	id      int       // drain slot, stamped onto relayed stderr lines
 	stderr  io.Writer // nil: os.Stderr
 	pre     *prefixWriter
 	cmd     *exec.Cmd

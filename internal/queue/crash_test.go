@@ -23,11 +23,11 @@ import (
 // now looks exactly like a worker that was kill -9'd mid-cell.
 func abandonCell(t *testing.T, q *Queue, worker string, ttl time.Duration) int {
 	t.Helper()
-	cell, _, outcome, err := q.Claim(worker, ttl, 0)
-	if err != nil || outcome != Claimed {
-		t.Fatalf("abandon claim: cell=%d outcome=%v err=%v", cell, outcome, err)
+	c, ok, _, err := namedSource(q, worker, ttl).Claim(0)
+	if err != nil || !ok {
+		t.Fatalf("abandon claim: ok=%v err=%v", ok, err)
 	}
-	return cell
+	return c.Cell
 }
 
 func TestExpiredLeaseReclaimed(t *testing.T) {
@@ -36,11 +36,8 @@ func TestExpiredLeaseReclaimed(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	// A healthy worker drains everything, including the dead worker's cell.
-	stats, err := q.Drain(DrainOptions{Worker: "survivor", LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Ran != 3 || stats.Failed != 0 {
+	stats := drain(t, q, grid.Options{}, nil)
+	if stats.Cells != 3 || stats.Failed != 0 {
 		t.Fatalf("stats = %+v, want all 3 cells run", stats)
 	}
 	st, err := q.Status()
@@ -63,9 +60,9 @@ func TestLiveLeaseNotStolen(t *testing.T) {
 	if c := abandonCell(t, q, "holder", time.Minute); c != 0 {
 		t.Fatalf("claimed cell %d, want 0", c)
 	}
-	_, _, outcome, err := q.Claim("thief", time.Minute, 0)
-	if err != nil || outcome != Wait {
-		t.Fatalf("outcome = %v err=%v, want Wait while the lease is live", outcome, err)
+	_, ok, poll, err := q.Source(time.Minute).Claim(0)
+	if err != nil || ok || poll == 0 {
+		t.Fatalf("ok=%v poll=%v err=%v, want a poll while the lease is live", ok, poll, err)
 	}
 }
 
@@ -76,33 +73,33 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	// Keep beating past several TTLs; the cell must stay unclaimable.
 	deadline := time.Now().Add(4 * ttl)
 	for time.Now().Before(deadline) {
-		if err := q.Beat("beater", ttl); err != nil {
+		if err := namedSource(q, "beater", ttl).Beat(0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, outcome, err := q.Claim("thief", ttl, 0); err != nil || outcome != Wait {
-			t.Fatalf("outcome = %v err=%v, want Wait while heartbeats flow", outcome, err)
+		if _, ok, poll, err := q.Source(ttl).Claim(0); err != nil || ok || poll == 0 {
+			t.Fatalf("ok=%v poll=%v err=%v, want a poll while heartbeats flow", ok, poll, err)
 		}
 		time.Sleep(ttl / 4)
 	}
 	// Stop beating: one TTL later the cell is claimable again.
 	time.Sleep(ttl + 10*time.Millisecond)
-	if _, _, outcome, err := q.Claim("thief", time.Minute, 0); err != nil || outcome != Claimed {
-		t.Fatalf("outcome = %v err=%v, want Claimed after heartbeats stop", outcome, err)
+	if _, ok, _, err := q.Source(time.Minute).Claim(0); err != nil || !ok {
+		t.Fatalf("ok=%v err=%v, want a claim after heartbeats stop", ok, err)
 	}
 }
 
 func TestLeaseBudgetDeclaresPoisonCellFailed(t *testing.T) {
 	q := mustCreate(t, squareSpecs(1))
 	ttl := time.Millisecond
-	// The cell "crashes" three workers in a row.
-	for i := 0; i < 3; i++ {
+	// The cell "crashes" leaseBudget workers in a row.
+	for i := 0; i < leaseBudget; i++ {
 		abandonCell(t, q, fmt.Sprintf("victim-%d", i), ttl)
 		time.Sleep(3 * ttl)
 	}
-	// The fourth claimer, with a budget of 3, declares it failed instead.
-	_, _, outcome, err := q.Claim("judge", time.Minute, 3)
-	if err != nil || outcome != Drained {
-		t.Fatalf("outcome = %v err=%v, want Drained after budget exhaustion", outcome, err)
+	// The next claimer declares it failed instead of leasing it again.
+	_, ok, poll, err := q.Source(time.Minute).Claim(0)
+	if err != nil || ok || poll != 0 {
+		t.Fatalf("ok=%v poll=%v err=%v, want drained after budget exhaustion", ok, poll, err)
 	}
 	st, err := q.Status()
 	if err != nil {
@@ -117,21 +114,18 @@ func TestLeaseBudgetDeclaresPoisonCellFailed(t *testing.T) {
 }
 
 func TestDrainReclaimsMidRun(t *testing.T) {
-	// A worker dies mid-queue; a Drain started while its lease is still live
-	// polls, waits it out, and finishes the whole grid.
+	// A worker dies mid-queue; a drain started while its lease is still live
+	// polls (every TTL/4 of its own leases), waits it out, and finishes the
+	// whole grid.
 	q := mustCreate(t, squareSpecs(4))
 	ttl := 60 * time.Millisecond
 	abandonCell(t, q, "crashed", ttl)
-	stats, err := q.Drain(DrainOptions{
-		Worker:   "patient",
-		LeaseTTL: time.Minute,
-		Poll:     5 * time.Millisecond,
-	})
+	stats, err := grid.Drain(q.Source(100*time.Millisecond), grid.Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Ran != 4 {
-		t.Fatalf("ran %d cells, want 4 (crashed worker's cell included)", stats.Ran)
+	if stats.Cells != 4 {
+		t.Fatalf("ran %d cells, want 4 (crashed worker's cell included)", stats.Cells)
 	}
 	st, _ := q.Status()
 	if !st.Finished() || st.Done != 4 {
@@ -141,9 +135,7 @@ func TestDrainReclaimsMidRun(t *testing.T) {
 
 func TestTornJournalTailTolerated(t *testing.T) {
 	q := mustCreate(t, squareSpecs(2))
-	if _, err := q.Drain(DrainOptions{Worker: "w", LeaseTTL: time.Minute, MaxCells: 1}); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, q, grid.Options{MaxCells: 1}, nil)
 	// A crash mid-append leaves a torn, newline-less fragment at the tail.
 	jf, err := os.OpenFile(filepath.Join(q.Dir(), journalFile), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -167,9 +159,7 @@ func TestTornJournalTailTolerated(t *testing.T) {
 
 	// The next append isolates the fragment with a separating newline, and the
 	// journal stays fully usable: the remaining cell drains normally.
-	if _, err := q.Drain(DrainOptions{Worker: "w2", LeaseTTL: time.Minute}); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, q, grid.Options{}, nil)
 	st, _ = q.Status()
 	if !st.Finished() || st.Done != 2 {
 		t.Fatalf("status after recovery = %+v, want 2 done", st)
@@ -213,9 +203,7 @@ func TestCoordinatorResumeSkipsDoneCells(t *testing.T) {
 	// drain finishes the rest.
 	specs := squareSpecs(6)
 	q := mustCreate(t, specs)
-	if _, err := q.Drain(DrainOptions{Worker: "session-1", LeaseTTL: time.Minute, MaxCells: 3}); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, q, grid.Options{MaxCells: 3}, nil)
 
 	// "New process": re-attach by path with the same enumeration.
 	q2, resumed, err := CreateOrResume(q.Dir(), specs)
@@ -227,14 +215,10 @@ func TestCoordinatorResumeSkipsDoneCells(t *testing.T) {
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		q2.Drain(DrainOptions{
-			Worker:   "session-2",
-			LeaseTTL: time.Minute,
-			Progress: func(r grid.Result) {
-				mu.Lock()
-				ran[r.Coord.I] = true
-				mu.Unlock()
-			},
+		grid.Drain(q2.Source(time.Minute), grid.Options{Workers: 1}, func(r grid.Result) {
+			mu.Lock()
+			ran[r.Coord.I] = true
+			mu.Unlock()
 		})
 	}()
 	var got []int
@@ -269,9 +253,7 @@ func TestDoneRecordWithoutResultIsAnError(t *testing.T) {
 	// arises from manual deletion — and WaitDrain must refuse to fabricate a
 	// payload for it.
 	q := mustCreate(t, squareSpecs(1))
-	if _, err := q.Drain(DrainOptions{Worker: "w", LeaseTTL: time.Minute}); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, q, grid.Options{}, nil)
 	if err := os.Remove(q.resultPath(0)); err != nil {
 		t.Fatal(err)
 	}

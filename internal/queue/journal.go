@@ -266,27 +266,20 @@ func (q *Queue) appendRecord(r record) error {
 	return err
 }
 
-// ClaimOutcome reports what a Claim call found.
-type ClaimOutcome int
+// leaseBudget is how many leases a cell may see expire before a claimer
+// declares it failed instead of re-leasing it: it has crashed that many
+// workers, and an unbounded re-lease loop would wedge the fleet on one
+// poisonous cell.
+const leaseBudget = 5
 
-const (
-	// Claimed: a cell was leased to the caller.
-	Claimed ClaimOutcome = iota
-	// Wait: nothing is claimable now, but unexpired leases are outstanding —
-	// poll again; a lease holder may finish or die.
-	Wait
-	// Drained: every cell is done or failed; the queue is complete.
-	Drained
-)
-
-// Claim atomically leases the next runnable cell to worker: the costliest
-// cell that is pending or whose lease has expired, under a TTL of ttl. A
-// cell whose lease has expired maxLeases times is declared failed instead of
-// re-leased — it has crashed that many workers, and an unbounded re-lease
-// loop would wedge the fleet on one poisonous cell. maxLeases <= 0 means
-// unlimited.
-func (q *Queue) Claim(worker string, ttl time.Duration, maxLeases int) (cell int, spec grid.Spec, outcome ClaimOutcome, err error) {
-	cell = -1
+// Claim atomically leases the next runnable cell to slot's worker id: the
+// costliest cell that is pending or whose lease has expired. A cell whose
+// lease has expired leaseBudget times is declared failed instead. With
+// nothing claimable it reports the poll period while unexpired leases are
+// outstanding (a holder may finish or die), and 0 once every cell is done
+// or failed.
+func (s *leaseSource) Claim(slot int) (claim grid.Claim, ok bool, poll time.Duration, err error) {
+	q, worker := s.q, s.worker(slot)
 	err = q.withLock(func() error {
 		rs, err := q.replay()
 		if err != nil {
@@ -299,7 +292,7 @@ func (q *Queue) Claim(worker string, ttl time.Duration, maxLeases int) (cell int
 			switch {
 			case c.State == Pending:
 			case c.State == Leased && c.Expiry < now.UnixNano():
-				if maxLeases > 0 && c.Leases >= maxLeases {
+				if c.Leases >= leaseBudget {
 					rec := record{
 						T: recFail, Cell: i, Worker: worker, Att: c.Leases,
 						Err: fmt.Sprintf("lease limit: %d leases expired without completion (cell crashes its workers?)", c.Leases),
@@ -316,46 +309,45 @@ func (q *Queue) Claim(worker string, ttl time.Duration, maxLeases int) (cell int
 			}
 			rec := record{
 				T: recLease, Cell: i, Worker: worker,
-				Expiry: now.Add(ttl).UnixNano(), At: now.UnixNano(),
+				Expiry: now.Add(s.ttl).UnixNano(), At: now.UnixNano(),
 			}
 			if err := q.appendRecord(rec); err != nil {
 				return err
 			}
-			cell, spec, outcome = i, q.specs[i], Claimed
+			claim, ok = grid.Claim{Cell: i, Spec: q.specs[i], Beat: s.ttl / 4}, true
 			return nil
 		}
-		if finished == len(rs.cells) {
-			outcome = Drained
-		} else {
-			outcome = Wait
+		if finished < len(rs.cells) {
+			poll = s.poll
 		}
 		return nil
 	})
-	return cell, spec, outcome, err
+	return claim, ok, poll, err
 }
 
-// Beat renews every lease worker holds to now+ttl. Workers heartbeat while
-// executing a cell so long cells outlive their initial TTL; a worker that
+// Beat renews every lease slot's worker id holds to now+TTL. Drain beats
+// while a cell runs so long cells outlive their initial TTL; a worker that
 // stops beating — crash, kill -9, network partition — loses its leases one
 // TTL later and its cells are re-run elsewhere.
-func (q *Queue) Beat(worker string, ttl time.Duration) error {
-	now := time.Now()
-	return q.withLock(func() error {
-		return q.appendRecord(record{
+func (s *leaseSource) Beat(slot int) error {
+	now, worker := time.Now(), s.worker(slot)
+	return s.q.withLock(func() error {
+		return s.q.appendRecord(record{
 			T: recBeat, Worker: worker,
-			Expiry: now.Add(ttl).UnixNano(), At: now.UnixNano(),
+			Expiry: now.Add(s.ttl).UnixNano(), At: now.UnixNano(),
 		})
 	})
 }
 
-// Complete records cell i's execution outcome. Successful results land in
-// the result store first (atomic rename), then the journal's done record —
-// so a done record always has its payload on disk. Failures journal the
-// error only: a deterministic failure has no payload to store, and the
-// journal entry is what keeps the cell from being re-leased.
-func (q *Queue) Complete(i int, worker string, res grid.Result) error {
+// Complete records the claimed cell's execution outcome. Successful results
+// land in the result store first (atomic rename), then the journal's done
+// record — so a done record always has its payload on disk. Failures
+// journal the error only: a deterministic failure has no payload to store,
+// and the journal entry is what keeps the cell from being re-leased.
+func (s *leaseSource) Complete(slot int, c grid.Claim, res grid.Result) error {
+	q, i, worker := s.q, c.Cell, s.worker(slot)
 	if i < 0 || i >= len(q.specs) {
-		return fmt.Errorf("queue: Complete of unknown cell %d", i)
+		return fmt.Errorf("queue: completing unknown cell %d", i)
 	}
 	if res.Attempts == 0 {
 		res.Attempts = 1

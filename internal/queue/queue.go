@@ -4,9 +4,11 @@
 //
 // A queue directory holds the enumerated grid.Spec cells as an append-only
 // record file plus a journal of state transitions (pending → leased →
-// done/failed). Workers claim cells under short leases with TTLs renewed by
-// heartbeats; any claimer reclaims an expired lease, so a kill -9'd worker's
-// cell is transparently re-run. Cells are pure functions of their Spec, so
+// done/failed). The queue is one of the two sources of grid.Drain, the
+// grid's one cell scheduler (the other is the in-memory list behind
+// grid.Run): through Queue.Source, drain slots claim cells under short
+// leases with TTLs renewed by heartbeats, and any claimer reclaims an
+// expired lease, so a kill -9'd worker's cell is transparently re-run. Cells are pure functions of their Spec, so
 // re-running one is idempotent: completed-cell records carry the JSON Result
 // payloads and the deterministic coordinate-ordered merge produces
 // byte-identical output regardless of how many interruptions, hosts, or
@@ -36,7 +38,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/grid"
@@ -70,10 +72,11 @@ type Meta struct {
 // and closes on its own — so a Queue is safe for concurrent use by any
 // number of goroutines and processes.
 type Queue struct {
-	dir   string
-	meta  Meta
-	specs []grid.Spec
-	order []int // claim order: cost-descending, stable on enumeration order
+	dir     string
+	meta    Meta
+	specs   []grid.Spec
+	order   []int                 // claim order: grid.ClaimOrder
+	stopErr atomic.Pointer[error] // set by StopWait
 }
 
 // encodeSpecs serializes the enumeration as cells.jsonl bytes: one compact
@@ -243,17 +246,7 @@ func CreateOrResume(dir string, specs []grid.Spec) (*Queue, bool, error) {
 }
 
 func newQueue(dir string, meta Meta, specs []grid.Spec) *Queue {
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	// Same discipline as the in-memory pool: costliest cells first, stable on
-	// enumeration order, so the straggler tail stays short no matter which
-	// worker claims next.
-	sort.SliceStable(order, func(a, b int) bool {
-		return specs[order[a]].Cost > specs[order[b]].Cost
-	})
-	return &Queue{dir: dir, meta: meta, specs: specs, order: order}
+	return &Queue{dir: dir, meta: meta, specs: specs, order: grid.ClaimOrder(specs)}
 }
 
 // Dir returns the queue directory's absolute path.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/metrics"
 )
 
 // Test cell kinds. The grid registry is global and process-wide, so each
@@ -52,6 +53,28 @@ func mustCreate(t *testing.T, specs []grid.Spec) *Queue {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// namedSource is q's Source whose slot 0 claims as the named worker.
+func namedSource(q *Queue, worker string, ttl time.Duration) *leaseSource {
+	s := q.Source(ttl).(*leaseSource)
+	s.ids[0] = worker
+	return s
+}
+
+// drain runs grid.Drain over q with one-minute leases (one slot unless
+// opts sets Workers) and fails the test on a drain error. Call it from the
+// test goroutine only.
+func drain(t *testing.T, q *Queue, opts grid.Options, deliver func(grid.Result)) metrics.GridStats {
+	t.Helper()
+	if opts.Workers == 0 {
+		opts.Workers = 1
+	}
+	stats, err := grid.Drain(q.Source(time.Minute), opts, deliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
 }
 
 func TestCreateOpenRoundTrip(t *testing.T) {
@@ -160,35 +183,37 @@ func TestClaimOrderCostDescending(t *testing.T) {
 	}
 	q := mustCreate(t, specs)
 	want := []int{1, 3, 2, 0}
+	src := q.Source(time.Minute)
 	for _, wi := range want {
-		cell, _, outcome, err := q.Claim("w", time.Minute, 0)
-		if err != nil || outcome != Claimed {
-			t.Fatalf("claim: cell=%d outcome=%v err=%v", cell, outcome, err)
+		c, ok, _, err := src.Claim(0)
+		if err != nil || !ok {
+			t.Fatalf("claim: ok=%v err=%v", ok, err)
 		}
-		if cell != wi {
-			t.Fatalf("claimed cell %d, want %d", cell, wi)
+		if c.Cell != wi {
+			t.Fatalf("claimed cell %d, want %d", c.Cell, wi)
 		}
 	}
-	if _, _, outcome, _ := q.Claim("w", time.Minute, 0); outcome != Wait {
-		t.Fatalf("all cells leased: outcome %v, want Wait", outcome)
+	if _, ok, poll, _ := src.Claim(0); ok || poll == 0 {
+		t.Fatalf("all cells leased: ok=%v poll=%v, want a poll period", ok, poll)
 	}
 }
 
 func TestCompleteAndResultRoundTrip(t *testing.T) {
 	q := mustCreate(t, squareSpecs(2))
-	cell, spec, outcome, err := q.Claim("w0", time.Minute, 0)
-	if err != nil || outcome != Claimed {
-		t.Fatalf("claim failed: %v %v", outcome, err)
+	src := q.Source(time.Minute)
+	c, ok, _, err := src.Claim(0)
+	if err != nil || !ok {
+		t.Fatalf("claim failed: ok=%v err=%v", ok, err)
 	}
-	res := grid.RunSpec(spec)
-	if err := q.Complete(cell, "w0", res); err != nil {
+	res := grid.RunSpec(c.Spec)
+	if err := src.Complete(0, c, res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.Result(cell)
+	got, err := q.Result(c.Cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Coord != spec.Coord || string(got.Payload) != string(res.Payload) {
+	if got.Coord != c.Spec.Coord || string(got.Payload) != string(res.Payload) {
 		t.Fatalf("result did not round-trip: %+v", got)
 	}
 	st, err := q.Status()
@@ -202,11 +227,8 @@ func TestCompleteAndResultRoundTrip(t *testing.T) {
 
 func TestDrainRunsEverything(t *testing.T) {
 	q := mustCreate(t, squareSpecs(9))
-	stats, err := q.Drain(DrainOptions{Worker: "solo", LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Ran != 9 || stats.Failed != 0 {
+	stats := drain(t, q, grid.Options{}, nil)
+	if stats.Cells != 9 || stats.Failed != 0 {
 		t.Fatalf("drain stats = %+v, want 9 ran", stats)
 	}
 	st, err := q.Status()
@@ -232,19 +254,17 @@ func TestDrainRunsEverything(t *testing.T) {
 }
 
 func TestConcurrentDrainsEachCellOnce(t *testing.T) {
+	// Two drains (as two processes would run them), two slots each.
 	q := mustCreate(t, squareSpecs(24))
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for d := 0; d < 2; d++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if _, err := q.Drain(DrainOptions{
-				Worker:   fmt.Sprintf("conc-w%d", id),
-				LeaseTTL: time.Minute,
-			}); err != nil {
+			if _, err := grid.Drain(q.Source(time.Minute), grid.Options{Workers: 2}, nil); err != nil {
 				t.Errorf("drain %d: %v", id, err)
 			}
-		}(w)
+		}(d)
 	}
 	wg.Wait()
 	st, err := q.Status()
@@ -269,11 +289,8 @@ func TestConcurrentDrainsEachCellOnce(t *testing.T) {
 func TestDeterministicFailureNotReleased(t *testing.T) {
 	specs := []grid.Spec{qspec("queue-error", 0, 1), qspec("queue-square", 1, 0)}
 	q := mustCreate(t, specs)
-	stats, err := q.Drain(DrainOptions{Worker: "w", LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Ran != 2 || stats.Failed != 1 {
+	stats := drain(t, q, grid.Options{}, nil)
+	if stats.Cells != 2 || stats.Failed != 1 {
 		t.Fatalf("stats = %+v, want 2 ran / 1 failed", stats)
 	}
 	st, err := q.Status()
@@ -287,17 +304,15 @@ func TestDeterministicFailureNotReleased(t *testing.T) {
 		t.Fatalf("failed cells = %+v", st.FailedCells)
 	}
 	// A second drain finds nothing to do: failures are terminal.
-	stats, err = q.Drain(DrainOptions{Worker: "w2", LeaseTTL: time.Minute})
-	if err != nil || stats.Ran != 0 {
-		t.Fatalf("re-drain ran %d cells (err %v), want 0", stats.Ran, err)
+	if stats = drain(t, q, grid.Options{}, nil); stats.Cells != 0 {
+		t.Fatalf("re-drain ran %d cells, want 0", stats.Cells)
 	}
 }
 
 func TestMaxCellsBoundsDrain(t *testing.T) {
 	q := mustCreate(t, squareSpecs(6))
-	stats, err := q.Drain(DrainOptions{Worker: "w", LeaseTTL: time.Minute, MaxCells: 2})
-	if err != nil || stats.Ran != 2 {
-		t.Fatalf("stats = %+v err=%v, want exactly 2 ran", stats, err)
+	if stats := drain(t, q, grid.Options{MaxCells: 2}, nil); stats.Cells != 2 {
+		t.Fatalf("stats = %+v, want exactly 2 ran", stats)
 	}
 	st, _ := q.Status()
 	if st.Done != 2 || st.Pending != 4 {
@@ -309,11 +324,9 @@ func TestWaitDrainDeliversEachCellOnce(t *testing.T) {
 	q := mustCreate(t, squareSpecs(8))
 	// Pre-complete half in a "previous session", then drain the rest
 	// concurrently with the watcher.
-	if _, err := q.Drain(DrainOptions{Worker: "past", LeaseTTL: time.Minute, MaxCells: 4}); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, q, grid.Options{MaxCells: 4}, nil)
 	go func() {
-		q.Drain(DrainOptions{Worker: "now", LeaseTTL: time.Minute})
+		grid.Drain(q.Source(time.Minute), grid.Options{Workers: 1}, nil)
 	}()
 	seen := map[int]int{}
 	var order []int
@@ -336,11 +349,9 @@ func TestWaitDrainDeliversEachCellOnce(t *testing.T) {
 
 func TestStatusRender(t *testing.T) {
 	q := mustCreate(t, squareSpecs(3))
-	if _, err := q.Drain(DrainOptions{Worker: "render-w0", LeaseTTL: time.Minute, MaxCells: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, outcome, err := q.Claim("render-w1", time.Minute, 0); err != nil || outcome != Claimed {
-		t.Fatalf("claim: %v %v", outcome, err)
+	drain(t, q, grid.Options{MaxCells: 1}, nil)
+	if _, ok, _, err := namedSource(q, "render-w1", time.Minute).Claim(0); err != nil || !ok {
+		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
 	st, err := q.Status()
 	if err != nil {
@@ -349,9 +360,12 @@ func TestStatusRender(t *testing.T) {
 	var b strings.Builder
 	st.Render(&b)
 	out := b.String()
+	if len(st.Workers) != 2 {
+		t.Fatalf("workers = %+v, want the drain slot and render-w1", st.Workers)
+	}
 	for _, want := range []string{
 		"3 cells", "done 1", "leased 1", "pending 1",
-		"render-w0", "render-w1", "last seen", "aggregate: busy",
+		st.Workers[0].ID, st.Workers[1].ID, "render-w1", "last seen", "aggregate: busy",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("status report missing %q:\n%s", want, out)
@@ -361,12 +375,8 @@ func TestStatusRender(t *testing.T) {
 
 func TestGridStatsAggregation(t *testing.T) {
 	q := mustCreate(t, squareSpecs(4))
-	if _, err := q.Drain(DrainOptions{Worker: "agg-b", LeaseTTL: time.Minute, MaxCells: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Drain(DrainOptions{Worker: "agg-a", LeaseTTL: time.Minute}); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, q, grid.Options{MaxCells: 3}, nil)
+	drain(t, q, grid.Options{}, nil)
 	st, err := q.Status()
 	if err != nil {
 		t.Fatal(err)
@@ -375,8 +385,8 @@ func TestGridStatsAggregation(t *testing.T) {
 	if gs.Cells != 4 || gs.Failed != 0 {
 		t.Fatalf("grid stats = %+v", gs)
 	}
-	if len(gs.WorkerIDs) != 2 || gs.WorkerIDs[0] != "agg-a" || gs.WorkerIDs[1] != "agg-b" {
-		t.Fatalf("worker ids = %v, want sorted [agg-a agg-b]", gs.WorkerIDs)
+	if len(gs.WorkerIDs) != 2 || gs.WorkerIDs[0] >= gs.WorkerIDs[1] {
+		t.Fatalf("worker ids = %v, want two distinct ids, sorted", gs.WorkerIDs)
 	}
 	if len(gs.BusySeconds) != 2 {
 		t.Fatalf("busy slots = %d, want 2", len(gs.BusySeconds))

@@ -85,7 +85,7 @@ func (q *Queue) Status() (Status, error) {
 func (s Status) Finished() bool { return s.Done+s.Failed == s.Cells }
 
 // GridStats aggregates the journal's per-worker accounting into the same
-// shape the in-memory pool reports, with WorkerIDs naming the slots. Wall
+// shape grid.Drain reports, with WorkerIDs naming the slots. Wall
 // clock is the caller's to fill in: the journal spans arbitrarily many
 // sessions, so only a live coordinator knows its own wall time.
 func (s Status) GridStats() metrics.GridStats {

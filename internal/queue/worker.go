@@ -10,47 +10,13 @@ import (
 	"repro/internal/grid"
 )
 
-// DrainOptions configures one drain loop (one logical worker).
-type DrainOptions struct {
-	// Worker uniquely identifies this drain loop in the journal; empty picks
-	// a host-pid-sequence id via DefaultWorkerID.
-	Worker string
-	// LeaseTTL bounds how stale a worker may go before its cells are
-	// reclaimed; heartbeats renew it. Defaults to 30s. Shorter TTLs reclaim
-	// crashed workers' cells faster but tolerate less scheduling jitter.
-	LeaseTTL time.Duration
-	// Heartbeat is the renewal period while executing a cell; defaults to
-	// LeaseTTL/4.
-	Heartbeat time.Duration
-	// Poll is the re-check period while other workers hold every remaining
-	// cell; defaults to LeaseTTL/4, clamped to [25ms, 2s].
-	Poll time.Duration
-	// MaxCells stops the loop after that many cells (0: drain to completion).
-	// Bounded drains suit spot capacity and make interruption testable.
-	MaxCells int
-	// MaxLeases is the per-cell lease budget before a cell that keeps
-	// crashing workers is declared failed; defaults to 5, <0 means unlimited.
-	MaxLeases int
-	// Exec runs one claimed cell; defaults to grid.RunSpec (panic-isolated,
-	// in-process). Coordinators inject grid.Attempt to honor per-cell
-	// timeout/retry flags.
-	Exec func(grid.Spec) grid.Result
-	// Progress, if set, is called after each completed cell.
-	Progress func(r grid.Result)
-}
-
-// DrainStats summarizes one drain loop's own work (the queue-wide picture
-// lives in Status).
-type DrainStats struct {
-	Ran         int // cells this loop executed, including failed ones
-	Failed      int
-	BusySeconds float64
-}
+// defaultLeaseTTL is the lease TTL of a Source opened with ttl ≤ 0.
+const defaultLeaseTTL = 30 * time.Second
 
 var workerSeq atomic.Int64
 
 // DefaultWorkerID returns a journal-unique worker id: host-pid-wN. Every
-// drain loop needs its own id — leases and heartbeats are per-id.
+// drain slot needs its own id — leases and heartbeats are per-id.
 func DefaultWorkerID() string {
 	host, err := os.Hostname()
 	if err != nil || host == "" {
@@ -59,91 +25,48 @@ func DefaultWorkerID() string {
 	return fmt.Sprintf("%s-%d-w%d", host, os.Getpid(), workerSeq.Add(1)-1)
 }
 
-func (o *DrainOptions) fill() {
-	if o.Worker == "" {
-		o.Worker = DefaultWorkerID()
+// Source opens the queue as a grid.Source, the journal backend of
+// grid.Drain. Each drain slot claims under its own journal worker id
+// (DefaultWorkerID) and every lease it takes has the given TTL (≤0: 30s).
+// Both periods derive from the TTL: Drain renews a running cell's lease
+// every TTL/4, and a slot that finds every remaining cell leased elsewhere
+// polls every TTL/4, clamped to [25ms, 2s] — the holder may finish, or die
+// and forfeit its lease. So the TTL bounds crash detection, not cell
+// runtime.
+func (q *Queue) Source(ttl time.Duration) grid.Source {
+	if ttl <= 0 {
+		ttl = defaultLeaseTTL
 	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 30 * time.Second
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.LeaseTTL / 4
-	}
-	if o.Poll <= 0 {
-		o.Poll = o.LeaseTTL / 4
-		if o.Poll < 25*time.Millisecond {
-			o.Poll = 25 * time.Millisecond
-		}
-		if o.Poll > 2*time.Second {
-			o.Poll = 2 * time.Second
-		}
-	}
-	if o.MaxLeases == 0 {
-		o.MaxLeases = 5
-	}
-	if o.Exec == nil {
-		o.Exec = grid.RunSpec
-	}
+	poll := min(max(ttl/4, 25*time.Millisecond), 2*time.Second)
+	return &leaseSource{q: q, ttl: ttl, poll: poll, ids: map[int]string{}}
 }
 
-// Drain claims and executes cells until the queue is drained (every cell
-// done or failed) or MaxCells is reached. While another worker holds every
-// remaining cell, Drain polls: the holder may finish, or die and forfeit its
-// lease. A heartbeat goroutine renews this worker's lease for the duration
-// of each cell, so the TTL bounds crash detection, not cell runtime.
-func (q *Queue) Drain(opts DrainOptions) (DrainStats, error) {
-	opts.fill()
-	var stats DrainStats
-	for {
-		if opts.MaxCells > 0 && stats.Ran >= opts.MaxCells {
-			return stats, nil
-		}
-		cell, spec, outcome, err := q.Claim(opts.Worker, opts.LeaseTTL, opts.MaxLeases)
-		if err != nil {
-			return stats, err
-		}
-		switch outcome {
-		case Drained:
-			return stats, nil
-		case Wait:
-			time.Sleep(opts.Poll)
-			continue
-		}
+// leaseSource is a Queue seen through grid.Source (its Claim, Beat and
+// Complete live with the journal they append to).
+type leaseSource struct {
+	q         *Queue
+	ttl, poll time.Duration
+	mu        sync.Mutex
+	ids       map[int]string // drain slot -> journal worker id
+}
 
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(opts.Heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					// A failed beat (transient fs error) is not fatal: the
-					// lease just ages toward expiry and the next beat retries.
-					q.Beat(opts.Worker, opts.LeaseTTL)
-				}
-			}
-		}()
-		res := opts.Exec(spec)
-		close(stop)
-		wg.Wait()
-		// The executor owns the payload; the spec owns the identity.
-		res.Coord, res.Kind = spec.Coord, spec.Kind
-		if err := q.Complete(cell, opts.Worker, res); err != nil {
-			return stats, err
-		}
-		stats.Ran++
-		stats.BusySeconds += res.Seconds
-		if res.Err != "" {
-			stats.Failed++
-		}
-		if opts.Progress != nil {
-			opts.Progress(res)
-		}
+func (s *leaseSource) worker(slot int) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok := s.ids[slot]
+	if !ok {
+		id = DefaultWorkerID()
+		s.ids[slot] = id
+	}
+	return id
+}
+
+// StopWait makes every WaitDrain on this handle return err at its next
+// poll: a coordinator whose own drain failed must not wait forever for
+// cells nobody is left to finish. The queue on disk is untouched.
+func (q *Queue) StopWait(err error) {
+	if err != nil {
+		q.stopErr.CompareAndSwap(nil, &err)
 	}
 }
 
@@ -153,6 +76,7 @@ func (q *Queue) Drain(opts DrainOptions) (DrainStats, error) {
 // cells are synthesized from their journal record. This is the coordinator's
 // merge feed: cells completed by any worker on any host — including cells
 // finished before this process started — arrive through the same path.
+// StopWait ends it early with an error.
 func (q *Queue) WaitDrain(poll time.Duration, deliver func(grid.Result), progress func(done, total int, r grid.Result)) error {
 	if poll <= 0 {
 		poll = 250 * time.Millisecond
@@ -160,6 +84,9 @@ func (q *Queue) WaitDrain(poll time.Duration, deliver func(grid.Result), progres
 	delivered := make([]bool, len(q.specs))
 	n := 0
 	for {
+		if err := q.stopErr.Load(); err != nil {
+			return *err
+		}
 		rs, err := q.replay()
 		if err != nil {
 			return err
