@@ -66,11 +66,11 @@ func (m *Model) writebackBatch(c core.Caller) {
 			return
 		}
 		// Gather folios of the same file from the queue head run.
-		file := f.file
+		ino := f.ino
 		var bytes int64
 		for budget > 0 {
 			g := m.oldestDirty()
-			if g == nil || g.file != file {
+			if g == nil || g.ino != ino {
 				break
 			}
 			m.dirtyQ = m.dirtyQ[1:]
@@ -79,7 +79,7 @@ func (m *Model) writebackBatch(c core.Caller) {
 			budget -= m.cfg.FolioSize
 		}
 		if bytes > 0 {
-			c.DiskWrite(file, bytes) // blocking; state may change meanwhile
+			c.DiskWrite(ino.name, bytes) // blocking; state may change meanwhile
 		}
 	}
 }
@@ -96,7 +96,7 @@ func (m *Model) kickFlusher() {
 // cannot wait; that cannot happen in the engine.
 func (m *Model) waitProgress(p *des.Proc) { m.progress.Wait(p) }
 
-// procOf extracts the engine process from the caller. The engine's caller
+// callerProc extracts the engine process from the caller. The engine's caller
 // type is the only implementation used with linuxref; it exposes the proc
 // via the core.Caller contract (transfers park it), so we thread the proc
 // through explicitly instead.
@@ -137,7 +137,7 @@ func (m *Model) ensureFree(c core.Caller, need int64) error {
 		}
 		m.dirtyQ = m.dirtyQ[1:]
 		m.markClean(f)
-		c.DiskWrite(f.file, m.cfg.FolioSize)
+		c.DiskWrite(f.ino.name, m.cfg.FolioSize)
 	}
 	return nil
 }
@@ -167,9 +167,9 @@ func (m *Model) touch(f *folio) {
 // first n bytes, with folio hits at memory speed and misses at disk speed,
 // charging anonymous memory for the application copy.
 func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
-	fs := m.state(file)
-	if fs.size < fileSize {
-		fs.size = fileSize // pre-existing input data
+	ino := m.inode(file)
+	if ino.size < fileSize {
+		ino.size = fileSize // pre-existing input data
 	}
 	for off := int64(0); off < n; off += m.cfg.ReadChunk {
 		cs := m.cfg.ReadChunk
@@ -179,7 +179,7 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		lo, hi := m.folioRange(off, cs)
 		var missFolios int64
 		for i := lo; i < hi; i++ {
-			if _, ok := fs.folios[i]; !ok {
+			if ino.at(i) == nil {
 				missFolios++
 			}
 		}
@@ -194,19 +194,16 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		if missBytes > 0 {
 			c.DiskRead(file, missBytes)
 			for i := lo; i < hi; i++ {
-				if _, ok := fs.folios[i]; ok {
-					continue
+				if ino.at(i) == nil {
+					m.inactive.pushBack(ino.insert(i))
 				}
-				f := &folio{file: file, idx: i}
-				fs.folios[i] = f
-				m.inactive.pushBack(f)
 			}
 		}
 		if hitBytes > 0 {
 			c.MemRead(hitBytes)
 		}
 		for i := lo; i < hi; i++ {
-			if f, ok := fs.folios[i]; ok {
+			if f := ino.at(i); f != nil {
 				m.touch(f)
 			}
 		}
@@ -224,18 +221,12 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 // WriteFile implements engine.CacheModel: writeback semantics with
 // background writeback and balance_dirty_pages throttling.
 func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
-	m.writing[file]++
-	defer func() {
-		if m.writing[file] <= 1 {
-			delete(m.writing, file)
-		} else {
-			m.writing[file]--
-		}
-	}()
-	fs := m.state(file)
+	ino := m.inode(file)
+	ino.writers++
+	defer m.closeWrite(ino)
 	// Appends start after previously written data, evicted or not.
-	start := fs.size
-	fs.size += size
+	start := ino.size
+	ino.size += size
 	for off := start; off < start+size; off += m.cfg.ReadChunk {
 		cs := m.cfg.ReadChunk
 		if start+size-off < cs {
@@ -258,19 +249,25 @@ func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
 				}
 				m.dirtyQ = m.dirtyQ[1:]
 				m.markClean(f)
-				c.DiskWrite(f.file, m.cfg.FolioSize)
+				c.DiskWrite(f.ino.name, m.cfg.FolioSize)
 			}
 		}
 		c.MemWrite(cs)
 		now := c.Now()
 		for i := lo; i < hi; i++ {
-			f, ok := fs.folios[i]
-			if !ok {
-				f = &folio{file: file, idx: i}
-				fs.folios[i] = f
+			f := ino.at(i)
+			if f == nil {
+				f = ino.insert(i)
 				m.inactive.pushBack(f)
 			}
 			m.markDirty(f, now)
+		}
+		if m.free() < 0 {
+			// A concurrent operation took the room reserved above while
+			// MemWrite blocked: direct reclaim.
+			if err := m.ensureFree(c, 0); err != nil {
+				return err
+			}
 		}
 		if m.dirtyBytes() > m.dirtyBgLimit() {
 			m.kickFlusher()

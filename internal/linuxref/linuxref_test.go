@@ -2,7 +2,10 @@ package linuxref
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // seqCaller drives the model without a DES kernel: fixed bandwidths, one
@@ -45,6 +48,15 @@ func testModel(t *testing.T, total int64) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestFolioFitsSizeClass: every cached MiB costs one folio, so a field
+// that pushes it past the 64-byte allocation size class costs a quarter
+// more memory per folio.
+func TestFolioFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(folio{}); n > 64 {
+		t.Fatalf("folio is %d bytes, want ≤ 64", n)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -163,12 +175,12 @@ func TestAppendContinuesAfterEviction(t *testing.T) {
 		t.Fatalf("setup: still %d cached", got)
 	}
 	// The file's written size survives eviction: appends continue at 100.
-	if m.state("f").size != 100 {
-		t.Fatalf("size = %d", m.state("f").size)
+	if m.inode("f").size != 100 {
+		t.Fatalf("size = %d", m.inode("f").size)
 	}
 	m.WriteFile(c, "f", 50)
-	if m.state("f").size != 150 {
-		t.Fatalf("size = %d after append", m.state("f").size)
+	if m.inode("f").size != 150 {
+		t.Fatalf("size = %d after append", m.inode("f").size)
 	}
 }
 
@@ -177,8 +189,8 @@ func TestInvalidateResetsFileSize(t *testing.T) {
 	c := newSeqCaller()
 	m.WriteFile(c, "f", 100)
 	m.InvalidateFile("f") // deletion semantics
-	if m.state("f").size != 0 {
-		t.Fatalf("size = %d after delete", m.state("f").size)
+	if m.inode("f").size != 0 {
+		t.Fatalf("size = %d after delete", m.inode("f").size)
 	}
 }
 
@@ -326,4 +338,178 @@ func TestPartialReadOnlyTouchesPrefix(t *testing.T) {
 		t.Fatalf("diskRd = %d", c.diskRd)
 	}
 	m.ReleaseAnon(100)
+}
+
+// hookCaller is a seqCaller that runs hook once, after the MemWrite that
+// brings the countdown at to zero: it stands in for another process acting
+// while a write is in flight.
+type hookCaller struct {
+	*seqCaller
+	at   int
+	hook func()
+}
+
+func (c *hookCaller) MemWrite(n int64) {
+	c.seqCaller.MemWrite(n)
+	if c.hook != nil {
+		if c.at--; c.at <= 0 {
+			h := c.hook
+			c.hook = nil
+			h()
+		}
+	}
+}
+
+func TestInvalidateDuringWriteKeepsModelConsistent(t *testing.T) {
+	m := testModel(t, 1000)
+	c := &hookCaller{seqCaller: newSeqCaller(), hook: func() { m.InvalidateFile("w") }}
+	if err := m.WriteFile(c, "w", 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("after mid-write invalidation: %v", err)
+	}
+	// Reclaim must be able to evict everything the interrupted write left.
+	if err := m.ReadFile(c, "r", 900, 900); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteReclaimsRoomTakenMidWrite: a write reserves room for its
+// folios before MemWrite blocks; a read that fills memory meanwhile must not
+// leave the write overcommitting it.
+func TestWriteReclaimsRoomTakenMidWrite(t *testing.T) {
+	m := testModel(t, 1000)
+	c := &hookCaller{seqCaller: newSeqCaller()}
+	c.hook = func() {
+		if err := m.ReadFile(c, "r", 500, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.WriteFile(c, "w", 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkScanMatchesHeadWalk runs a protection-honouring scan for need bytes
+// free and checks that it promotes and evicts exactly the folios a walk
+// from the head of the inactive list would.
+func checkScanMatchesHeadWalk(m *Model, need int64) error {
+	var promoted, evicted []*folio
+	free := m.free()
+	for f := m.inactive.head; f != nil && free < need; f = f.next {
+		switch {
+		case f.dirty || m.protected(f.ino):
+		case f.referenced:
+			promoted = append(promoted, f)
+		default:
+			evicted = append(evicted, f)
+			free += m.cfg.FolioSize
+		}
+	}
+	before := m.stats
+	m.scanInactive(need, true)
+	if p, e := m.stats.Promotions-before.Promotions, m.stats.Evictions-before.Evictions; p != int64(len(promoted)) || e != int64(len(evicted)) {
+		return fmt.Errorf("scan promoted %d and evicted %d, head walk %d and %d", p, e, len(promoted), len(evicted))
+	}
+	for _, f := range promoted {
+		if f.list != &m.active {
+			return fmt.Errorf("head walk promotes %s[%d], scan did not", f.ino.name, f.idx)
+		}
+	}
+	for _, f := range evicted {
+		if f.list != nil {
+			return fmt.Errorf("head walk evicts %s[%d], scan did not", f.ino.name, f.idx)
+		}
+	}
+	return nil
+}
+
+// TestRandomOperationsKeepInvariants drives seeded random reads, writes,
+// invalidations and anon releases, some nested inside an in-flight write,
+// and checks every invariant (the reclaim cursor's included) after each
+// step, with and without open-write protection. Some steps are bare scans,
+// checked against a walk from the head of the inactive list.
+func TestRandomOperationsKeepInvariants(t *testing.T) {
+	files := []string{"a", "b", "c", "d"}
+	var work ReclaimStats
+	for _, protect := range []bool{true, false} {
+		for seed := int64(1); seed <= 20; seed++ {
+			m := testModel(t, 2000)
+			m.cfg.ProtectOpenWrites = protect
+			rng := rand.New(rand.NewSource(seed))
+			c := &hookCaller{seqCaller: newSeqCaller()}
+			// op runs one random operation; nested ones never arm the hook.
+			var op func(nested bool) string
+			op = func(nested bool) string {
+				file := files[rng.Intn(len(files))]
+				var err error
+				var desc string
+				switch k := rng.Intn(11); {
+				case k < 3:
+					n := int64(rng.Intn(600) + 1)
+					if m.anon+n > 1000 {
+						m.ReleaseAnon(m.anon)
+					}
+					desc = fmt.Sprintf("read %s %d", file, n)
+					err = m.ReadFile(c, file, n, n+int64(rng.Intn(200)))
+				case k < 7:
+					n := int64(rng.Intn(400) + 1)
+					desc = fmt.Sprintf("write %s %d", file, n)
+					if !nested && rng.Intn(2) == 0 {
+						c.at = rng.Intn(4) + 1
+						if rng.Intn(3) == 0 {
+							inv := files[rng.Intn(len(files))]
+							desc += " invalidating " + inv
+							c.hook = func() { m.InvalidateFile(inv) }
+						} else {
+							c.hook = func() { desc += " overlapping " + op(true) }
+						}
+					}
+					err = m.WriteFile(c, file, n)
+					c.hook = nil
+				case k < 8:
+					desc = "invalidate " + file
+					m.InvalidateFile(file)
+				case k < 9:
+					n := rng.Int63n(m.anon + 1)
+					desc = fmt.Sprintf("release %d", n)
+					m.ReleaseAnon(n)
+				case k < 10:
+					desc = "writeback"
+					c.now += m.cfg.DirtyExpire
+					m.writebackBatch(c)
+				default:
+					need := m.free() + rng.Int63n(300)
+					desc = fmt.Sprintf("scan to %d free", need)
+					if err := checkScanMatchesHeadWalk(m, need); err != nil {
+						t.Fatalf("protect=%v seed %d: %s: %v", protect, seed, desc, err)
+					}
+				}
+				if err != nil && !errors.Is(err, ErrOutOfMemory) {
+					t.Fatalf("protect=%v seed %d: %s: %v", protect, seed, desc, err)
+				}
+				return desc
+			}
+			for step := 0; step < 300; step++ {
+				desc := op(false)
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatalf("protect=%v seed %d step %d (%s): %v", protect, seed, step, desc, err)
+				}
+			}
+			st := m.ReclaimStats()
+			work.Evictions += st.Evictions
+			work.Promotions += st.Promotions
+		}
+	}
+	if work.Evictions == 0 || work.Promotions == 0 {
+		t.Fatalf("operations never exercised reclaim: %+v", work)
+	}
+	t.Logf("reclaim work over all seeds: %+v", work)
 }
