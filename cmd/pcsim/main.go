@@ -1,7 +1,8 @@
 // Command pcsim runs one page-cache simulation with user-chosen parameters
 // — a quick way to explore cache behaviour outside the paper's fixed
-// experiment grid. It runs either the built-in synthetic pipeline or a
-// JSON workflow on a flag-built or JSON-described platform.
+// experiment grid. Every mode builds one scenario document (see
+// internal/scenario) and runs it through scenario.Run: -scenario loads the
+// document from a file, and the flag modes compile their flags into one.
 //
 // Examples:
 //
@@ -15,6 +16,31 @@
 //	pcsim -scenario testdata/scenarios/random-chaos.json -chaos-seed 7
 //	pcsim -scenario testdata/scenarios/mixed-disk-slowdown.json
 //
+// The flag modes run one workload on the first partition of the first host:
+//
+//   - the synthetic pipeline (the default; -size, -cpu, -instances);
+//   - the repeated-iteration pipeline (-iterations N; -size, -cpu), which
+//     reads one input file, computes, and rewrites a scratch output every
+//     iteration. Once K consecutive iterations produce matching phase
+//     signatures the engine skips the rest analytically (disable with
+//     -ffwd=false; tune with -ffwd-k and -ffwd-tol). -ffwd-oracle runs both
+//     paths and reports the makespan and hit-ratio error, failing above 1%
+//     makespan error;
+//   - a JSON workflow (-workflow, which requires -platform).
+//
+// The host is node0, flag-built from -ram, -mem-bw and -disk-bw (32 cores
+// at 1 GFLOPS, disk node0.disk on partition scratch), or the -platform
+// file's first host. -mode, -chunk, -policy, -writeback, -dirty-ratio,
+// -dirty-background and -dirty-expire apply to every host of either;
+// -csv, -snapshot-in and -snapshot-out to every flag mode. A flag the
+// chosen mode cannot honour exits 2 and names the flag: -ram, -mem-bw or
+// -disk-bw with -platform; -size, -cpu, -instances or -iterations with
+// -workflow; -instances with -iterations; -ffwd-oracle, -ffwd-k or
+// -ffwd-tol without -iterations; -ffwd, -csv or -snapshot-out with
+// -ffwd-oracle; -chaos-seed without -scenario; and with -scenario every
+// flag but -chaos-seed and -snapshot-out. (-ffwd is accepted in every flag
+// mode: only iterative runs have anything to fast-forward.)
+//
 // Platform JSON hosts accept "writebackPolicy" and "dirtyBackgroundRatio"
 // (overridden host-wide by -writeback and -dirty-background), and
 // "perDeviceWriteback": true. Every host's page cache has one writeback
@@ -27,23 +53,22 @@
 // can bound a device's writer stalls with the "max-device-throttle"
 // assertion; mixed-disk-slowdown.json is the worked example.
 //
-// The repeated-iteration pipeline (-iterations) reads one input file,
-// computes, and rewrites a scratch output every iteration; once K
-// consecutive iterations produce matching phase signatures the engine skips
-// the rest analytically (disable with -ffwd=false; tune with -ffwd-k and
-// -ffwd-tol). -ffwd-oracle runs both paths and reports the makespan and
-// hit-ratio error, failing above 1% makespan error. -snapshot-out saves the
-// final cache state (and the backing-file list) as versioned JSON, each
-// cache in one layout that lists its writeback domains; -snapshot-in
-// restores one into a host with the same domains, rebasing block timestamps
-// to the new run's t=0 — scenario documents get the same via their "warmup"
-// stanza. Snapshots written before that layout (version 1) are rejected;
-// re-create them with -snapshot-out.
+// -snapshot-out saves the final cache state (and the backing-file list) as
+// versioned JSON, each cache in one layout that lists its writeback
+// domains. -snapshot-in restores one through the scenario "warmup" stanza:
+// into a platform with the same hosts and domains, block timestamps rebased
+// to the new run's t=0 and the cache counters zeroed, so hit ratios and the
+// counters of a chained -snapshot-out cover the new run only. Snapshots
+// written before that layout (version 1) are rejected; re-create them with
+// -snapshot-out.
 //
 //	pcsim -iterations 60 -size 1GB -ram 8GiB -ffwd-oracle
 //	pcsim -iterations 500 -size 1GB -ram 8GiB
 //	pcsim -size 20GB -snapshot-out warm.snap.json
 //	pcsim -size 20GB -snapshot-in warm.snap.json
+//
+// Exit codes: 0 success; 1 the run failed (or a scenario assertion did);
+// 2 the flags or the scenario document are invalid.
 package main
 
 import (
@@ -52,214 +77,165 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/phase"
-	"repro/internal/platform"
-	"repro/internal/textplot"
-	"repro/internal/units"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
 
 func main() {
 	os.Exit(Main(os.Args[1:], os.Stdout))
 }
 
+// options are pcsim's parsed flags.
+type options struct {
+	size, mode, ram, chunk, policy, writeback string
+	csv, platform, workflow, scenario         string
+	snapOut, snapIn                           string
+	instances, iterations, ffwdK              int
+	dirtyRatio, expire, dirtyBG               float64
+	memBW, diskBW, cpu, ffwdTol               float64
+	chaosSeed                                 int64
+	ffwd, oracle                              bool
+	// set lists the flags given on the command line, sorted.
+	set []string
+}
+
 // Main runs the pcsim CLI and returns a process exit code.
 func Main(args []string, stdout io.Writer) int {
-	fs := flag.NewFlagSet("pcsim", flag.ContinueOnError)
-	var (
-		sizeStr    = fs.String("size", "20GB", "per-file size (e.g. 3GB, 500MB)")
-		modeStr    = fs.String("mode", "writeback", "cacheless | writeback | writethrough | directio")
-		instances  = fs.Int("instances", 1, "concurrent application instances")
-		ramStr     = fs.String("ram", "250GiB", "host RAM")
-		chunkStr   = fs.String("chunk", "100MB", "I/O chunk size")
-		dirtyRatio = fs.Float64("dirty-ratio", 0.20, "vm.dirty_ratio as a fraction")
-		expire     = fs.Float64("dirty-expire", 30, "dirty expiry seconds")
-		policyStr  = fs.String("policy", "", "cache replacement policy (default: lru; also clock, fifo, lfu)")
-		wbStr      = fs.String("writeback", "", "writeback policy (default: list-order; also oldest-first, file-rr, proportional)")
-		dirtyBG    = fs.Float64("dirty-background", 0, "vm.dirty_background_ratio as a fraction (0 disables background writeback)")
-		memBW      = fs.Float64("mem-bw", 4812, "memory bandwidth (MBps, symmetric)")
-		diskBW     = fs.Float64("disk-bw", 465, "disk bandwidth (MBps, symmetric)")
-		cpuSec     = fs.Float64("cpu", -1, "injected CPU seconds per task (default: Table I fit)")
-		csvPath    = fs.String("csv", "", "write the memory profile CSV here")
-		platPath   = fs.String("platform", "", "platform description JSON (overrides -ram/-mem-bw/-disk-bw)")
-		wfPath     = fs.String("workflow", "", "workflow description JSON (runs instead of the synthetic pipeline; requires -platform)")
-		scenPath   = fs.String("scenario", "", "scenario description JSON (platform + workloads + chaos + assertions; ignores the other flags)")
-		chaosSeed  = fs.Int64("chaos-seed", 0, "override the scenario's chaos seed (with -scenario)")
-		iterations = fs.Int("iterations", 0, "run the repeated-iteration pipeline with this many iterations instead of the synthetic pipeline")
-		ffwdOn     = fs.Bool("ffwd", true, "fast-forward steady-state iterations analytically (with -iterations)")
-		ffwdOracle = fs.Bool("ffwd-oracle", false, "run both the exact and fast-forwarded paths and report the error (with -iterations)")
-		ffwdK      = fs.Int("ffwd-k", phase.DefaultK, "consecutive matching iterations before steady state is declared")
-		ffwdTol    = fs.Float64("ffwd-tol", phase.DefaultTol, "relative tolerance on the continuous phase-signature components")
-		snapOut    = fs.String("snapshot-out", "", "write the final cache state to this snapshot file")
-		snapIn     = fs.String("snapshot-in", "", "restore cache state from this snapshot file before the run")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "chaos-seed" {
-			seedSet = true
-		}
-	})
-	if *scenPath != "" {
-		return runScenario(*scenPath, *chaosSeed, seedSet, stdout)
-	}
-	if err := core.ValidatePolicyName(*policyStr); err != nil {
-		// Fail fast at configuration time, listing the registered policies.
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	if err := core.ValidateWritebackPolicyName(*wbStr); err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	if *wfPath != "" || *platPath != "" {
-		return runFromFiles(*platPath, *wfPath, *modeStr, *chunkStr, *sizeStr, *cpuSec, *policyStr, *wbStr, *dirtyBG, stdout)
-	}
-	size, err := units.ParseBytes(*sizeStr)
+	o, err := parseFlags(args)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
 		return 2
 	}
-	ram, err := units.ParseBytes(*ramStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
+	if name, why := o.misplaced(); name != "" {
+		return fail(fmt.Errorf("-%s cannot be used %s", name, why), 2)
 	}
-	chunk, err := units.ParseBytes(*chunkStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	var mode engine.Mode
-	switch *modeStr {
-	case "cacheless":
-		mode = engine.ModeCacheless
-	case "writeback":
-		mode = engine.ModeWriteback
-	case "writethrough":
-		mode = engine.ModeWritethrough
-	case "directio":
-		mode = engine.ModeDirectIO
-	default:
-		fmt.Fprintf(os.Stderr, "pcsim: unknown mode %q\n", *modeStr)
-		return 2
-	}
-	cpu := *cpuSec
-	if cpu < 0 {
-		cpu = workload.SyntheticCPU(size)
+	if o.scenario != "" {
+		return o.runScenario(stdout)
 	}
 
-	sim := engine.NewSimulation()
-	memSpec := platform.DeviceSpec{Name: "node0.mem", ReadBW: units.MBps(*memBW), WriteBW: units.MBps(*memBW)}
-	host := platform.HostSpec{Name: "node0", Cores: 32, FlopRate: 1e9, MemoryCap: ram, Memory: memSpec}
-	cfg := core.Config{
-		TotalMem: ram, DirtyRatio: *dirtyRatio, DirtyBackgroundRatio: *dirtyBG,
-		DirtyExpire: *expire, FlushInterval: 5, Policy: *policyStr, Writeback: *wbStr,
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	if *ffwdOracle && *iterations <= 0 {
-		fmt.Fprintln(os.Stderr, "pcsim: -ffwd-oracle requires -iterations")
-		return 2
-	}
-	if *iterations > 0 {
-		return runIterative(iterConfig{
-			iterations: *iterations, size: size, cpu: cpu,
-			ram: ram, chunk: chunk, mode: mode, cache: cfg,
-			memBW: *memBW, diskBW: *diskBW,
-			k: *ffwdK, tol: *ffwdTol,
-			snapIn: *snapIn, snapOut: *snapOut,
-		}, *ffwdOn, *ffwdOracle, stdout)
-	}
-	hr, err := sim.AddHost(host, mode, cfg, chunk)
+	plat, err := o.loadPlatform()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 1
+		return fail(err, 1)
 	}
-	part, err := hr.AddDisk(platform.DeviceSpec{
-		Name: "node0.disk", ReadBW: units.MBps(*diskBW), WriteBW: units.MBps(*diskBW),
-	}, "scratch", 100*size*int64(*instances)+units.GiB)
+	doc, err := o.compile(plat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 1
+		return fail(err, 2)
 	}
-	hr.EnableMemTrace(1)
-	if *snapIn != "" {
-		if err := restoreHostSnapshot(*snapIn, sim, hr, part); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
+	ffwd := &engine.FFwdConfig{Phase: phase.Config{K: o.ffwdK, Tol: o.ffwdTol}}
+	if o.oracle {
+		return o.runOracle(doc, ffwd, stdout)
 	}
-	for i := 0; i < *instances; i++ {
-		files := workload.SyntheticFiles(i)
-		if _, ok := part.Lookup(files[0]); !ok {
-			if _, err := part.CreateSized(files[0], size); err != nil {
-				fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-				return 1
-			}
-		}
-		if err := sim.NS.Place(files[0], part); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
+	var opts scenario.RunOpts
+	if o.iterations > 0 && o.ffwd {
+		opts.FastForward = ffwd
 	}
-	for i := 0; i < *instances; i++ {
-		files := workload.SyntheticFiles(i)
-		sim.SpawnApp(hr, i, fmt.Sprintf("app%d", i), func(a *engine.App) error {
-			return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: part}, workload.SyntheticSpec{
-				Size: size, CPU: cpu, Files: files,
-			})
-		})
+	res, err := run(doc, opts)
+	if err != nil {
+		return fail(err, 1)
 	}
-	if err := sim.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 1
-	}
-
-	fmt.Fprintf(stdout, "pcsim: %d instance(s), %s files, mode=%s, RAM=%s\n",
-		*instances, units.FormatBytes(size), mode, units.FormatBytes(ram))
-	t := &textplot.Table{Header: []string{"op", "mean duration (s)", "total bytes"}}
-	for _, name := range sim.Log.Names() {
-		ops := sim.Log.ByName(name)
-		var d float64
-		var bytes int64
-		for _, o := range ops {
-			d += o.Duration()
-			bytes += o.Bytes
-		}
-		t.Add(name, fmt.Sprintf("%.2f", d/float64(len(ops))), units.FormatBytes(bytes))
-	}
-	t.Render(stdout)
-	fmt.Fprintf(stdout, "makespan: %s   read total: %.1fs   write total: %.1fs\n",
-		units.FormatSeconds(sim.Makespan()),
-		sim.Log.Duration("read", -1), sim.Log.Duration("write", -1))
-
-	if *snapOut != "" {
-		if err := writeHostSnapshot(*snapOut, sim, hr); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "cache snapshot written to %s\n", *snapOut)
-	}
-
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := hr.MemTrace.WriteCSV(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "memory profile written to %s\n", *csvPath)
+	o.report(res, stdout)
+	if err := o.writeOutputs(res, stdout); err != nil {
+		return fail(err, 1)
 	}
 	return 0
+}
+
+// parseFlags parses the command line; the flag package reports errors.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("pcsim", flag.ContinueOnError)
+	fs.StringVar(&o.size, "size", "20GB", "per-file size (e.g. 3GB, 500MB)")
+	fs.StringVar(&o.mode, "mode", "writeback", "cacheless | writeback | writethrough | directio")
+	fs.IntVar(&o.instances, "instances", 1, "concurrent synthetic pipeline instances")
+	fs.StringVar(&o.ram, "ram", "250GiB", "host RAM (flag-built host)")
+	fs.StringVar(&o.chunk, "chunk", "100MB", "I/O chunk size")
+	fs.Float64Var(&o.dirtyRatio, "dirty-ratio", 0.20, "vm.dirty_ratio as a fraction")
+	fs.Float64Var(&o.expire, "dirty-expire", 30, "dirty expiry seconds")
+	fs.StringVar(&o.policy, "policy", "", "cache replacement policy (default: lru; also clock, fifo, lfu)")
+	fs.StringVar(&o.writeback, "writeback", "", "writeback policy (default: list-order; also oldest-first, file-rr, proportional)")
+	fs.Float64Var(&o.dirtyBG, "dirty-background", 0, "vm.dirty_background_ratio as a fraction (0 disables background writeback)")
+	fs.Float64Var(&o.memBW, "mem-bw", 4812, "memory bandwidth (MBps, symmetric; flag-built host)")
+	fs.Float64Var(&o.diskBW, "disk-bw", 465, "disk bandwidth (MBps, symmetric; flag-built host)")
+	fs.Float64Var(&o.cpu, "cpu", -1, "injected CPU seconds per task or iteration (default: Table I fit)")
+	fs.StringVar(&o.csv, "csv", "", "write the workload host's memory profile CSV here")
+	fs.StringVar(&o.platform, "platform", "", "platform description JSON (instead of the flag-built host)")
+	fs.StringVar(&o.workflow, "workflow", "", "workflow description JSON (runs instead of the synthetic pipeline; requires -platform)")
+	fs.StringVar(&o.scenario, "scenario", "", "scenario description JSON (platform + workloads + chaos + assertions)")
+	fs.Int64Var(&o.chaosSeed, "chaos-seed", 0, "override the scenario's chaos seed (with -scenario)")
+	fs.IntVar(&o.iterations, "iterations", 0, "run the repeated-iteration pipeline with this many iterations instead of the synthetic pipeline")
+	fs.BoolVar(&o.ffwd, "ffwd", true, "fast-forward steady-state iterations analytically (with -iterations)")
+	fs.BoolVar(&o.oracle, "ffwd-oracle", false, "run both the exact and fast-forwarded paths and report the error (with -iterations)")
+	fs.IntVar(&o.ffwdK, "ffwd-k", phase.DefaultK, "consecutive matching iterations before steady state is declared")
+	fs.Float64Var(&o.ffwdTol, "ffwd-tol", phase.DefaultTol, "relative tolerance on the continuous phase-signature components")
+	fs.StringVar(&o.snapOut, "snapshot-out", "", "write the final cache state to this snapshot file")
+	fs.StringVar(&o.snapIn, "snapshot-in", "", "restore cache state from this snapshot file before the run")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { o.set = append(o.set, f.Name) })
+	return o, nil
+}
+
+// misplaced returns the first flag given on the command line that the
+// chosen mode cannot honour, and why; empty when every flag applies.
+func (o *options) misplaced() (name, why string) {
+	for _, name := range o.set {
+		switch {
+		case o.scenario != "":
+			if !in(name, "scenario", "chaos-seed", "snapshot-out") {
+				return name, "with -scenario"
+			}
+		case name == "chaos-seed":
+			return name, "without -scenario"
+		case o.platform != "" && in(name, "ram", "mem-bw", "disk-bw"):
+			return name, "with -platform"
+		case o.workflow != "" && in(name, "size", "cpu", "instances", "iterations"):
+			return name, "with -workflow"
+		case o.iterations <= 0 && in(name, "ffwd-oracle", "ffwd-k", "ffwd-tol"):
+			return name, "without -iterations"
+		case o.iterations > 0 && name == "instances":
+			return name, "with -iterations"
+		case o.oracle && in(name, "ffwd", "csv", "snapshot-out"):
+			return name, "with -ffwd-oracle"
+		}
+	}
+	return "", ""
+}
+
+// runScenario runs a scenario file: exit 0 when every assertion passes, 1
+// when one fails, 2 when the document (or its chaos stanza) is invalid.
+func (o *options) runScenario(stdout io.Writer) int {
+	doc, err := scenario.Load(o.scenario)
+	if err != nil {
+		return fail(err, 2)
+	}
+	res, err := scenario.Run(doc, scenario.RunOpts{ChaosSeed: o.chaosSeed, OverrideSeed: in("chaos-seed", o.set...)})
+	if err != nil {
+		return fail(err, 2)
+	}
+	res.Report(stdout)
+	if err := o.writeOutputs(res, stdout); err != nil {
+		return fail(err, 1)
+	}
+	if !res.Passed {
+		fmt.Fprintln(os.Stderr, "pcsim: scenario assertions failed")
+		return 1
+	}
+	return 0
+}
+
+// in reports whether name is one of names.
+func in(name string, names ...string) bool {
+	for _, n := range names {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// fail reports err on stderr and returns the exit code.
+func fail(err error, code int) int {
+	fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
+	return code
 }

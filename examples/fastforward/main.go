@@ -164,8 +164,8 @@ func main() {
 	}
 	warmSt := loaded.Hosts["node0"]
 	// Zero the cumulative counters so the hit ratio below measures only this
-	// run (the scenario warmup stanza does the same; pcsim -snapshot-in keeps
-	// them for exact continuation instead).
+	// run (the scenario warmup stanza, and so pcsim -snapshot-in, does the
+	// same).
 	warmSt.ReadHits, warmSt.ReadMisses, warmSt.FlushedBytes = 0, 0, 0
 	warmSt.ThrottledSec, warmSt.ForcedEvictions = 0, 0
 	if err := warm.mgr.RestoreState(warmSt); err != nil {

@@ -17,17 +17,14 @@ type Platform struct {
 }
 
 // BuildPlatform realizes a JSON platform description on the simulation. All
-// hosts get the given cache mode; cache configuration derives from each
-// host's RAM via core.DefaultConfig, with dirtyRatio overridden when > 0,
-// the replacement policy taken from each host's "cachePolicy" field (empty:
-// the default LRU), the writeback policy from "writebackPolicy" (empty: the
-// paper's list order), the background writeback threshold from
-// "dirtyBackgroundRatio" (0: disabled) and the LFU decay half-life from
-// "lfuHalfLife" (0: the core default). Hosts with "perDeviceWriteback" get
-// one writeback domain and flusher per disk (per-disk "dirtyRatio" /
-// "dirtyBackgroundRatio" overriding the bandwidth-share split) with
-// writer-driven wakeups; cacheless hosts ignore the flag.
-func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64, dirtyRatio float64) (*Platform, error) {
+// hosts get the given cache mode and the cache configuration
+// HostCacheConfig derives from each host's description, passed through tune
+// (nil: unchanged) for run-wide overrides such as vm.dirty_ratio. Hosts
+// with "perDeviceWriteback" get one writeback domain and flusher per disk
+// (per-disk "dirtyRatio" / "dirtyBackgroundRatio" overriding the
+// bandwidth-share split) with writer-driven wakeups; cacheless hosts ignore
+// the flag.
+func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64, tune func(*core.Config)) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -41,14 +38,10 @@ func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64,
 		if err != nil {
 			return nil, err
 		}
-		cacheCfg := core.DefaultConfig(spec.MemoryCap)
-		if dirtyRatio > 0 {
-			cacheCfg.DirtyRatio = dirtyRatio
+		cacheCfg := HostCacheConfig(hc, spec.MemoryCap)
+		if tune != nil {
+			tune(&cacheCfg)
 		}
-		cacheCfg.Policy = hc.CachePolicy
-		cacheCfg.Writeback = hc.WritebackPolicy
-		cacheCfg.DirtyBackgroundRatio = hc.DirtyBackgroundRatio
-		cacheCfg.LFUHalfLife = hc.LFUHalfLife
 		hr, err := s.AddHost(spec, mode, cacheCfg, chunk)
 		if err != nil {
 			return nil, fmt.Errorf("engine: building host %s: %w", hc.Name, err)
@@ -86,4 +79,19 @@ func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64,
 		p.Links[lc.Name] = link
 	}
 	return p, nil
+}
+
+// HostCacheConfig is the page-cache configuration a host description
+// implies: core.DefaultConfig of its RAM, the replacement policy from
+// "cachePolicy" (empty: the default LRU), the writeback policy from
+// "writebackPolicy" (empty: the paper's list order), the background
+// writeback threshold from "dirtyBackgroundRatio" (0: disabled) and the LFU
+// decay half-life from "lfuHalfLife" (0: the core default).
+func HostCacheConfig(hc platform.HostConfig, ram int64) core.Config {
+	cfg := core.DefaultConfig(ram)
+	cfg.Policy = hc.CachePolicy
+	cfg.Writeback = hc.WritebackPolicy
+	cfg.DirtyBackgroundRatio = hc.DirtyBackgroundRatio
+	cfg.LFUHalfLife = hc.LFUHalfLife
+	return cfg
 }

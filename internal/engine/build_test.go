@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 )
 
@@ -25,7 +26,7 @@ func TestBuildPlatformFromConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSimulation()
-	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, 0)
+	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestBuildPlatformDirtyRatioOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSimulation()
-	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, 0.5)
+	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, func(c *core.Config) { c.DirtyRatio = 0.5 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestBuildPlatformDirtyRatioOverride(t *testing.T) {
 
 func TestBuildPlatformRejectsInvalid(t *testing.T) {
 	sim := NewSimulation()
-	if _, err := sim.BuildPlatform(&platform.Config{}, ModeWriteback, 1<<20, 0); err == nil {
+	if _, err := sim.BuildPlatform(&platform.Config{}, ModeWriteback, 1<<20, nil); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -99,7 +100,7 @@ func TestBuildPlatformCachePolicy(t *testing.T) {
 			cfg.Hosts[i].CachePolicy = policy
 		}
 		sim := NewSimulation()
-		p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, 0)
+		p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestBuildPlatformCachePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Hosts[0].CachePolicy = "mglru"
-	if _, err := NewSimulation().BuildPlatform(cfg, ModeWriteback, 1<<20, 0); err == nil {
+	if _, err := NewSimulation().BuildPlatform(cfg, ModeWriteback, 1<<20, nil); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -155,7 +156,7 @@ func TestBuildPlatformWritebackKnobs(t *testing.T) {
 		cfg.Hosts[i].DirtyBackgroundRatio = 0.05
 	}
 	sim := NewSimulation()
-	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, 0)
+	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestBuildPlatformWritebackKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2.Hosts[0].WritebackPolicy = "elevator"
-	if _, err := NewSimulation().BuildPlatform(cfg2, ModeWriteback, 1<<20, 0); err == nil {
+	if _, err := NewSimulation().BuildPlatform(cfg2, ModeWriteback, 1<<20, nil); err == nil {
 		t.Fatal("unknown writeback policy accepted")
 	}
 }
@@ -183,7 +184,7 @@ func TestEnableHitTraceSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSimulation()
-	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, 0)
+	p, err := sim.BuildPlatform(cfg, ModeWriteback, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

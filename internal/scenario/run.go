@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
 	"repro/internal/cgroup"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/units"
+	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
@@ -21,6 +23,9 @@ type RunOpts struct {
 	// set (the -chaos-seed flag).
 	ChaosSeed    int64
 	OverrideSeed bool
+	// FastForward, when set, arms the engine's analytical fast-forward of
+	// steady-state iterations (iterative workloads) for the main run.
+	FastForward *engine.FFwdConfig
 }
 
 // AssertionResult is one evaluated assertion.
@@ -42,11 +47,14 @@ type Result struct {
 	// WorkloadErrs maps "name[i]" (per instance) to its error, nil when the
 	// instance completed.
 	WorkloadErrs map[string]error
-	Assertions   []AssertionResult
-	Passed       bool
+	// Workflows maps "name[i]" of each workflow-kind instance to its
+	// execution (per-task timings).
+	Workflows  map[string]*workflow.Execution
+	Assertions []AssertionResult
+	Passed     bool
 
 	// groups and srvMgrs keep the cgroup and NFS-server cache managers
-	// reachable after the run, so snapshotState can capture them for
+	// reachable after the run, so SnapshotState can capture them for
 	// warm-starting another run.
 	groups  map[string]*cgroup.Group
 	srvMgrs map[string]*core.Manager
@@ -86,6 +94,16 @@ func (r *Result) Report(w io.Writer) {
 	fmt.Fprintf(w, "makespan: %.6gs\n", r.Makespan)
 }
 
+// ReadHitRatio is a host's read hit ratio over the run (0 when no reads
+// ran).
+func (r *Result) ReadHitRatio(host string) float64 {
+	st := r.Hosts[host].Model.Snapshot()
+	if tot := st.ReadHitBytes + st.ReadMissBytes; tot > 0 {
+		return float64(st.ReadHitBytes) / float64(tot)
+	}
+	return 0
+}
+
 // cgroupTarget adapts a controller group to chaos.CgroupTarget, routing
 // reclaim I/O through the host it lives on.
 type cgroupTarget struct {
@@ -116,7 +134,10 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 	chunk, _ := units.ParseBytes(chunkStr)
 
 	sim := engine.NewSimulation()
-	plat, err := sim.BuildPlatform(d.Platform, mode, chunk, d.DirtyRatio)
+	if opts.FastForward != nil {
+		sim.EnableFastForward(*opts.FastForward)
+	}
+	plat, err := sim.BuildPlatform(d.Platform, mode, chunk, d.tuneCache)
 	if err != nil {
 		return nil, err
 	}
@@ -124,6 +145,7 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		Doc: d, Sim: sim,
 		Hosts: plat.Hosts, Partitions: plat.Partitions,
 		WorkloadErrs: make(map[string]error),
+		Workflows:    make(map[string]*workflow.Execution),
 	}
 
 	// Chaos registries. Disks register as "host/disk" and, when the bare
@@ -195,12 +217,11 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 	for _, g := range d.Cgroups {
 		ctl, ok := ctls[g.Host]
 		if !ok {
-			ram, err := hostRAM(d, g.Host)
+			base, err := d.hostCacheConfig(g.Host)
 			if err != nil {
 				return nil, err
 			}
-			base := hostCacheConfig(d, g.Host, ram)
-			ctl, err = cgroup.NewController(ram, base, chunk)
+			ctl, err = cgroup.NewController(base.TotalMem, base, chunk)
 			if err != nil {
 				return nil, err
 			}
@@ -251,22 +272,33 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		wl       WorkloadDoc
 		instance int
 		key      string
+		wf       *workflow.Workflow
 	}
 	var apps []appSpec
 	instance := 0
 	nighresInputs := map[string]bool{} // partitions with t1_image placed
 	for _, wl := range d.Workloads {
+		part := plat.Partitions[wl.Partition]
+		var wf *workflow.Workflow
+		if wl.Kind == "workflow" {
+			if wf, err = loadWorkflow(sim, part, wl.WorkflowFile); err != nil {
+				return nil, err
+			}
+		}
 		n := wl.Instances
 		if n == 0 {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			part := plat.Partitions[wl.Partition]
+			size, _ := units.ParseBytes(wl.Size)
 			switch wl.Kind {
 			case "synthetic":
-				size, _ := units.ParseBytes(wl.Size)
 				files := workload.SyntheticFiles(instance)
 				if err := createInput(sim, part, files[0], size); err != nil {
+					return nil, err
+				}
+			case "iterative":
+				if err := createInput(sim, part, workload.IterInput, size); err != nil {
 					return nil, err
 				}
 			case "nighres":
@@ -277,7 +309,7 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 					}
 				}
 			}
-			apps = append(apps, appSpec{wl: wl, instance: instance, key: fmt.Sprintf("%s[%d]", wl.Name, i)})
+			apps = append(apps, appSpec{wl: wl, instance: instance, key: fmt.Sprintf("%s[%d]", wl.Name, i), wf: wf})
 			instance++
 		}
 	}
@@ -286,38 +318,36 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		wl := as.wl
 		hr := plat.Hosts[wl.Host]
 		part := plat.Partitions[wl.Partition]
-		body := func(a *engine.App) error {
-			if wl.StartS > 0 {
-				a.Sleep(wl.StartS)
-			}
-			r := &workload.EngineRunner{App: a, Part: part}
-			switch wl.Kind {
-			case "synthetic":
-				size, _ := units.ParseBytes(wl.Size)
-				cpu := wl.CPUS
-				if cpu == 0 {
-					cpu = workload.SyntheticCPU(size)
+		spawn := func(name string, body func(*engine.App) error) {
+			delayed := func(a *engine.App) error {
+				if wl.StartS > 0 {
+					a.Sleep(wl.StartS)
 				}
-				return workload.RunSynthetic(r, workload.SyntheticSpec{
-					Size: size, CPU: cpu, Files: workload.SyntheticFiles(as.instance),
-				})
-			default:
-				return workload.RunNighres(r)
+				return body(a)
 			}
+			if wl.Cgroup != "" {
+				sim.SpawnAppWithModel(hr, groups[wl.Cgroup], as.instance, name, delayed)
+			} else {
+				sim.SpawnApp(hr, as.instance, name, delayed)
+			}
+		}
+		if as.wf != nil {
+			x, err := workflow.Start(sim, part, as.wf, func(_ int, name string, body func(*engine.App) error) {
+				spawn(name, body)
+			})
+			if err != nil {
+				return nil, err
+			}
+			res.Workflows[as.key] = x
+			continue
 		}
 		// Workload failures are scenario data (completed/failed
 		// assertions), not run failures: record them and return nil so one
 		// expected error does not abort the simulation.
-		record := func(a *engine.App) error {
-			res.WorkloadErrs[as.key] = body(a)
+		spawn(fmt.Sprintf("%s%d", wl.Name, as.instance), func(a *engine.App) error {
+			res.WorkloadErrs[as.key] = runWorkload(&workload.EngineRunner{App: a, Part: part}, wl, as.instance)
 			return nil
-		}
-		name := fmt.Sprintf("%s%d", wl.Name, as.instance)
-		if wl.Cgroup != "" {
-			sim.SpawnAppWithModel(hr, groups[wl.Cgroup], as.instance, name, record)
-		} else {
-			sim.SpawnApp(hr, as.instance, name, record)
-		}
+		})
 	}
 
 	// Arm the fault injector last: every queued event validates against the
@@ -355,6 +385,9 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 	}
 	if err := inj.Err(); err != nil {
 		return nil, err
+	}
+	for key, x := range res.Workflows {
+		res.WorkloadErrs[key] = x.Err()
 	}
 	res.Makespan = sim.Makespan()
 	res.ChaosLog = inj.AppliedLog()
@@ -421,22 +454,83 @@ func hostRAM(d *Doc, name string) (int64, error) {
 	return 0, fmt.Errorf("scenario: unknown host %q", name)
 }
 
-// hostCacheConfig rebuilds the cache config BuildPlatform gave a host, so
-// cgroups inherit the same policies and ratios.
-func hostCacheConfig(d *Doc, name string, ram int64) core.Config {
-	cfg := core.DefaultConfig(ram)
+// tuneCache applies the document's run-wide cache overrides to one host's
+// cache configuration.
+func (d *Doc) tuneCache(cfg *core.Config) {
 	if d.DirtyRatio > 0 {
 		cfg.DirtyRatio = d.DirtyRatio
 	}
+	if d.DirtyExpireS != nil {
+		cfg.DirtyExpire = *d.DirtyExpireS
+	}
+}
+
+// hostCacheConfig is the cache config BuildPlatform gives a host, so
+// validation checks it and cgroups inherit the same policies and ratios.
+func (d *Doc) hostCacheConfig(name string) (core.Config, error) {
 	for _, h := range d.Platform.Hosts {
 		if h.Name == name {
-			cfg.Policy = h.CachePolicy
-			cfg.Writeback = h.WritebackPolicy
-			cfg.DirtyBackgroundRatio = h.DirtyBackgroundRatio
-			cfg.LFUHalfLife = h.LFUHalfLife
+			spec, err := h.HostSpec()
+			if err != nil {
+				return core.Config{}, err
+			}
+			cfg := engine.HostCacheConfig(h, spec.MemoryCap)
+			d.tuneCache(&cfg)
+			return cfg, nil
 		}
 	}
-	return cfg
+	return core.Config{}, fmt.Errorf("scenario: unknown host %q", name)
+}
+
+// runWorkload runs one instance of a synthetic, iterative or nighres
+// workload.
+func runWorkload(r *workload.EngineRunner, wl WorkloadDoc, instance int) error {
+	size, _ := units.ParseBytes(wl.Size)
+	cpu := workload.SyntheticCPU(size)
+	if wl.CPUS != nil {
+		cpu = *wl.CPUS
+	}
+	switch wl.Kind {
+	case "synthetic":
+		return workload.RunSynthetic(r, workload.SyntheticSpec{
+			Size: size, CPU: cpu, Files: workload.SyntheticFiles(instance),
+		})
+	case "iterative":
+		return workload.RunIterative(r, workload.IterativeSpec{
+			Iterations: wl.Iterations, Size: size, CPU: cpu,
+			Input: workload.IterInput, Output: workload.IterOutput,
+		})
+	default:
+		return workload.RunNighres(r)
+	}
+}
+
+// loadWorkflow reads a workflow file and creates its source files on part,
+// each sized by the largest partial read a task requests.
+func loadWorkflow(sim *engine.Simulation, part *storage.Partition, path string) (*workflow.Workflow, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %v", err)
+	}
+	defer f.Close()
+	w, err := workflow.LoadJSON(f)
+	if err != nil {
+		return nil, err
+	}
+	sources, err := w.SourceFiles()
+	if err != nil {
+		return nil, err
+	}
+	for _, src := range sources {
+		size := w.SourceSize(src)
+		if size <= 0 {
+			return nil, fmt.Errorf("scenario: workflow %s: source file %s: no task states its size (use \"bytes\")", w.Name, src)
+		}
+		if err := createInput(sim, part, src, size); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
 }
 
 // dirtyAssertHosts lists hosts named by all-dirty-flushed assertions, in
@@ -523,11 +617,7 @@ func evaluate(d *Doc, plat *engine.Platform, groups map[string]*cgroup.Group, re
 			add(fmt.Sprintf("makespan-above %gs", a.Seconds), res.Makespan >= a.Seconds,
 				"makespan %.6gs", res.Makespan)
 		case AssertMinReadHitRatio:
-			st := plat.Hosts[a.Host].Model.Snapshot()
-			var ratio float64
-			if tot := st.ReadHitBytes + st.ReadMissBytes; tot > 0 {
-				ratio = float64(st.ReadHitBytes) / float64(tot)
-			}
+			ratio := res.ReadHitRatio(a.Host)
 			add(fmt.Sprintf("min-read-hit-ratio %s >= %g", a.Host, a.Ratio), ratio >= a.Ratio,
 				"ratio %.4f", ratio)
 		case AssertAllDirtyFlushed:

@@ -1,13 +1,22 @@
 // Package scenario is the declarative front door to the simulator: a JSON
 // document describes a platform (reusing the platform.Config schema), NFS
-// mounts, cgroups, pre-existing files, a workload mix built from the
-// existing synthetic and Nighres primitives, a chaos stanza of timed faults
-// (see internal/chaos), and end-of-run assertions — makespan bounds,
-// read-hit-ratio floors, all-dirty-flushed, no-data-loss, per-workload
-// completion. Load validates fail-fast in the platform-config style; Run
-// maps the document onto an engine.Simulation and evaluates the assertions
-// into a deterministic report, so fault scenarios double as regression
-// tests (`pcsim -scenario file.json`).
+// mounts, cgroups, pre-existing files, a workload mix, a chaos stanza of
+// timed faults (see internal/chaos), and end-of-run assertions — makespan
+// bounds, read-hit-ratio floors, all-dirty-flushed, no-data-loss,
+// per-workload completion. Load validates fail-fast in the platform-config
+// style; Run maps the document onto an engine.Simulation and evaluates the
+// assertions into a deterministic report, so fault scenarios double as
+// regression tests (`pcsim -scenario file.json`).
+//
+// Workload kinds are the paper's synthetic pipeline, the Nighres workflow,
+// the repeated-iteration pipeline ("iterative", the fast-forward target;
+// RunOpts.FastForward arms the engine's phase detection) and any JSON task
+// DAG ("workflow", from a workflowFile). An omitted "cpuS" gives the
+// synthetic and iterative kinds the Table I CPU fit; "cpuS": 0 given
+// explicitly means no compute.
+//
+// Run is the simulator's one run path for single simulations: pcsim's
+// flag modes compile to a Doc and run through it too.
 package scenario
 
 import (
@@ -41,6 +50,9 @@ type Doc struct {
 	Chunk string `json:"chunk,omitempty"`
 	// DirtyRatio overrides vm.dirty_ratio on every host when > 0.
 	DirtyRatio float64 `json:"dirtyRatio,omitempty"`
+	// DirtyExpireS, when given, overrides every host's dirty expiry age in
+	// seconds (omitted: 30 s).
+	DirtyExpireS *float64 `json:"dirtyExpireS,omitempty"`
 	// TraceMemS samples every host's memory accounting at this period
 	// (0: no memory trace).
 	TraceMemS float64 `json:"traceMemS,omitempty"`
@@ -140,18 +152,29 @@ type FileDoc struct {
 type WorkloadDoc struct {
 	Name string `json:"name"`
 	Host string `json:"host"`
-	// Kind is synthetic (the paper's three-task pipeline) or nighres (the
-	// Table II workflow).
+	// Kind is synthetic (the paper's three-task pipeline), nighres (the
+	// Table II workflow), iterative (the repeated-iteration pipeline: read
+	// the input, compute, rewrite a scratch output, Iterations times) or
+	// workflow (the task DAG of WorkflowFile).
 	Kind string `json:"kind"`
 	// Partition receives the workload's writes (a local partition or a
 	// mounted remote one).
 	Partition string `json:"partition"`
 	// Instances is the number of concurrent copies (default 1).
 	Instances int `json:"instances,omitempty"`
-	// Size is the synthetic per-file size (required for synthetic).
+	// Size is the per-file size (required for synthetic and iterative).
 	Size string `json:"size,omitempty"`
-	// CPUS is the injected CPU seconds per synthetic task (0: Table I fit).
-	CPUS float64 `json:"cpuS,omitempty"`
+	// CPUS is the injected CPU seconds per synthetic task or iteration
+	// (omitted: the Table I fit; 0: no compute).
+	CPUS *float64 `json:"cpuS,omitempty"`
+	// Iterations is the iterative pipeline's iteration count (required for
+	// iterative).
+	Iterations int `json:"iterations,omitempty"`
+	// WorkflowFile is the workflow kind's JSON task DAG (see
+	// workflow.LoadJSON), resolved relative to the scenario file. Source
+	// files are created on Partition, sized by the largest partial read a
+	// task requests.
+	WorkflowFile string `json:"workflowFile,omitempty"`
 	// Cgroup places the workload in a cgroup on its host.
 	Cgroup string `json:"cgroup,omitempty"`
 	// StartS delays the workload's start.
@@ -251,7 +274,8 @@ const (
 )
 
 // Load reads, resolves and validates a scenario file. A platformFile
-// reference is resolved relative to the scenario file's directory.
+// reference is loaded into Platform (and cleared), and snapshotFile and
+// workflowFile paths are made relative to the scenario file's directory.
 func Load(path string) (*Doc, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -261,8 +285,8 @@ func Load(path string) (*Doc, error) {
 	return LoadReader(f, filepath.Dir(path))
 }
 
-// LoadReader parses a scenario from r, resolving platformFile against
-// baseDir, and validates it.
+// LoadReader parses a scenario from r, resolving platformFile,
+// snapshotFile and workflowFile against baseDir, and validates it.
 func LoadReader(r io.Reader, baseDir string) (*Doc, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -283,10 +307,21 @@ func LoadReader(r io.Reader, baseDir string) (*Doc, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.Platform = cfg
+		d.Platform, d.PlatformFile = cfg, ""
 	}
-	if d.Warmup != nil && d.Warmup.SnapshotFile != "" && !filepath.IsAbs(d.Warmup.SnapshotFile) {
-		d.Warmup.SnapshotFile = filepath.Join(baseDir, d.Warmup.SnapshotFile)
+	resolve := func(path *string) {
+		if *path != "" && !filepath.IsAbs(*path) {
+			*path = filepath.Join(baseDir, *path)
+		}
+	}
+	for i := range d.Workloads {
+		resolve(&d.Workloads[i].WorkflowFile)
+	}
+	if d.Warmup != nil {
+		resolve(&d.Warmup.SnapshotFile)
+		for i := range d.Warmup.Workloads {
+			resolve(&d.Warmup.Workloads[i].WorkflowFile)
+		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -294,7 +329,8 @@ func LoadReader(r io.Reader, baseDir string) (*Doc, error) {
 	return &d, nil
 }
 
-// parseMode maps the document spelling to an engine mode.
+// parseMode maps the document spelling to an engine mode; it is the repo's
+// one mode-name parser.
 func parseMode(s string) (engine.Mode, error) {
 	switch s {
 	case "", "writeback":
@@ -330,8 +366,20 @@ func (d *Doc) Validate() error {
 			return fmt.Errorf("scenario: %s: bad chunk: %v", d.Name, err)
 		}
 	}
-	if d.DirtyRatio < 0 || d.DirtyRatio >= 1 {
-		return fmt.Errorf("scenario: %s: dirtyRatio must be in [0,1)", d.Name)
+	if d.DirtyRatio < 0 || d.DirtyRatio > 1 {
+		return fmt.Errorf("scenario: %s: dirtyRatio must be in [0,1]", d.Name)
+	}
+	if d.DirtyExpireS != nil && *d.DirtyExpireS < 0 {
+		return fmt.Errorf("scenario: %s: negative dirtyExpireS", d.Name)
+	}
+	for _, h := range d.Platform.Hosts {
+		cfg, err := d.hostCacheConfig(h.Name)
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("scenario: %s: host %q: %w", d.Name, h.Name, err)
+		}
 	}
 	if d.TraceMemS < 0 {
 		return fmt.Errorf("scenario: %s: negative traceMemS", d.Name)
@@ -533,18 +581,25 @@ func validateWorkload(w WorkloadDoc, where string, hosts map[string]bool, partOw
 			where, w.Name, w.Partition, w.Host)
 	}
 	switch w.Kind {
-	case "synthetic":
+	case "synthetic", "iterative":
 		if n, err := units.ParseBytes(w.Size); err != nil || n <= 0 {
-			return fmt.Errorf("scenario: %s %q: synthetic needs a size", where, w.Name)
+			return fmt.Errorf("scenario: %s %q: %s needs a size", where, w.Name, w.Kind)
+		}
+		if w.Kind == "iterative" && w.Iterations <= 0 {
+			return fmt.Errorf("scenario: %s %q: iterative needs a positive iterations", where, w.Name)
 		}
 	case "nighres":
+	case "workflow":
+		if w.WorkflowFile == "" {
+			return fmt.Errorf("scenario: %s %q: workflow needs a workflowFile", where, w.Name)
+		}
 	default:
-		return fmt.Errorf("scenario: %s %q: unknown kind %q (want synthetic or nighres)", where, w.Name, w.Kind)
+		return fmt.Errorf("scenario: %s %q: unknown kind %q (want synthetic, nighres, iterative or workflow)", where, w.Name, w.Kind)
 	}
 	if w.Instances < 0 {
 		return fmt.Errorf("scenario: %s %q: negative instances", where, w.Name)
 	}
-	if w.CPUS < 0 {
+	if w.CPUS != nil && *w.CPUS < 0 {
 		return fmt.Errorf("scenario: %s %q: negative cpuS", where, w.Name)
 	}
 	if w.StartS < 0 {

@@ -44,6 +44,9 @@ func nfsPlat() *platform.Config {
 	return c
 }
 
+// cpuS returns a pointer to an explicit per-task CPU time.
+func cpuS(s float64) *float64 { return &s }
+
 func baseDoc() *Doc {
 	return &Doc{
 		Name:     "t",
@@ -51,7 +54,7 @@ func baseDoc() *Doc {
 		Chunk:    "10MB",
 		Workloads: []WorkloadDoc{{
 			Name: "app", Host: "node0", Kind: "synthetic",
-			Partition: "scratch", Size: "100MB", CPUS: 0.1,
+			Partition: "scratch", Size: "100MB", CPUS: cpuS(0.1),
 		}},
 	}
 }
@@ -66,7 +69,7 @@ func TestNoChaosMatchesHandCodedRun(t *testing.T) {
 	}
 
 	sim := engine.NewSimulation()
-	plat, err := sim.BuildPlatform(onePlat(), engine.ModeWriteback, 10*units.MB, 0)
+	plat, err := sim.BuildPlatform(onePlat(), engine.ModeWriteback, 10*units.MB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestServerRestartScenario(t *testing.T) {
 			}},
 			Workloads: []WorkloadDoc{{
 				Name: "app", Host: "node0", Kind: "synthetic",
-				Partition: "export", Size: "100MB", CPUS: 0.1,
+				Partition: "export", Size: "100MB", CPUS: cpuS(0.1),
 			}},
 			Chaos: &ChaosDoc{Events: []EventDoc{
 				{AtS: 0.5, Kind: "server-restart", Target: "export", DurS: 30},
@@ -264,7 +267,7 @@ func TestImplicitCompletionCatchesFailures(t *testing.T) {
 		}},
 		Workloads: []WorkloadDoc{{
 			Name: "app", Host: "node0", Kind: "synthetic",
-			Partition: "export", Size: "100MB", CPUS: 0.1,
+			Partition: "export", Size: "100MB", CPUS: cpuS(0.1),
 		}},
 		Chaos: &ChaosDoc{Events: []EventDoc{
 			{AtS: 0.5, Kind: "server-restart", Target: "export", DurS: 30},
@@ -294,6 +297,14 @@ func TestValidateRejects(t *testing.T) {
 		{"bad workload host", func(d *Doc) { d.Workloads[0].Host = "ghost" }, "unknown host"},
 		{"bad workload kind", func(d *Doc) { d.Workloads[0].Kind = "quantum" }, "unknown kind"},
 		{"synthetic needs size", func(d *Doc) { d.Workloads[0].Size = "" }, "needs a size"},
+		{"iterative needs iterations", func(d *Doc) { d.Workloads[0].Kind = "iterative" }, "positive iterations"},
+		{"workflow needs a file", func(d *Doc) { d.Workloads[0].Kind = "workflow" }, "needs a workflowFile"},
+		{"negative cpuS", func(d *Doc) { d.Workloads[0].CPUS = cpuS(-1) }, "negative cpuS"},
+		{"negative dirty expire", func(d *Doc) { d.DirtyExpireS = cpuS(-1) }, "negative dirtyExpireS"},
+		{"invalid host cache config", func(d *Doc) {
+			d.DirtyRatio = 0.1
+			d.Platform.Hosts[0].DirtyBackgroundRatio = 0.2
+		}, "DirtyBackgroundRatio"},
 		{"unknown cgroup ref", func(d *Doc) { d.Workloads[0].Cgroup = "g9" }, "unknown cgroup"},
 		{"dup workload", func(d *Doc) { d.Workloads = append(d.Workloads, d.Workloads[0]) }, "duplicate workload"},
 		{"bad cgroup limit", func(d *Doc) {
@@ -417,5 +428,51 @@ func TestWarmupSnapshotFileWithNullStateFails(t *testing.T) {
 	_, err := Run(d, RunOpts{})
 	if err == nil || !strings.Contains(err.Error(), `host "node0" has a null state`) {
 		t.Fatalf("err = %v, want the null host state named", err)
+	}
+}
+
+// TestIterativeAndWorkflowKinds runs the two kinds pcsim's -iterations and
+// -workflow compile to. An explicit "cpuS": 0 means no compute; a
+// workflowFile resolves against the scenario's directory, and the run
+// records its per-task timings.
+func TestIterativeAndWorkflowKinds(t *testing.T) {
+	d := baseDoc()
+	d.Workloads[0] = WorkloadDoc{Name: "iter", Host: "node0", Kind: "iterative",
+		Partition: "scratch", Size: "100MB", Iterations: 5, CPUS: cpuS(0)}
+	res, err := Run(d, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Sim.Log.ByName("IterRead")); n != 5 {
+		t.Errorf("%d iterations read, want 5", n)
+	}
+	for _, op := range res.Sim.Log.ByName("IterCompute") {
+		if op.Duration() != 0 {
+			t.Fatalf("cpuS 0 computed for %gs", op.Duration())
+		}
+	}
+
+	const js = `{
+	  "name": "wf", "platformFile": "cluster.json",
+	  "workloads": [{"name": "dag", "host": "node0", "kind": "workflow",
+	                 "partition": "scratch", "workflowFile": "nighres.json"}]
+	}`
+	d, err = LoadReader(strings.NewReader(js), "../../testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.PlatformFile != "" || d.Workloads[0].WorkflowFile != filepath.Join("../../testdata", "nighres.json") {
+		t.Fatalf("file references not resolved: %q, %q", d.PlatformFile, d.Workloads[0].WorkflowFile)
+	}
+	res, err = Run(d, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := res.Workflows["dag[0]"]
+	if x == nil || len(x.Report.Timings) != 4 || !res.Passed {
+		t.Fatalf("workflow run: %+v, passed %v", x, res.Passed)
+	}
+	if x.Report.Makespan != res.Makespan {
+		t.Errorf("workflow makespan %v, run makespan %v", x.Report.Makespan, res.Makespan)
 	}
 }

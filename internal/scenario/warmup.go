@@ -25,15 +25,16 @@ func applyWarmup(d *Doc, sim *engine.Simulation, plat *engine.Platform, groups m
 		}
 	} else {
 		warm := &Doc{
-			Name:       d.Name + " (warmup)",
-			Platform:   d.Platform,
-			Mode:       d.Mode,
-			Chunk:      d.Chunk,
-			DirtyRatio: d.DirtyRatio,
-			Mounts:     d.Mounts,
-			Cgroups:    d.Cgroups,
-			Files:      d.Files,
-			Workloads:  d.Warmup.Workloads,
+			Name:         d.Name + " (warmup)",
+			Platform:     d.Platform,
+			Mode:         d.Mode,
+			Chunk:        d.Chunk,
+			DirtyRatio:   d.DirtyRatio,
+			DirtyExpireS: d.DirtyExpireS,
+			Mounts:       d.Mounts,
+			Cgroups:      d.Cgroups,
+			Files:        d.Files,
+			Workloads:    d.Warmup.Workloads,
 		}
 		wres, err := Run(warm, RunOpts{})
 		if err != nil {
@@ -49,7 +50,7 @@ func applyWarmup(d *Doc, sim *engine.Simulation, plat *engine.Platform, groups m
 				return fmt.Errorf("scenario: warmup workload %s: %v", k, werr)
 			}
 		}
-		snap, err = wres.snapshotState()
+		snap, err = wres.SnapshotState()
 		if err != nil {
 			return err
 		}
@@ -128,11 +129,12 @@ func restoreSnapshot(sim *engine.Simulation, plat *engine.Platform, groups map[s
 	return nil
 }
 
-// snapshotState captures the finished run's complete cache state — host,
+// SnapshotState captures the finished run's complete cache state — host,
 // cgroup and NFS-server managers plus the backing files their blocks refer
 // to — as a snapshot document, in the deterministic order hosts, cgroups,
-// servers (names sorted within each).
-func (r *Result) snapshotState() (*snapshot.File, error) {
+// servers (names sorted within each). Cacheless hosts have no state and are
+// left out. pcsim -snapshot-out writes it; a warmup stanza reads it back.
+func (r *Result) SnapshotState() (*snapshot.File, error) {
 	f := &snapshot.File{Version: snapshot.Version, SavedAtSimS: r.Makespan}
 	seen := map[string]bool{}
 	addFiles := func(st *core.ManagerState) error {
@@ -207,10 +209,6 @@ func (r *Result) snapshotState() (*snapshot.File, error) {
 	}
 	return f, nil
 }
-
-// SnapshotState exposes the finished run's cache state for snapshot-out
-// tooling (pcsim -snapshot-out with -scenario).
-func (r *Result) SnapshotState() (*snapshot.File, error) { return r.snapshotState() }
 
 func sortedStateKeys(m map[string]*core.ManagerState) []string {
 	keys := make([]string, 0, len(m))

@@ -36,16 +36,26 @@ func (r *RunReport) OrderedTimings() []TaskTiming {
 	return out
 }
 
-// Run executes the workflow on one engine host: every task becomes an
-// application process that waits for its dependencies, reads its inputs
-// (charging anonymous memory), computes on one core, writes its outputs to
-// part, and releases its memory — the task semantics of the paper's
-// applications (§III.D). Independent tasks run concurrently, bounded by the
-// host's cores for compute and by fluid sharing for I/O.
+// Execution is a workflow whose tasks are spawned on a simulation (see
+// Start). Once the simulation has run, Report holds the per-task timings and
+// Err the first task failure.
+type Execution struct {
+	Workflow *Workflow
+	Report   *RunReport
+	done     map[string]*des.Future[error]
+}
+
+// Start validates the workflow and spawns one application per task through
+// spawn(task index, process name, body). Every task waits for its
+// dependencies, reads its inputs (charging anonymous memory), computes on
+// one core, writes its outputs to part, and releases its memory — the task
+// semantics of the paper's applications (§III.D). Independent tasks run
+// concurrently, bounded by the host's cores for compute and by fluid sharing
+// for I/O. Task bodies report failures through the Execution and return nil.
 //
-// Source files must already exist on part (see Workflow.SourceFiles). Run
-// drives sim.Run itself and returns per-task timings.
-func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partition, w *Workflow) (*RunReport, error) {
+// Source files must already exist (see Workflow.SourceFiles). The caller
+// runs the simulation.
+func Start(sim *engine.Simulation, part *storage.Partition, w *Workflow, spawn func(task int, name string, body func(*engine.App) error)) (*Execution, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,15 +76,19 @@ func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partiti
 	if err != nil {
 		return nil, err
 	}
-	report := &RunReport{Timings: make(map[string]TaskTiming, len(w.order))}
-	done := make(map[string]*des.Future[error], len(w.order))
+	x := &Execution{
+		Workflow: w,
+		Report:   &RunReport{Timings: make(map[string]TaskTiming, len(w.order))},
+		done:     make(map[string]*des.Future[error], len(w.order)),
+	}
+	report, done := x.Report, x.done
 	for _, name := range w.order {
 		done[name] = des.NewFuture[error](sim.K)
 	}
 	for i, name := range w.order {
 		name := name
 		t := w.tasks[name]
-		sim.SpawnApp(host, i, "wf:"+name, func(a *engine.App) error {
+		spawn(i, "wf:"+name, func(a *engine.App) error {
 			// Wait for dependencies; abort on upstream failure.
 			for _, d := range deps[name] {
 				if err := done[d].Get(a.Proc()); err != nil {
@@ -97,15 +111,34 @@ func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partiti
 			return nil
 		})
 	}
+	return x, nil
+}
+
+// Err returns the first failed task's error in task order, nil when every
+// task completed. Valid after the simulation ran.
+func (x *Execution) Err() error {
+	for _, name := range x.Workflow.order {
+		if err, _ := x.done[name].Peek(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Run starts the workflow on one engine host (task i as application
+// instance i, outputs on part), runs the simulation and returns the
+// per-task timings.
+func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partition, w *Workflow) (*RunReport, error) {
+	x, err := Start(sim, part, w, func(task int, name string, body func(*engine.App) error) {
+		sim.SpawnApp(host, task, name, body)
+	})
+	if err != nil {
+		return nil, err
+	}
 	if err := sim.Run(); err != nil {
 		return nil, err
 	}
-	for _, name := range w.order {
-		if err, _ := done[name].Peek(); err != nil {
-			return report, err
-		}
-	}
-	return report, nil
+	return x.Report, x.Err()
 }
 
 func runTask(a *engine.App, part *storage.Partition, t *Task) error {

@@ -127,6 +127,21 @@ func (w *Workflow) SourceFiles() ([]string, error) {
 	return out, nil
 }
 
+// SourceSize returns the size a source file must have: the largest partial
+// read any task requests from it (0 when every reference reads the whole
+// file, which leaves the size unstated).
+func (w *Workflow) SourceSize(name string) int64 {
+	var size int64
+	for _, t := range w.order {
+		for _, in := range w.tasks[t].Inputs {
+			if in.Name == name && in.Bytes > size {
+				size = in.Bytes
+			}
+		}
+	}
+	return size
+}
+
 // deps returns each task's dependency set (data + control), validated.
 func (w *Workflow) deps() (map[string][]string, error) {
 	prod, err := w.Producers()

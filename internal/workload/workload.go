@@ -139,6 +139,14 @@ type IterativeSpec struct {
 	Input, Output string
 }
 
+// File names of the iterative pipeline as the scenario runner (and so
+// pcsim -iterations) places it: one pre-existing input, one rewritten
+// scratch output.
+const (
+	IterInput  = "iter_input"
+	IterOutput = "iter_scratch"
+)
+
 // IterativeOps lists the iterative pipeline's per-iteration op labels.
 func IterativeOps() []string { return []string{"IterRead", "IterCompute", "IterWrite"} }
 
