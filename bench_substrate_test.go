@@ -89,6 +89,39 @@ func BenchmarkFluidComponents(b *testing.B) {
 	}
 }
 
+// BenchmarkFluidSharedChurn is the one-big-component shape of perfbench's
+// concurrent-local workload: 64 processes run back-to-back transfers that
+// each cross one shared memory channel and one shared disk channel, so every
+// start and completion re-solves a component holding every live activity.
+// It isolates the per-solve cost of ordering that component.
+func BenchmarkFluidSharedChurn(b *testing.B) {
+	const procs, rounds = 64, 50
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := des.NewKernel()
+		s := fluid.NewSystem(k)
+		mem := s.NewResource("mem", 4812e6)
+		disk := s.NewResource("disk", 465e6)
+		for a := 0; a < procs; a++ {
+			a := a
+			k.Spawn("app", func(p *des.Proc) {
+				for j := 0; j < rounds; j++ {
+					// Varied sizes so completions interleave and the shared
+					// lists are churned by swap-removal.
+					bytes := 16e6 + float64((37*a+11*j)%64)*1e5
+					s.Start(bytes, 0, fluid.Use{Res: mem, Coef: 1}, fluid.Use{Res: disk, Coef: 1}).Await(p)
+				}
+			})
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if s.InFlight() != 0 {
+			b.Fatalf("in-flight = %d, want 0", s.InFlight())
+		}
+	}
+}
+
 // BenchmarkDESTimerChurn is the scheduleNext pattern: a long-lived
 // simulation keeps one "next completion" timer alive by canceling and
 // rescheduling it on nearly every event. Before Cancel unlinked events

@@ -25,18 +25,25 @@
 // r resources needing k filling rounds (k ≤ r+1), each activity start or
 // completion costs:
 //
-//	elapsed-work advance + completion sweep   O(A) one pass
+//	elapsed-work advance + completion sweep   O(A) one pass; the completion
+//	                                          epsilon is fixed at start
 //	component discovery (BFS over lists)      O(m)
+//	component ordering                        O(A) one pass over the live
+//	                                          list [was an O(m log m) sort]
+//	                                          + O(r log r) resource sort
 //	progressive filling                       O(k·(r+m))  [was O(k·(R+A))
 //	                                          over ALL resources/activities]
 //	completion-timer retarget                 O(A) min scan + O(log E) cancel
 //	Utilization                               O(1) — per-resource allocated
 //	                                          counters refreshed at solve
 //
-// The two O(A) passes are deliberate: remaining-work decrements must be
+// The O(A) passes are deliberate. Remaining-work decrements must be
 // applied at every event instant, in activity start order, so that float
 // accumulation — and with it every completion time and event ordering —
-// stays bit-identical to the full-solve implementation. solveOracle (the
+// stays bit-identical to the full-solve implementation. Progressive filling
+// must visit a component's activities in that same order; the live list
+// already holds it, so collecting the component's marked activities from it
+// costs no more than the advance pass and needs no sort. solveOracle (the
 // retained full progressive filling) is the test oracle: CheckInvariants
 // cross-checks the incremental solver's rates against it bit for bit.
 package fluid
@@ -93,7 +100,6 @@ type Use struct {
 
 // Activity is a unit of fluid work (a transfer, a flush, a compute burst).
 type Activity struct {
-	sys       *System
 	uses      []Use
 	posIn     []int // posIn[i] is this activity's index in uses[i].Res.acts
 	seq       uint64
@@ -101,6 +107,7 @@ type Activity struct {
 	remaining float64
 	rate      float64
 	bound     float64 // per-activity rate cap (≤0 means unbounded)
+	eps       float64 // remaining work counted as finished: max(1e-6, 1e-9·work0), fixed in Start
 	done      *des.Future[struct{}]
 	start     float64
 	frozen    bool   // scratch flag during progressive filling
@@ -171,11 +178,11 @@ func (s *System) NewResource(name string, capacity float64) *Resource {
 // events). An activity must use at least one resource unless bound > 0.
 func (s *System) Start(work float64, bound float64, uses ...Use) *Activity {
 	a := &Activity{
-		sys:       s,
 		uses:      uses,
 		work0:     work,
 		remaining: work,
 		bound:     bound,
+		eps:       math.Max(1e-6, 1e-9*work),
 		done:      des.NewFuture[struct{}](s.k),
 		start:     s.k.Now(),
 	}
@@ -192,7 +199,7 @@ func (s *System) Start(work float64, bound float64, uses ...Use) *Activity {
 		return a
 	}
 	seeds := s.advanceAndComplete()
-	if a.remaining <= a.completionEps() {
+	if a.remaining <= a.eps {
 		// Sub-epsilon work: completes within the same recompute, after any
 		// activities the advance pass just finished, exactly like the
 		// full-solve completion sweep did.
@@ -241,12 +248,6 @@ func (s *System) SetCapacity(r *Resource, capacity float64) {
 	s.scheduleNext()
 }
 
-// completionEps returns the absolute remaining-work threshold under which an
-// activity is considered finished (guards float rounding).
-func (a *Activity) completionEps() float64 {
-	return math.Max(1e-6, 1e-9*a.work0)
-}
-
 // advanceAndComplete applies elapsed time to every in-flight activity's
 // remaining work (one pass, in start order — the accumulation order is part
 // of the model's determinism contract) and resolves the activities that
@@ -266,7 +267,7 @@ func (s *System) advanceAndComplete() []*Resource {
 				a.remaining = 0
 			}
 		}
-		if a.remaining <= a.completionEps() {
+		if a.remaining <= a.eps {
 			a.remaining = 0
 			a.rate = 0
 			s.unregister(a)
@@ -316,9 +317,10 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 	epoch := s.epoch
 	compActs := s.compActs[:0]
 	compRes := s.compRes[:0]
-	if started != nil && started.mark != epoch {
+	marked := 0
+	if started != nil {
 		started.mark = epoch
-		compActs = append(compActs, started)
+		marked++
 		for _, u := range started.uses {
 			if u.Res.mark != epoch {
 				u.Res.mark = epoch
@@ -332,8 +334,9 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 			compRes = append(compRes, r)
 		}
 	}
-	// Breadth-first expansion: resources pull in their users, users pull in
-	// their other resources. compRes doubles as the work queue.
+	// Breadth-first expansion: resources mark their users, users pull in
+	// their other resources. compRes doubles as the work queue; activities
+	// are only marked and counted here, and collected in order below.
 	for i := 0; i < len(compRes); i++ {
 		for _, ru := range compRes[i].acts {
 			a := ru.a
@@ -341,7 +344,7 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 				continue
 			}
 			a.mark = epoch
-			compActs = append(compActs, a)
+			marked++
 			for _, u := range a.uses {
 				if u.Res.mark != epoch {
 					u.Res.mark = epoch
@@ -350,7 +353,7 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 			}
 		}
 	}
-	if len(compActs) == 0 {
+	if marked == 0 {
 		// Only drained resources were touched: zero their allocation.
 		for _, r := range compRes {
 			r.allocated = 0
@@ -360,8 +363,20 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 	}
 	// Progressive filling iterates activities in start order and resources
 	// in registration order so every float operation sequence matches the
-	// full solve restricted to this component (see solveOracle).
-	slices.SortFunc(compActs, cmpActSeq)
+	// full solve restricted to this component (see solveOracle). Discovery
+	// order is not start order (swap-removal reorders the per-resource
+	// lists), but s.acts is: one pass over it collects the marked
+	// activities already ordered, at the cost of the advance pass every
+	// event pays anyway. The resources are sorted instead: a component
+	// spans a few of them, while s.resources can be much larger.
+	for _, a := range s.acts {
+		if a.mark == epoch {
+			compActs = append(compActs, a)
+			if len(compActs) == marked {
+				break
+			}
+		}
+	}
 	slices.SortFunc(compRes, cmpResID)
 
 	for _, r := range compRes {
@@ -450,13 +465,6 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 		}
 	}
 	s.releaseScratch(compActs, compRes)
-}
-
-func cmpActSeq(a, b *Activity) int {
-	if a.seq < b.seq {
-		return -1
-	}
-	return 1 // seqs are unique; equality cannot occur
 }
 
 func cmpResID(a, b *Resource) int { return a.id - b.id }

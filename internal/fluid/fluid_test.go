@@ -1,10 +1,12 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/des"
 )
@@ -517,6 +519,73 @@ func TestSubResolutionCompletion(t *testing.T) {
 	}
 	if end < 1<<30 || end > float64(1<<30)+1e-6 {
 		t.Fatalf("end = %v, want just past 2^30", end)
+	}
+	if s.InFlight() != 0 {
+		t.Fatalf("%d activities still in flight", s.InFlight())
+	}
+}
+
+// Activity sits in the 128-byte allocation size class. Start allocates one
+// per transfer, so a field that pushes it into the 144-byte class raises
+// perfbench's alloc_mb_per_run on concurrent-local by about 4.6 %, close to
+// that metric's 5 % regression bound.
+func TestActivitySizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Activity{}); n > 128 {
+		t.Fatalf("unsafe.Sizeof(Activity{}) = %d, want <= 128", n)
+	}
+}
+
+// TestComponentOrderAfterSwapRemoval pins the order progressive filling
+// visits a component's activities in: start order, not discovery order.
+// A completion swap-removes from r1's list and leaves it out of start
+// order; a later start then bridges r1 and r2 into one component, so a
+// breadth-first discovery from the new activity's resources meets r2's
+// users first and r1's out of order. The coefficients are not exact binary
+// fractions, so summing the per-resource loads in any other order changes
+// the rates' low bits, which CheckInvariants compares against the full
+// solve after every start and every completion.
+func TestComponentOrderAfterSwapRemoval(t *testing.T) {
+	k := des.NewKernel()
+	s := NewSystem(k)
+	r1 := s.NewResource("r1", 1000)
+	r2 := s.NewResource("r2", 5000)
+	var invErr error
+	check := func(what string) {
+		if err := s.CheckInvariants(); err != nil && invErr == nil {
+			invErr = fmt.Errorf("%s: %v", what, err)
+		}
+	}
+	reordered := false
+	start := func(what string, work float64, uses ...Use) *Activity {
+		a := s.Start(work, 0, uses...)
+		check("start " + what)
+		k.Spawn("await "+what, func(p *des.Proc) {
+			a.Await(p)
+			check("completion of " + what)
+		})
+		return a
+	}
+	k.Spawn("driver", func(p *des.Proc) {
+		short := start("a0", 10, Use{r1, 0.7})
+		start("a1", 5e5, Use{r1, 0.1})
+		start("a2", 6e5, Use{r1, 0.2})
+		start("a3", 7e5, Use{r1, 0.3})
+		short.Await(p)
+		for i := 1; i < len(r1.acts); i++ {
+			reordered = reordered || r1.acts[i].a.seq < r1.acts[i-1].a.seq
+		}
+		start("b", 4e5, Use{r2, 0.9})
+		start("bridge", 8e5, Use{r2, 1.3}, Use{r1, 0.6})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reordered {
+		t.Fatal("r1's activity list was still in start order after the swap-removal")
+	}
+	check("drained")
+	if invErr != nil {
+		t.Fatal(invErr)
 	}
 	if s.InFlight() != 0 {
 		t.Fatalf("%d activities still in flight", s.InFlight())

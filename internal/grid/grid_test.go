@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -35,10 +36,18 @@ type testArgs struct {
 }
 
 // flakyCount tracks per-key attempt counts for the "test-flaky" kind.
+// flakyRuns makes every key unique (see flakyCase), so -count=N reruns start
+// from a fresh attempt counter.
 var (
 	flakyMu    sync.Mutex
 	flakyCount = map[string]int{}
+	flakyRuns  atomic.Int64
 )
+
+// flakyCase returns test-flaky args keyed to this run of test t.
+func flakyCase(t *testing.T) map[string]string {
+	return map[string]string{"case": fmt.Sprintf("%s#%d", t.Name(), flakyRuns.Add(1))}
+}
 
 func init() {
 	RegisterCell("test-square", func(a testArgs) (any, error) {
@@ -223,7 +232,7 @@ func TestPanicIsolation(t *testing.T) {
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	// test-flaky fails its first two attempts per unique args value.
-	s := NewSpec("test-flaky", Coord{Section: "t"}, "flaky", 0, map[string]string{"case": "retry-ok"})
+	s := NewSpec("test-flaky", Coord{Section: "t"}, "flaky", 0, flakyCase(t))
 	var got Result
 	stats, err := Run([]Spec{s}, Options{Workers: 1, Retries: 2}, func(r Result) { got = r })
 	if err != nil {
@@ -241,7 +250,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 }
 
 func TestRetryExhausted(t *testing.T) {
-	s := NewSpec("test-flaky", Coord{Section: "t"}, "flaky", 0, map[string]string{"case": "retry-fail"})
+	s := NewSpec("test-flaky", Coord{Section: "t"}, "flaky", 0, flakyCase(t))
 	var got Result
 	stats, err := Run([]Spec{s}, Options{Workers: 1, Retries: 1}, func(r Result) { got = r })
 	if err != nil {
