@@ -155,3 +155,38 @@ func BenchmarkDESTimerChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDESHandoff measures process handoffs, the other half of every
+// simulated I/O step: 16 pairs of processes (32 in all) ping-pong over two
+// reused Futures per pair, each side yielding with Sleep(0) before it
+// hands over. One op is one round trip per pair. Wakeups are pooled events
+// that carry the process, so allocs/op falls to the spawn cost amortized
+// over b.N rounds.
+func BenchmarkDESHandoff(b *testing.B) {
+	const pairs = 16
+	b.ReportAllocs()
+	k := des.NewKernel()
+	for i := 0; i < pairs; i++ {
+		toA, toB := des.NewFuture[int](k), des.NewFuture[int](k)
+		k.Spawn("ping", func(p *des.Proc) {
+			for n := 0; n < b.N; n++ {
+				p.Sleep(0)
+				toB.Set(n)
+				toA.Get(p)
+				toA.Reset()
+			}
+		})
+		k.Spawn("pong", func(p *des.Proc) {
+			for n := 0; n < b.N; n++ {
+				toB.Get(p)
+				toB.Reset()
+				p.Sleep(0)
+				toA.Set(n)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

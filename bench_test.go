@@ -158,6 +158,7 @@ func BenchmarkFig7_Exp3NFS(b *testing.B) {
 
 func benchSimTime(b *testing.B, mode engine.Mode, remote bool, n int) {
 	levels := []int{n}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunSimTimeConfig(mode, remote, levels)
 		if err != nil {

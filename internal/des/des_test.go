@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -546,5 +547,198 @@ func TestEventPoolRecycles(t *testing.T) {
 	}
 	if n != 300 {
 		t.Fatalf("n = %d, want 300", n)
+	}
+}
+
+// TestSleepWakeAllocatesNothing pins closure-free wakeups: once warmed up,
+// a process looping over Sleep allocates nothing per wake.
+func TestSleepWakeAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	stop := false
+	wakes := 0
+	k.Spawn("sleeper", func(p *Proc) {
+		for !stop {
+			p.Sleep(1)
+			wakes++
+		}
+	})
+	horizon := 10.0
+	if err := k.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	before := wakes
+	allocs := testing.AllocsPerRun(100, func() {
+		horizon++
+		if err := k.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wakes-before != 101 {
+		t.Fatalf("%d wakes while measuring, want 101", wakes-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per Sleep wake, want 0", allocs)
+	}
+	stop = true
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFutureWakeAllocatesNothing pins closure-free Future wakeups: a waiter
+// looping over Get and Reset on one future, woken by a setter once per
+// virtual second, allocates nothing per wake once warmed up.
+func TestFutureWakeAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	f := NewFuture[int](k)
+	stop := false
+	wakes := 0
+	k.Spawn("waiter", func(p *Proc) {
+		for {
+			if f.Get(p) < 0 {
+				return
+			}
+			f.Reset()
+			wakes++
+		}
+	})
+	k.Spawn("setter", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			if stop {
+				f.Set(-1)
+				return
+			}
+			f.Set(wakes)
+		}
+	})
+	horizon := 10.0
+	if err := k.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	before := wakes
+	allocs := testing.AllocsPerRun(100, func() {
+		horizon++
+		if err := k.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wakes-before != 101 {
+		t.Fatalf("%d wakes while measuring, want 101", wakes-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per Future wake, want 0", allocs)
+	}
+	stop = true
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFutureResetRearms(t *testing.T) {
+	k := NewKernel()
+	f := NewFuture[string](k)
+	var got []string
+	k.Spawn("waiter", func(p *Proc) {
+		got = append(got, f.Get(p))
+		f.Reset()
+		if f.IsSet() {
+			t.Error("IsSet after Reset")
+		}
+		if v, ok := f.Peek(); ok || v != "" {
+			t.Errorf("Peek after Reset = %q,%v, want zero value, false", v, ok)
+		}
+		got = append(got, f.Get(p))
+	})
+	k.Spawn("setter", func(p *Proc) {
+		p.Sleep(1)
+		f.Set("first")
+		p.Sleep(1)
+		f.Set("second")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
+		t.Fatalf("got %v, want [first second]", got)
+	}
+}
+
+func TestFutureResetUnresolvedPanics(t *testing.T) {
+	f := NewFuture[int](NewKernel())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of an unresolved future did not panic")
+		}
+	}()
+	f.Reset()
+}
+
+// A waiter woken by Set has not returned from Get until its resumption
+// event runs; a Reset before then would strand it, so Reset panics.
+func TestFutureResetAwaitedPanics(t *testing.T) {
+	k := NewKernel()
+	f := NewFuture[int](k)
+	got := 0
+	k.Spawn("waiter", func(p *Proc) { got = f.Get(p) })
+	panicked := false
+	k.At(1, func() {
+		f.Set(7)
+		defer func() { panicked = recover() != nil }()
+		f.Reset()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !panicked {
+		t.Fatal("Reset of an awaited future did not panic")
+	}
+	if got != 7 {
+		t.Fatalf("waiter got %d, want 7", got)
+	}
+}
+
+// The deadlock report lists parked processes in spawn order however they
+// came to park, so a deadlocked run's error text is the same every time.
+func TestDeadlockReportSpawnOrder(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		k := NewKernel()
+		s := NewSignal(k)
+		// a parks last and c first; sleeping in between reorders the
+		// parked set by swap-removal.
+		k.Spawn("a", func(p *Proc) { p.Sleep(2); s.Wait(p) })
+		k.Spawn("b", func(p *Proc) { p.Sleep(1); s.Wait(p) })
+		k.Spawn("c", func(p *Proc) { s.Wait(p) })
+		err := k.Run()
+		de, ok := err.(*ErrDeadlock)
+		if !ok {
+			t.Fatalf("run %d: err = %v, want ErrDeadlock", run, err)
+		}
+		if got := fmt.Sprint(de.Blocked); got != "[a b c]" {
+			t.Fatalf("run %d: blocked = %s, want [a b c]", run, got)
+		}
+	}
+}
+
+// A same-time burst that never lets the same-time FIFO drain (processes
+// yielding with Sleep(0) forever at one instant) must reuse the FIFO's
+// consumed prefix instead of growing it by one slot per event.
+func TestSameTimeBurstKeepsQueueBounded(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 4; i++ {
+		k.Spawn("yielder", func(p *Proc) {
+			for j := 0; j < 10000; j++ {
+				p.Sleep(0)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 0 {
+		t.Fatalf("Now = %v, want 0", k.Now())
+	}
+	if c := cap(k.fastq); c > 64 {
+		t.Fatalf("same-time FIFO grew to capacity %d for 4 live yielders", c)
 	}
 }

@@ -25,19 +25,35 @@
 // event structs are recycled through a free list, so steady-state
 // scheduling does not allocate; a generation counter makes Timer handles
 // to recycled events harmlessly stale.
+//
+// # Process wakeups
+//
+// Every wakeup of a parked process (Spawn's start, Sleep, Future.Set,
+// Signal.Broadcast, Semaphore.Release) is a pooled event that carries the
+// process itself instead of a "resume p" closure, so a wakeup allocates
+// nothing. The parked set is a slice with each process's index tracked, so
+// parking and resuming are O(1) appends and swap-removals. A Future's
+// waiter list keeps its backing array across Set, and Future.Reset re-arms
+// a resolved future for reuse: a process that loops over Sleep or over a
+// recycled Future allocates nothing per wake once warmed up.
 package des
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 )
 
-// event is a scheduled callback. Events with equal times fire in scheduling
-// order (seq), which keeps runs reproducible.
+// event is a scheduled callback, or the wakeup of a parked process. Events
+// with equal times fire in scheduling order (seq), which keeps runs
+// reproducible.
 type event struct {
-	t        float64
-	seq      uint64
-	fn       func()
+	t   float64
+	seq uint64
+	fn  func()
+	// p, when set, is the process this event resumes (fn is then nil).
+	p        *Proc
 	canceled bool
 	// index is the position in the kernel's event heap, or one of the
 	// sentinels below for events outside the heap.
@@ -122,20 +138,24 @@ type Kernel struct {
 	events eventHeap
 	// fastq holds events scheduled at the current virtual time: they fire
 	// before the clock can advance, so they never need heap ordering. The
-	// slice is consumed from fastHead and recycled when drained.
+	// slice is consumed from fastHead and recycled when drained, or
+	// compacted when full with its consumed prefix at least half of it (a
+	// long same-time burst of handoffs may never drain it).
 	fastq    []*event
 	fastHead int
 	free     []*event
 	yield    chan struct{} // processes hand the token back on this channel
 	live     int           // spawned, not yet terminated
-	blocked  int           // parked waiting for a wakeup event
-	parked   map[*Proc]struct{}
-	running  bool
+	// parked holds the processes waiting for a wakeup event, in no
+	// particular order; each Proc records its index for O(1) removal.
+	parked  []*Proc
+	procSeq uint64 // spawn sequence number of the next process
+	running bool
 }
 
 // NewKernel returns an empty simulation at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{}), parked: make(map[*Proc]struct{})}
+	return &Kernel{yield: make(chan struct{})}
 }
 
 // Now returns the current virtual time in seconds.
@@ -143,7 +163,7 @@ func (k *Kernel) Now() float64 { return k.now }
 
 // newEvent takes an event struct from the free list (or allocates one) and
 // stamps it with the next sequence number.
-func (k *Kernel) newEvent(t float64, fn func()) *event {
+func (k *Kernel) newEvent(t float64, fn func(), p *Proc) *event {
 	var e *event
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
@@ -155,6 +175,7 @@ func (k *Kernel) newEvent(t float64, fn func()) *event {
 	e.t = t
 	e.seq = k.seq
 	e.fn = fn
+	e.p = p
 	e.canceled = false
 	k.seq++
 	return e
@@ -164,6 +185,7 @@ func (k *Kernel) newEvent(t float64, fn func()) *event {
 // outstanding Timer handles via the generation counter.
 func (k *Kernel) release(e *event) {
 	e.fn = nil
+	e.p = nil
 	e.index = eventFired
 	e.gen++
 	k.free = append(k.free, e)
@@ -172,15 +194,35 @@ func (k *Kernel) release(e *event) {
 // At schedules fn to run at absolute virtual time t (clamped to now).
 // Events at the current time bypass the heap entirely.
 func (k *Kernel) At(t float64, fn func()) Timer {
-	if t <= k.now {
-		e := k.newEvent(k.now, fn)
-		e.index = eventFast
-		k.fastq = append(k.fastq, e)
-		return Timer{ev: e, gen: e.gen}
-	}
-	e := k.newEvent(t, fn)
-	heap.Push(&k.events, e)
+	e := k.schedule(t, fn, nil)
 	return Timer{ev: e, gen: e.gen}
+}
+
+// wakeAt schedules the resumption of parked process p at absolute virtual
+// time t (clamped to now), without a closure.
+func (k *Kernel) wakeAt(t float64, p *Proc) { k.schedule(t, nil, p) }
+
+// wake schedules the resumption of parked process p at the current time.
+func (k *Kernel) wake(p *Proc) { k.schedule(k.now, nil, p) }
+
+// schedule queues an event running fn, or resuming p, at time t (clamped
+// to now).
+func (k *Kernel) schedule(t float64, fn func(), p *Proc) *event {
+	if t <= k.now {
+		e := k.newEvent(k.now, fn, p)
+		e.index = eventFast
+		if n := len(k.fastq); n == cap(k.fastq) && 2*k.fastHead >= n {
+			m := copy(k.fastq, k.fastq[k.fastHead:])
+			clear(k.fastq[m:])
+			k.fastq = k.fastq[:m]
+			k.fastHead = 0
+		}
+		k.fastq = append(k.fastq, e)
+		return e
+	}
+	e := k.newEvent(t, fn, p)
+	heap.Push(&k.events, e)
+	return e
 }
 
 // After schedules fn to run d seconds from now.
@@ -277,11 +319,15 @@ func (k *Kernel) RunUntil(horizon float64) error {
 			continue
 		}
 		k.now = next.t
-		fn := next.fn
+		fn, p := next.fn, next.p
 		k.release(next)
-		fn()
+		if p != nil {
+			k.switchTo(p)
+		} else {
+			fn()
+		}
 	}
-	if k.blocked > 0 {
+	if len(k.parked) > 0 {
 		return &ErrDeadlock{Blocked: k.parkedNames()}
 	}
 	return nil
@@ -292,10 +338,14 @@ func (k *Kernel) RunUntil(horizon float64) error {
 // tests and diagnostics.
 func (k *Kernel) QueueLen() int { return len(k.events) + len(k.fastq) - k.fastHead }
 
+// parkedNames lists the parked processes in spawn order, so a deadlock
+// report reads the same on every run.
 func (k *Kernel) parkedNames() []string {
-	var names []string
-	for p := range k.parked {
-		names = append(names, p.name)
+	ps := slices.Clone(k.parked)
+	slices.SortFunc(ps, func(a, b *Proc) int { return cmp.Compare(a.id, b.id) })
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.name
 	}
 	return names
 }

@@ -11,6 +11,8 @@ import "fmt"
 type Proc struct {
 	k          *Kernel
 	name       string
+	id         uint64 // spawn sequence number
+	parkIdx    int    // index in k.parked while parked
 	resume     chan struct{}
 	terminated bool
 	done       *Future[struct{}]
@@ -20,7 +22,8 @@ type Proc struct {
 // virtual time. It returns immediately; the process runs once the kernel
 // reaches its start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, id: k.procSeq, resume: make(chan struct{})}
+	k.procSeq++
 	p.done = NewFuture[struct{}](k)
 	k.live++
 	go func() {
@@ -33,7 +36,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	}()
-	k.At(k.now, func() { k.switchTo(p) })
+	k.wake(p)
 	return p
 }
 
@@ -51,12 +54,17 @@ func (k *Kernel) switchTo(p *Proc) {
 // resumes this process. A wakeup must already be registered, otherwise the
 // kernel will report a deadlock when the queue drains.
 func (p *Proc) park() {
-	p.k.blocked++
-	p.k.parked[p] = struct{}{}
-	p.k.yield <- struct{}{}
+	k := p.k
+	p.parkIdx = len(k.parked)
+	k.parked = append(k.parked, p)
+	k.yield <- struct{}{}
 	<-p.resume
-	p.k.blocked--
-	delete(p.k.parked, p)
+	last := len(k.parked) - 1
+	moved := k.parked[last]
+	k.parked[p.parkIdx] = moved
+	moved.parkIdx = p.parkIdx
+	k.parked[last] = nil
+	k.parked = k.parked[:last]
 }
 
 // Name returns the process name (used in diagnostics).
@@ -74,7 +82,7 @@ func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.After(d, func() { p.k.switchTo(p) })
+	p.k.wakeAt(p.k.now+d, p)
 	p.park()
 }
 
@@ -86,13 +94,16 @@ func (p *Proc) Done() *Future[struct{}] { return p.done }
 
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 
-// Future is a write-once value that processes can block on. The zero value
-// is invalid; use NewFuture.
+// Future is a write-once value that processes can block on; Reset re-arms
+// a resolved one for reuse. The zero value is invalid; use NewFuture.
 type Future[T any] struct {
 	k       *Kernel
 	set     bool
 	val     T
 	waiters []*Proc
+	// inGet counts processes inside Get that have not yet returned: parked
+	// ones, and woken ones whose resumption is still queued.
+	inGet int
 }
 
 // NewFuture returns an unresolved future bound to k.
@@ -101,19 +112,35 @@ func NewFuture[T any](k *Kernel) *Future[T] {
 }
 
 // Set resolves the future and wakes all waiters (at the current virtual
-// time, in wait order). Setting twice panics: futures are write-once.
+// time, in wait order). Setting a resolved future panics: futures are
+// write-once until Reset.
 func (f *Future[T]) Set(v T) {
 	if f.set {
 		panic("des: Future.Set called twice")
 	}
 	f.set = true
 	f.val = v
-	ws := f.waiters
-	f.waiters = nil
-	for _, w := range ws {
-		w := w
-		f.k.At(f.k.now, func() { f.k.switchTo(w) })
+	for _, w := range f.waiters {
+		f.k.wake(w)
 	}
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
+}
+
+// Reset re-arms a resolved future so it can be Set again, keeping its
+// waiter list's backing array. It panics if the future is unresolved, or if
+// a process woken by the last Set has not yet returned from Get: that
+// process would otherwise see the future unresolved and park again.
+func (f *Future[T]) Reset() {
+	if !f.set {
+		panic("des: Future.Reset on an unresolved future")
+	}
+	if f.inGet > 0 {
+		panic("des: Future.Reset while a process waits on the future")
+	}
+	var zero T
+	f.set = false
+	f.val = zero
 }
 
 // IsSet reports whether the future has been resolved.
@@ -123,7 +150,9 @@ func (f *Future[T]) IsSet() bool { return f.set }
 func (f *Future[T]) Get(p *Proc) T {
 	for !f.set {
 		f.waiters = append(f.waiters, p)
+		f.inGet++
 		p.park()
+		f.inGet--
 	}
 	return f.val
 }
@@ -180,18 +209,17 @@ func (s *Signal) WaitTimeout(p *Proc, d float64) bool {
 
 // Broadcast wakes every current waiter at the current virtual time.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
+	for _, w := range s.waiters {
 		if w.done {
 			continue
 		}
 		w.done = true
 		w.signaled = true
 		w.timer.Cancel()
-		w := w
-		s.k.At(s.k.now, func() { s.k.switchTo(w.p) })
+		s.k.wake(w.p)
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Semaphore is a counting semaphore used e.g. to model CPU cores: at most
@@ -226,7 +254,7 @@ func (s *Semaphore) Release() {
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
-		s.k.At(s.k.now, func() { s.k.switchTo(w) })
+		s.k.wake(w)
 		return
 	}
 	s.avail++

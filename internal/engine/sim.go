@@ -275,8 +275,6 @@ func (s *Simulation) spawn(hr *HostRuntime, model CacheModel, instance int, name
 // background processes and drains the kernel. It returns the first
 // application error, if any.
 func (s *Simulation) Run() error {
-	done := make([]bool, len(s.apps))
-	_ = done
 	s.K.Spawn("supervisor", func(p *des.Proc) {
 		for _, app := range s.apps {
 			p.Join(app)

@@ -46,6 +46,17 @@
 // costs no more than the advance pass and needs no sort. solveOracle (the
 // retained full progressive filling) is the test oracle: CheckInvariants
 // cross-checks the incremental solver's rates against it bit for bit.
+//
+// # Allocation
+//
+// Do is Start plus Await for a process that drops the activity once it
+// completes, which is how every simulated I/O step runs. Do puts the
+// finished activity, with its uses/posIn capacity and its re-armed
+// completion future, on the System's free list, and the next Start or Do
+// takes it from there. Starts copy the caller's uses into the activity, so
+// a variadic Use list stays on the caller's stack. Together with des's
+// closure-free wakeups, a steady-state I/O step allocates nothing in fluid
+// or des.
 package fluid
 
 import (
@@ -145,6 +156,10 @@ type System struct {
 	seedRes  []*Resource
 	compActs []*Activity
 	compRes  []*Resource
+
+	// free holds activities Do has finished with, detached from every
+	// list and with their completion futures re-armed.
+	free []*Activity
 }
 
 // NewSystem returns an empty fluid system bound to kernel k.
@@ -177,13 +192,40 @@ func (s *System) NewResource(name string, capacity float64) *Resource {
 // work completes at the current time (after already-queued same-time
 // events). An activity must use at least one resource unless bound > 0.
 func (s *System) Start(work float64, bound float64, uses ...Use) *Activity {
-	a := &Activity{
-		uses:      uses,
+	return s.start(work, bound, uses)
+}
+
+// Do runs an activity to completion on behalf of p: Start followed by
+// Await. The activity is then recycled for a later Start or Do, so a
+// process looping over Do allocates nothing once warmed up.
+func (s *System) Do(p *des.Proc, work float64, bound float64, uses ...Use) {
+	a := s.start(work, bound, uses)
+	a.done.Get(p)
+	// Completion already detached a from s.acts, every resource list and
+	// the solver's scratch; Reset panics if anyone else still waits on it.
+	a.done.Reset()
+	s.free = append(s.free, a)
+}
+
+// start takes an activity from the free list (or allocates one), copies
+// uses into it and launches it.
+func (s *System) start(work float64, bound float64, uses []Use) *Activity {
+	var a *Activity
+	if n := len(s.free); n > 0 {
+		a = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		a = &Activity{done: des.NewFuture[struct{}](s.k)}
+	}
+	*a = Activity{
+		uses:      append(a.uses[:0], uses...),
+		posIn:     a.posIn[:0],
 		work0:     work,
 		remaining: work,
 		bound:     bound,
 		eps:       math.Max(1e-6, 1e-9*work),
-		done:      des.NewFuture[struct{}](s.k),
+		done:      a.done,
 		start:     s.k.Now(),
 	}
 	if len(uses) == 0 && bound <= 0 {
@@ -211,9 +253,8 @@ func (s *System) Start(work float64, bound float64, uses ...Use) *Activity {
 	}
 	a.seq = s.actSeq
 	s.actSeq++
-	a.posIn = make([]int, len(uses))
-	for i, u := range uses {
-		a.posIn[i] = len(u.Res.acts)
+	for i, u := range a.uses {
+		a.posIn = append(a.posIn, len(u.Res.acts))
 		u.Res.acts = append(u.Res.acts, resUse{a: a, useIdx: i})
 	}
 	s.acts = append(s.acts, a)

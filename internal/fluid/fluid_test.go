@@ -346,8 +346,9 @@ func TestNoResourceNoBoundPanics(t *testing.T) {
 // subsets, coefficients, bounds, and staggered timing — every index
 // structure the incremental solver maintains stays consistent, and every
 // live rate matches the full progressive-filling oracle bit for bit.
-// CheckInvariants is probed mid-flight at random instants, not just at
-// quiescence.
+// CheckInvariants is probed mid-flight at random instants and after every
+// completed step, not just at quiescence. Most steps run through Do, so the
+// free list is churned and checked too.
 func TestPropertyInvariantsUnderChurn(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -387,7 +388,14 @@ func TestPropertyInvariantsUnderChurn(t *testing.T) {
 			k.Spawn("app", func(p *des.Proc) {
 				p.Sleep(delay)
 				for j := range plans {
-					s.Start(works[j], bounds[j], plans[j]...).Await(p)
+					// Mostly Do, which recycles activities into the
+					// free list that later Starts and Dos draw from.
+					if (i+j)%3 == 0 {
+						s.Start(works[j], bounds[j], plans[j]...).Await(p)
+					} else {
+						s.Do(p, works[j], bounds[j], plans[j]...)
+					}
+					check()
 				}
 			})
 		}

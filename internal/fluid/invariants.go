@@ -104,7 +104,10 @@ func (s *System) solveOracle() []float64 {
 //     never exceed capacity;
 //   - live activities appear in start order with positive remaining work;
 //   - every live rate equals, bit for bit, the rate a full progressive
-//     filling over the whole system (solveOracle) would assign.
+//     filling over the whole system (solveOracle) would assign;
+//   - every activity on the free list is detached: it is not live, no
+//     resource list entry points at it, the solver's component scratch does
+//     not hold it, and its completion future is re-armed.
 //
 // It is O(total uses + full solve) and intended for tests.
 func (s *System) CheckInvariants() error {
@@ -191,12 +194,44 @@ func (s *System) CheckInvariants() error {
 	if listed != totalUses {
 		return fmt.Errorf("resource lists hold %d entries, live activities declare %d uses", listed, totalUses)
 	}
+	if err := s.checkFreeList(live); err != nil {
+		return err
+	}
 	// Incremental rates vs the full-solve oracle, bit for bit.
 	oracle := s.solveOracle()
 	for i, a := range s.acts {
 		if a.rate != oracle[i] {
 			return fmt.Errorf("activity %d: incremental rate %v != full-solve rate %v (Δ %g)",
 				a.seq, a.rate, oracle[i], a.rate-oracle[i])
+		}
+	}
+	return nil
+}
+
+// checkFreeList verifies that the recycled activities share no state with
+// the live ones. live is the live activity set. The caller has checked
+// that every resource list entry points into it, so a free activity that
+// is not live is in no resource list either.
+func (s *System) checkFreeList(live map[*Activity]bool) error {
+	free := make(map[*Activity]bool, len(s.free))
+	for i, a := range s.free {
+		if a == nil {
+			return fmt.Errorf("free[%d] is nil", i)
+		}
+		if free[a] {
+			return fmt.Errorf("free[%d] appears twice on the free list", i)
+		}
+		free[a] = true
+		if live[a] {
+			return fmt.Errorf("free[%d] (activity %d) is still live", i, a.seq)
+		}
+		if a.done.IsSet() {
+			return fmt.Errorf("free[%d] (activity %d): completion future not re-armed", i, a.seq)
+		}
+	}
+	for i, a := range s.compActs[:cap(s.compActs)] {
+		if a != nil && free[a] {
+			return fmt.Errorf("component scratch slot %d holds a free activity", i)
 		}
 	}
 	return nil

@@ -69,7 +69,7 @@ func (r *Remote) transfer(p *des.Proc, n int64, dir, dev *fluid.Resource) {
 	if lat := r.link.Spec().LatencyS; lat > 0 {
 		p.Sleep(lat)
 	}
-	r.sys.Start(float64(n), 0, fluid.Use{Res: dir, Coef: 1}, fluid.Use{Res: dev, Coef: 1}).Await(p)
+	r.sys.Do(p, float64(n), 0, fluid.Use{Res: dir, Coef: 1}, fluid.Use{Res: dev, Coef: 1})
 }
 
 // RawRead streams n bytes disk→client with no server cache involvement

@@ -98,7 +98,7 @@ func (d *Device) Read(p *des.Proc, n int64) {
 	if d.spec.LatencyS > 0 {
 		p.Sleep(d.spec.LatencyS)
 	}
-	d.sys.Start(float64(n), d.spec.PerStream, fluid.Use{Res: d.read, Coef: 1}).Await(p)
+	d.sys.Do(p, float64(n), d.spec.PerStream, fluid.Use{Res: d.read, Coef: 1})
 }
 
 // Write blocks p for the fair-shared duration of an n-byte write.
@@ -109,7 +109,7 @@ func (d *Device) Write(p *des.Proc, n int64) {
 	if d.spec.LatencyS > 0 {
 		p.Sleep(d.spec.LatencyS)
 	}
-	d.sys.Start(float64(n), d.spec.PerStream, fluid.Use{Res: d.write, Coef: 1}).Await(p)
+	d.sys.Do(p, float64(n), d.spec.PerStream, fluid.Use{Res: d.write, Coef: 1})
 }
 
 // LinkSpec configures a network link (full-duplex: each direction is an
