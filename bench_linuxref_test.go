@@ -12,14 +12,27 @@ package repro
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
-	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/linuxref"
+	"repro/internal/scenario"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
+
+// linuxrefWritersDoc is the Exp 2 ground-truth platform (the paper's node
+// with Table III's measured bandwidths and the linuxref model) running n
+// concurrent synthetic pipelines on size-byte files.
+const linuxrefWritersDoc = `{
+  "name": "linuxref concurrent writers",
+  "platform": {"hosts": [{
+    "name": "node0", "cores": 32, "gflops": 1, "ram": "250GiB",
+    "memReadMBps": 6860, "memWriteMBps": 2764, "model": "linuxref",
+    "disks": [{"name": "node0.disk", "readMBps": 510, "writeMBps": 420,
+               "capacity": "450GiB", "partition": "scratch"}]}]},
+  "workloads": [{"name": "app", "host": "node0", "partition": "scratch",
+                 "kind": "synthetic", "instances": %d, "size": "%d"}]
+}`
 
 // BenchmarkLinuxrefConcurrentWrites runs 16 concurrent synthetic pipelines
 // (read, compute, write, three times) on 6 GB files on the Exp 2
@@ -30,31 +43,18 @@ func BenchmarkLinuxrefConcurrentWrites(b *testing.B) {
 	b.ReportAllocs()
 	var st linuxref.ReclaimStats
 	for i := 0; i < b.N; i++ {
-		rig, model, err := exp.NewLocalReal(0)
+		d, err := scenario.LoadReader(strings.NewReader(fmt.Sprintf(linuxrefWritersDoc, n, size)), "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		for j := 0; j < n; j++ {
-			in := workload.SyntheticFiles(j)[0]
-			if _, err := rig.Part.CreateSized(in, size); err != nil {
-				b.Fatal(err)
-			}
-			if err := rig.Sim.NS.Place(in, rig.Part); err != nil {
-				b.Fatal(err)
-			}
+		res, err := scenario.Run(d, scenario.RunOpts{})
+		if err == nil {
+			err = res.WorkloadErr()
 		}
-		for j := 0; j < n; j++ {
-			files := workload.SyntheticFiles(j)
-			rig.Sim.SpawnApp(rig.Host, j, fmt.Sprintf("app%d", j), func(a *engine.App) error {
-				return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: rig.Part}, workload.SyntheticSpec{
-					Size: size, CPU: workload.SyntheticCPU(size), Files: files,
-				})
-			})
-		}
-		if err := rig.Sim.Run(); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
-		st = model.ReclaimStats()
+		st = res.Hosts["node0"].Model.(*linuxref.Model).ReclaimStats()
 	}
 	b.ReportMetric(float64(st.Visits), "visits/op")
 	b.ReportMetric(float64(st.Evictions+st.Promotions), "decisions/op")

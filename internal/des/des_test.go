@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -740,5 +741,41 @@ func TestSameTimeBurstKeepsQueueBounded(t *testing.T) {
 	}
 	if c := cap(k.fastq); c > 64 {
 		t.Fatalf("same-time FIFO grew to capacity %d for 4 live yielders", c)
+	}
+}
+
+// A panic inside a process ends the run with a *ProcPanic naming the
+// process, instead of killing the program; the kernel then stays stopped.
+func TestProcPanicBecomesRunError(t *testing.T) {
+	k := NewKernel()
+	var after bool
+	k.Spawn("steady", func(p *Proc) {
+		p.Sleep(5)
+		after = true
+	})
+	k.Spawn("faulty", func(p *Proc) {
+		p.Sleep(1)
+		panic("invariant broken")
+	})
+	err := k.Run()
+	pp, ok := err.(*ProcPanic)
+	if !ok {
+		t.Fatalf("err = %v, want *ProcPanic", err)
+	}
+	if pp.Proc != "faulty" || pp.Value != "invariant broken" {
+		t.Fatalf("panic = %q %v, want faulty / invariant broken", pp.Proc, pp.Value)
+	}
+	if k.Now() != 1 {
+		t.Fatalf("Now = %v, want the panic's time 1", k.Now())
+	}
+	if !strings.Contains(pp.Error(), `process "faulty" panicked: invariant broken`) ||
+		!strings.Contains(pp.Error(), "TestProcPanicBecomesRunError") {
+		t.Fatalf("error lacks the process name, value or stack:\n%s", pp.Error())
+	}
+	if err := k.Run(); err != pp {
+		t.Fatalf("second Run = %v, want the same panic", err)
+	}
+	if after {
+		t.Fatal("the kernel ran on past the panic")
 	}
 }

@@ -151,6 +151,8 @@ type Kernel struct {
 	parked  []*Proc
 	procSeq uint64 // spawn sequence number of the next process
 	running bool
+	// panicked is the first process panic; once set, Run returns it.
+	panicked *ProcPanic
 }
 
 // NewKernel returns an empty simulation at time zero.
@@ -275,10 +277,14 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with time ≤ horizon (horizon < 0 means no bound).
 // Events beyond the horizon remain queued; the clock advances to the horizon
-// if it was reached.
+// if it was reached. If a process panics, RunUntil stops and returns the
+// *ProcPanic, then and on every later call.
 func (k *Kernel) RunUntil(horizon float64) error {
 	if k.running {
 		return fmt.Errorf("des: Run called re-entrantly")
+	}
+	if k.panicked != nil {
+		return k.panicked
 	}
 	k.running = true
 	defer func() { k.running = false }()
@@ -325,6 +331,9 @@ func (k *Kernel) RunUntil(horizon float64) error {
 			k.switchTo(p)
 		} else {
 			fn()
+		}
+		if k.panicked != nil {
+			return k.panicked
 		}
 	}
 	if len(k.parked) > 0 {

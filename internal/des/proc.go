@@ -1,6 +1,9 @@
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // Proc is a simulated process: a goroutine that runs cooperatively under the
 // kernel. Only one process (or the kernel loop) executes at a time; every
@@ -20,7 +23,8 @@ type Proc struct {
 
 // Spawn creates a process executing fn, scheduled to start at the current
 // virtual time. It returns immediately; the process runs once the kernel
-// reaches its start event.
+// reaches its start event. A panic in fn terminates the process and makes
+// the kernel's Run return a *ProcPanic.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, id: k.procSeq, resume: make(chan struct{})}
 	k.procSeq++
@@ -29,6 +33,9 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	go func() {
 		<-p.resume // wait for the start event to hand us the token
 		defer func() {
+			if r := recover(); r != nil && k.panicked == nil {
+				k.panicked = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+			}
 			p.terminated = true
 			k.live--
 			p.done.Set(struct{}{})
@@ -38,6 +45,20 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	}()
 	k.wake(p)
 	return p
+}
+
+// ProcPanic is the error Run returns when a simulated process panicked. The
+// kernel stops at the event that resumed the process and refuses to run
+// again: the model state the process left behind is not trustworthy, and
+// the processes still parked stay parked.
+type ProcPanic struct {
+	Proc  string // name of the process
+	Value any    // the value passed to panic
+	Stack []byte // the process's stack at the panic
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("des: process %q panicked: %v\n%s", e.Proc, e.Value, e.Stack)
 }
 
 // switchTo hands the execution token to p and blocks the kernel until p

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/linuxref"
 	"repro/internal/platform"
 	"repro/internal/storage"
 )
@@ -23,7 +24,9 @@ type Platform struct {
 // with "perDeviceWriteback" get one writeback domain and flusher per disk
 // (per-disk "dirtyRatio" / "dirtyBackgroundRatio" overriding the
 // bandwidth-share split) with writer-driven wakeups; cacheless hosts ignore
-// the flag.
+// the flag. A host with model "linuxref" gets the reference stack instead,
+// with the default kernel settings for its RAM and chunk as its read size;
+// it runs in writeback mode only, and tune does not reach it.
 func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64, tune func(*core.Config)) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -38,11 +41,16 @@ func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64,
 		if err != nil {
 			return nil, err
 		}
-		cacheCfg := HostCacheConfig(hc, spec.MemoryCap)
-		if tune != nil {
-			tune(&cacheCfg)
+		var hr *HostRuntime
+		if hc.Model == platform.ModelLinuxref {
+			hr, err = s.addLinuxrefHost(spec, mode, chunk)
+		} else {
+			cacheCfg := HostCacheConfig(hc, spec.MemoryCap)
+			if tune != nil {
+				tune(&cacheCfg)
+			}
+			hr, err = s.AddHost(spec, mode, cacheCfg, chunk)
 		}
-		hr, err := s.AddHost(spec, mode, cacheCfg, chunk)
 		if err != nil {
 			return nil, fmt.Errorf("engine: building host %s: %w", hc.Name, err)
 		}
@@ -81,17 +89,33 @@ func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64,
 	return p, nil
 }
 
+// addLinuxrefHost realizes spec with the linuxref reference model.
+func (s *Simulation) addLinuxrefHost(spec platform.HostSpec, mode Mode, chunk int64) (*HostRuntime, error) {
+	if mode != ModeWriteback {
+		return nil, fmt.Errorf("model %s runs in writeback mode, not %v", platform.ModelLinuxref, mode)
+	}
+	cfg := linuxref.DefaultConfig(spec.MemoryCap)
+	cfg.ReadChunk = chunk
+	model, err := linuxref.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.AddHostWithModel(spec, mode, model)
+}
+
 // HostCacheConfig is the page-cache configuration a host description
 // implies: core.DefaultConfig of its RAM, the replacement policy from
 // "cachePolicy" (empty: the default LRU), the writeback policy from
 // "writebackPolicy" (empty: the paper's list order), the background
-// writeback threshold from "dirtyBackgroundRatio" (0: disabled) and the LFU
-// decay half-life from "lfuHalfLife" (0: the core default).
+// writeback threshold from "dirtyBackgroundRatio" (0: disabled), the LFU
+// decay half-life from "lfuHalfLife" (0: the core default) and the
+// open-write eviction protection from "evictExcludesOpenWrites".
 func HostCacheConfig(hc platform.HostConfig, ram int64) core.Config {
 	cfg := core.DefaultConfig(ram)
 	cfg.Policy = hc.CachePolicy
 	cfg.Writeback = hc.WritebackPolicy
 	cfg.DirtyBackgroundRatio = hc.DirtyBackgroundRatio
 	cfg.LFUHalfLife = hc.LFUHalfLife
+	cfg.EvictExcludesOpenWrites = hc.EvictExcludesOpenWrites
 	return cfg
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/linuxref"
 	"repro/internal/platform"
 )
 
@@ -172,6 +173,32 @@ func TestBuildPlatformWritebackKnobs(t *testing.T) {
 	cfg2.Hosts[0].WritebackPolicy = "elevator"
 	if _, err := NewSimulation().BuildPlatform(cfg2, ModeWriteback, 1<<20, nil); err == nil {
 		t.Fatal("unknown writeback policy accepted")
+	}
+}
+
+func TestBuildPlatformModelAndEvictFlag(t *testing.T) {
+	// "model": "linuxref" builds the reference stack with the chunk as its
+	// read size, in writeback mode only; "evictExcludesOpenWrites" reaches
+	// the core config.
+	cfg, err := platform.LoadConfig(strings.NewReader(twoNodeConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Hosts[0].Model = platform.ModelLinuxref
+	cfg.Hosts[1].EvictExcludesOpenWrites = true
+	p, err := NewSimulation().BuildPlatform(cfg, ModeWriteback, 1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := p.Hosts["client"].Model.(*linuxref.Model); !ok || m.Config().ReadChunk != 1<<20 {
+		t.Fatalf("client model = %T, want *linuxref.Model reading 1 MiB chunks", p.Hosts["client"].Model)
+	}
+	if !p.Hosts["server"].Model.(ManagerProvider).Manager().Config().EvictExcludesOpenWrites {
+		t.Fatal("evictExcludesOpenWrites did not reach the server's cache config")
+	}
+	if _, err := NewSimulation().BuildPlatform(cfg, ModeCacheless, 1<<20, nil); err == nil ||
+		!strings.Contains(err.Error(), "writeback mode") {
+		t.Fatalf("linuxref host in cacheless mode: err = %v", err)
 	}
 }
 

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/metrics"
-	"repro/internal/platform"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -27,12 +26,14 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// ablationVariant is one simulator configuration of the design-choice study.
+// ablationVariant is one configuration of the page-cache model in the
+// design-choice study.
 type ablationVariant struct {
 	name, note string
-	mem, disk  platform.DeviceSpec
-	cfg        core.Config
-	chunk      int64
+	measured   bool   // Table III's measured asymmetric bandwidths
+	protect    bool   // blocks of files open for writing are not evicted
+	sharedDisk bool   // reads and writes share one disk channel
+	chunk      string // I/O granularity ("": the paper's 100 MB)
 }
 
 // ablationVariants lists the studied design choices:
@@ -47,21 +48,14 @@ type ablationVariant struct {
 // Cells reference variants by name, so the list is the lookup table both in
 // the coordinator and in worker subprocesses.
 func ablationVariants() []ablationVariant {
-	symMem, symDisk := platform.SimMemorySpec("node0.mem"), platform.SimLocalDiskSpec("node0.disk")
-	asymMem, asymDisk := platform.RealMemorySpec("node0.mem"), platform.RealLocalDiskSpec("node0.disk")
-	protCfg := coreDefault()
-	protCfg.EvictExcludesOpenWrites = true
-	sharedDisk := symDisk
-	sharedDisk.Channels = platform.SharedChannel
-
 	return []ablationVariant{
-		{"paper default (symmetric bw)", "baseline configuration", symMem, symDisk, coreDefault(), ChunkSize},
-		{"asymmetric bandwidths", "paper's anticipated SimGrid improvement", asymMem, asymDisk, coreDefault(), ChunkSize},
-		{"evict-protects-open-writes", "kernel heuristic the paper couldn't model", symMem, symDisk, protCfg, ChunkSize},
-		{"asymmetric + protection", "both fixes combined", asymMem, asymDisk, protCfg, ChunkSize},
-		{"chunk 10 MB", "finer I/O granularity", symMem, symDisk, coreDefault(), 10 * units.MB},
-		{"chunk 1 GB", "coarser I/O granularity", symMem, symDisk, coreDefault(), units.GB},
-		{"shared disk channel", "reads and writes contend", symMem, sharedDisk, coreDefault(), ChunkSize},
+		{name: "paper default (symmetric bw)", note: "baseline configuration"},
+		{name: "asymmetric bandwidths", note: "paper's anticipated SimGrid improvement", measured: true},
+		{name: "evict-protects-open-writes", note: "kernel heuristic the paper couldn't model", protect: true},
+		{name: "asymmetric + protection", note: "both fixes combined", measured: true, protect: true},
+		{name: "chunk 10 MB", note: "finer I/O granularity", chunk: "10MB"},
+		{name: "chunk 1 GB", note: "coarser I/O granularity", chunk: "1GB"},
+		{name: "shared disk channel", note: "reads and writes contend", sharedDisk: true},
 	}
 }
 
@@ -81,7 +75,7 @@ type ablationPayload struct {
 }
 
 func init() {
-	grid.RegisterCell("ablation", func(a ablationArgs) (any, error) { return runAblationCell(a) })
+	grid.RegisterCell("ablation", func(a ablationArgs) (any, error) { return runDocCell(a) })
 }
 
 // AblationCells enumerates the study: the reference run at Coord.I 0,
@@ -129,70 +123,32 @@ func RunAblations(size int64) (*AblationResult, error) {
 	return MergeAblation(size, ps)
 }
 
-// runAblationCell executes the reference run or one named variant.
-func runAblationCell(a ablationArgs) (*ablationPayload, error) {
-	cpu := workload.SyntheticCPU(a.Size)
-	files := workload.SyntheticFiles(0)
-	ops := workload.SyntheticOps()
+// doc runs the synthetic pipeline once on the reference stack or on the
+// named variant of the page-cache model's local platform.
+func (a ablationArgs) doc() (*scenario.Doc, scenario.RunOpts, error) {
+	name := "ablation " + a.Variant
+	var d *scenario.Doc
 	if a.Variant == ablationReference {
-		rig, _, err := NewLocalReal(0)
-		if err != nil {
-			return nil, err
-		}
-		durs, err := runSyntheticOn(rig, a.Size, cpu, files, ops)
-		if err != nil {
-			return nil, fmt.Errorf("ablation real: %w", err)
-		}
-		return &ablationPayload{Durations: durs}, nil
+		d, _ = stackDoc(name, StackReal, false) // every Stack constant has a document
 	}
 	for _, v := range ablationVariants() {
-		if v.name != a.Variant {
-			continue
+		if v.name == a.Variant {
+			d = paperDoc(name, engine.ModeWriteback, v.measured, false)
+			h := &d.Platform.Hosts[0]
+			h.EvictExcludesOpenWrites = v.protect
+			h.Disks[0].SharedChannel = v.sharedDisk
+			d.Chunk = v.chunk
 		}
-		rig, err := newLocalCustom(engine.ModeWriteback, v.mem, v.disk, v.cfg, v.chunk)
-		if err != nil {
-			return nil, err
-		}
-		durs, err := runSyntheticOn(rig, a.Size, cpu, files, ops)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
-		}
-		return &ablationPayload{Durations: durs}, nil
 	}
-	return nil, fmt.Errorf("ablation: unknown variant %q", a.Variant)
+	if d == nil {
+		return nil, scenario.RunOpts{}, fmt.Errorf("ablation: unknown variant %q", a.Variant)
+	}
+	addSynthetic(d, 1, a.Size, 0, 0)
+	return d, scenario.RunOpts{}, nil
 }
 
-// newLocalCustom builds a single-node simulator platform with explicit
-// device specs, cache config and chunk size.
-func newLocalCustom(mode engine.Mode, mem, disk platform.DeviceSpec, cfg core.Config, chunk int64) (*LocalRig, error) {
-	sim := engine.NewSimulation()
-	spec := platform.PaperHostSpec("node0", mem)
-	hr, err := sim.AddHost(spec, mode, cfg, chunk)
-	if err != nil {
-		return nil, err
-	}
-	part, err := hr.AddDisk(disk, "scratch", DiskCap)
-	if err != nil {
-		return nil, err
-	}
-	return &LocalRig{Sim: sim, Host: hr, Part: part}, nil
-}
-
-// runSyntheticOn executes the synthetic app on a prepared rig and returns
-// the op durations.
-func runSyntheticOn(rig *LocalRig, size int64, cpu float64, files [4]string, ops []string) ([]float64, error) {
-	if err := createInput(rig.Sim, rig.Part, files[0], size); err != nil {
-		return nil, err
-	}
-	rig.Sim.SpawnApp(rig.Host, 0, "app", func(a *engine.App) error {
-		return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: rig.Part}, workload.SyntheticSpec{
-			Size: size, CPU: cpu, Files: files,
-		})
-	})
-	if err := rig.Sim.Run(); err != nil {
-		return nil, err
-	}
-	return opDurations(rig.Sim.Log, ops), nil
+func (ablationArgs) payload(res *scenario.Result) any {
+	return &ablationPayload{Durations: opDurations(res.Sim.Log, workload.SyntheticOps())}
 }
 
 // Render prints the ablation table.

@@ -78,7 +78,9 @@ type devicesPayload struct {
 }
 
 func init() {
-	grid.RegisterCell("devices", func(a devicesArgs) (any, error) { return runDevicesCell(a) })
+	grid.RegisterCell("devices", func(a devicesArgs) (any, error) {
+		return runDevices(a.Mode, devRAM, devSizes(a.Quick), ChunkSize)
+	})
 }
 
 // devDisk describes one disk of the ablation host.
@@ -95,23 +97,24 @@ func devDisks() []devDisk {
 	}
 }
 
-func runDevicesCell(a devicesArgs) (*devicesPayload, error) {
-	size := devSizes(a.Quick)
+// runDevices runs one mode cell: each disk's writer writes size bytes to
+// it on a host with ram bytes of memory, in chunk-byte I/O steps.
+func runDevices(mode string, ram, size, chunk int64) (*devicesPayload, error) {
 	disks := devDisks()
 
 	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(devRAM)
+	cfg := core.DefaultConfig(ram)
 	cfg.DirtyBackgroundRatio = devBG
 	mgr, err := core.NewManager(cfg)
 	if err != nil {
 		return nil, err
 	}
-	model, err := engine.NewCoreModel(mgr, ChunkSize, engine.ModeWriteback)
+	model, err := engine.NewCoreModel(mgr, chunk, engine.ModeWriteback)
 	if err != nil {
 		return nil, err
 	}
 	spec := platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem"))
-	spec.MemoryCap = devRAM
+	spec.MemoryCap = ram
 	hr, err := sim.AddHostWithModel(spec, engine.ModeWriteback, model)
 	if err != nil {
 		return nil, err
@@ -127,7 +130,7 @@ func runDevicesCell(a devicesArgs) (*devicesPayload, error) {
 		}
 		parts[i] = part
 	}
-	if a.Mode == "per-device" {
+	if mode == "per-device" {
 		if err := hr.EnablePerDeviceWriteback(nil); err != nil {
 			return nil, err
 		}
@@ -146,7 +149,7 @@ func runDevicesCell(a devicesArgs) (*devicesPayload, error) {
 		})
 	}
 	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("device ablation %s: %w", a.Mode, err)
+		return nil, fmt.Errorf("device ablation %s: %w", mode, err)
 	}
 
 	// Per-writer throttle time: the writer's own domain in per-device mode,

@@ -4,66 +4,12 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/platform"
-	"repro/internal/storage"
 	"repro/internal/units"
 )
 
-// runScaledDevicesCell is runDevicesCell with RAM, write volume and chunk
-// size scaled down together, to study the eviction-pressure regime (total
-// writes > RAM) the full-size cell hits.
-func runScaledDevicesCell(t *testing.T, mode string, ram, size, chunk int64) float64 {
-	t.Helper()
-	disks := devDisks()
-	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(ram)
-	cfg.DirtyBackgroundRatio = devBG
-	mgr, err := core.NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := engine.NewCoreModel(mgr, chunk, engine.ModeWriteback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem"))
-	spec.MemoryCap = ram
-	hr, err := sim.AddHostWithModel(spec, engine.ModeWriteback, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]*storage.Partition, len(disks))
-	for i, d := range disks {
-		bw := units.MBps(d.mbps)
-		part, err := hr.AddDisk(platform.DeviceSpec{
-			Name: d.name, ReadBW: bw, WriteBW: bw, Capacity: 64 * units.GiB,
-		}, d.part, 64*units.GiB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = part
-	}
-	if mode == "per-device" {
-		if err := hr.EnablePerDeviceWriteback(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, d := range disks {
-		i, d := i, d
-		out := fmt.Sprintf("storm-%s.bin", d.name)
-		sim.SpawnApp(hr, i, "writer-"+d.name, func(app *engine.App) error {
-			return app.WriteFile(out, size, parts[i], "Write 1")
-		})
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return sim.Makespan()
-}
-
-// TestScaledDevicesEvictionPressure runs the cell at 1/5 and 1/10 scale.
+// TestScaledDevicesEvictionPressure runs the cell with RAM, write volume
+// and chunk size scaled down together to 1/5 and 1/10, to study the
+// eviction-pressure regime (total writes > RAM) the full-size cell hits.
 // The 1/5 point is the regression trigger for the fluid sub-resolution
 // livelock: under eviction pressure the write throttle loop emits byte-sized
 // cache writes, and late in the run one of them needed less simulated time
@@ -75,9 +21,11 @@ func TestScaledDevicesEvictionPressure(t *testing.T) {
 		for _, mode := range devModes {
 			s, mode := s, mode
 			t.Run(fmt.Sprintf("%s-scale1of%d", mode, s), func(t *testing.T) {
-				mk := runScaledDevicesCell(t, mode,
-					16*units.GiB/s, 24*units.GB/s, 100*units.MB/s)
-				t.Logf("scaled 1/%d %s makespan %.1f", s, mode, mk)
+				pay, err := runDevices(mode, 16*units.GiB/s, 24*units.GB/s, 100*units.MB/s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("scaled 1/%d %s writer walls %+v", s, mode, pay.Writers)
 			})
 		}
 	}

@@ -3,11 +3,12 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/engine"
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/pysim"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -51,7 +52,12 @@ type exp1Payload struct {
 }
 
 func init() {
-	grid.RegisterCell("exp1", func(a exp1Args) (any, error) { return runExp1Cell(a) })
+	grid.RegisterCell("exp1", func(a exp1Args) (any, error) {
+		if a.Stack == StackPysim {
+			return runExp1Pysim(a.Size)
+		}
+		return runDocCell(a)
+	})
 }
 
 // Exp1Cells enumerates Exp 1 at one size: one cell per stack.
@@ -110,75 +116,48 @@ func RunExp1(size int64) (*Exp1Result, error) {
 	return MergeExp1(size, ps)
 }
 
-func ptrMode(m engine.Mode) *engine.Mode { return &m }
-
-// runExp1Cell executes one (size, stack) cell.
-func runExp1Cell(a exp1Args) (*exp1Payload, error) {
-	cpu := workload.SyntheticCPU(a.Size)
-	files := workload.SyntheticFiles(0)
-	ops := workload.SyntheticOps()
-	switch a.Stack {
-	case StackPysim:
-		return runExp1Pysim(a.Size, cpu, files, ops)
-	case StackReal:
-		return runExp1Engine(a.Stack, a.Size, cpu, files, ops, nil)
-	case StackCacheless:
-		return runExp1Engine(a.Stack, a.Size, cpu, files, ops, ptrMode(engine.ModeCacheless))
-	case StackCache:
-		return runExp1Engine(a.Stack, a.Size, cpu, files, ops, ptrMode(engine.ModeWriteback))
-	}
-	return nil, fmt.Errorf("exp1: unknown stack %q", a.Stack)
-}
-
-func runExp1Engine(st Stack, size int64, cpu float64, files [4]string, ops []string, mode *engine.Mode) (*exp1Payload, error) {
-	var rig *LocalRig
-	var err error
-	if mode == nil {
-		rig, _, err = NewLocalReal(0)
-	} else {
-		rig, err = NewLocalSim(*mode)
-	}
+// doc runs the synthetic pipeline once on the stack's local platform,
+// sampling memory every second and snapshotting the cache after every op.
+func (a exp1Args) doc() (*scenario.Doc, scenario.RunOpts, error) {
+	d, err := stackDoc(fmt.Sprintf("exp1 %s %s", units.FormatBytes(a.Size), a.Stack), a.Stack, false)
 	if err != nil {
-		return nil, err
+		return nil, scenario.RunOpts{}, err
 	}
-	if err := createInput(rig.Sim, rig.Part, files[0], size); err != nil {
-		return nil, err
-	}
-	rig.Host.EnableMemTrace(1)
-	rig.Sim.SpawnApp(rig.Host, 0, string(st), func(a *engine.App) error {
-		return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: rig.Part}, workload.SyntheticSpec{
-			Size: size, CPU: cpu, Files: files, Snapshot: true,
-		})
-	})
-	if err := rig.Sim.Run(); err != nil {
-		return nil, fmt.Errorf("exp1 %s: %w", st, err)
-	}
-	return &exp1Payload{
-		Durations: opDurations(rig.Sim.Log, ops),
-		Mem:       rig.Host.MemTrace,
-		Snaps:     rig.Host.Snaps,
-	}, nil
+	d.TraceMemS, d.SnapshotOps = 1, true
+	addSynthetic(d, 1, a.Size, 0, 0)
+	return d, scenario.RunOpts{}, nil
 }
 
-func runExp1Pysim(size int64, cpu float64, files [4]string, ops []string) (*exp1Payload, error) {
+func (exp1Args) payload(res *scenario.Result) any {
+	h := res.Hosts[res.Doc.Platform.Hosts[0].Name]
+	return &exp1Payload{
+		Durations: opDurations(res.Sim.Log, workload.SyntheticOps()),
+		Mem:       h.MemTrace,
+		Snaps:     h.Snaps,
+	}
+}
+
+// runExp1Pysim runs the Exp 1 cell of the sequential prototype.
+func runExp1Pysim(size int64) (*exp1Payload, error) {
 	t3 := platform.TableIII()
 	sim, err := pysim.New(pysim.Config{
 		MemBW:  units.MBps(t3.SimMemMBps),
 		DiskBW: units.MBps(t3.SimLocalMBps),
-		Cache:  coreDefault(),
+		Cache:  core.DefaultConfig(RAM),
 		Chunk:  ChunkSize,
 	})
 	if err != nil {
 		return nil, err
 	}
+	files := workload.SyntheticFiles(0)
 	sim.CreateFile(files[0], size)
 	if err := workload.RunSynthetic(sim, workload.SyntheticSpec{
-		Size: size, CPU: cpu, Files: files, Snapshot: true,
+		Size: size, CPU: workload.SyntheticCPU(size), Files: files, Snapshot: true,
 	}); err != nil {
 		return nil, fmt.Errorf("exp1 pysim: %w", err)
 	}
 	return &exp1Payload{
-		Durations: opDurations(sim.Log, ops),
+		Durations: opDurations(sim.Log, workload.SyntheticOps()),
 		Mem:       sim.MemTrace,
 		Snaps:     sim.Snaps,
 	}, nil

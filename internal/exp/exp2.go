@@ -3,12 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/storage"
-
-	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/scenario"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // ConcurrentPoint is one x-position of Figs 5/7: N concurrent application
@@ -62,23 +59,27 @@ type concurrentPayload struct {
 }
 
 func init() {
-	grid.RegisterCell("concurrent", func(a concurrentArgs) (any, error) {
-		var mode *engine.Mode
-		switch a.Stack {
-		case StackCacheless:
-			mode = ptrMode(engine.ModeCacheless)
-		case StackCache:
-			mode = ptrMode(engine.ModeWriteback)
-		case StackReal:
-		default:
-			return nil, fmt.Errorf("concurrent: unknown stack %q", a.Stack)
-		}
-		rt, wt, _, err := concurrentRun(a.N, a.Size, a.Remote, mode, a.Jitter, a.Rep)
-		if err != nil {
-			return nil, err
-		}
-		return &concurrentPayload{ReadT: rt, WriteT: wt}, nil
-	})
+	grid.RegisterCell("concurrent", func(a concurrentArgs) (any, error) { return runDocCell(a) })
+}
+
+// doc places the cell's n synthetic instances on its stack's platform.
+func (a concurrentArgs) doc() (*scenario.Doc, scenario.RunOpts, error) {
+	d, err := stackDoc(fmt.Sprintf("concurrent n=%d %s", a.N, a.Stack), a.Stack, a.Remote)
+	if err != nil {
+		return nil, scenario.RunOpts{}, err
+	}
+	addSynthetic(d, a.N, a.Size, a.Jitter, a.Rep)
+	return d, scenario.RunOpts{}, nil
+}
+
+func (concurrentArgs) payload(res *scenario.Result) any { return concurrentPayloadOf(res) }
+
+// concurrentPayloadOf reads the instances' mean read and write times.
+func concurrentPayloadOf(res *scenario.Result) *concurrentPayload {
+	return &concurrentPayload{
+		ReadT:  res.Sim.Log.MeanPerInstance("read"),
+		WriteT: res.Sim.Log.MeanPerInstance("write"),
+	}
 }
 
 // concurrentStacks orders a level's cells: Coord.J indexes it, with the
@@ -187,62 +188,6 @@ func runConcurrent(section string, levels []int, reps int, remote bool) (*Concur
 		return nil, fmt.Errorf("%s: %w", section, err)
 	}
 	return MergeConcurrent(remote, levels, reps, ps)
-}
-
-// concurrentRun executes one simulation with n synthetic instances and
-// returns (mean read time, mean write time, makespan). mode nil selects the
-// real proxy with the given jitter and repetition seed.
-func concurrentRun(n int, size int64, remote bool, mode *engine.Mode, jitter float64, rep int) (readT, writeT, makespan float64, err error) {
-	var sim *engine.Simulation
-	var host *engine.HostRuntime
-	var part *storage.Partition
-	if remote {
-		var rig *NFSRig
-		if mode == nil {
-			rig, err = NewNFSReal(jitter)
-		} else {
-			rig, err = NewNFSSim(*mode)
-		}
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		sim, host, part = rig.Sim, rig.Client, rig.Part
-	} else {
-		var rig *LocalRig
-		if mode == nil {
-			rig, _, err = NewLocalReal(jitter)
-		} else {
-			rig, err = NewLocalSim(*mode)
-		}
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		sim, host, part = rig.Sim, rig.Host, rig.Part
-	}
-	cpu := workload.SyntheticCPU(size)
-	for i := 0; i < n; i++ {
-		files := workload.SyntheticFiles(i)
-		if err := createInput(sim, part, files[0], size); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		files := workload.SyntheticFiles(i)
-		scale := 1.0
-		if jitter > 0 {
-			scale = jitterScale(i, rep, jitter)
-		}
-		sim.SpawnApp(host, i, fmt.Sprintf("app%d", i), func(a *engine.App) error {
-			return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: part}, workload.SyntheticSpec{
-				Size: size, CPU: cpu, Files: files, CPUScale: scale,
-			})
-		})
-	}
-	if err := sim.Run(); err != nil {
-		return 0, 0, 0, err
-	}
-	return sim.Log.MeanPerInstance("read"), sim.Log.MeanPerInstance("write"), sim.Makespan(), nil
 }
 
 func minF(a, b float64) float64 {

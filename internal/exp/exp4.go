@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -31,7 +31,7 @@ type exp4Payload struct {
 }
 
 func init() {
-	grid.RegisterCell("exp4", func(a exp4Args) (any, error) { return runExp4Cell(a) })
+	grid.RegisterCell("exp4", func(a exp4Args) (any, error) { return runDocCell(a) })
 }
 
 // Exp4Cells enumerates the Nighres experiment: one cell per stack.
@@ -84,31 +84,16 @@ func RunExp4() (*Exp4Result, error) {
 	return MergeExp4(ps)
 }
 
-// runExp4Cell executes one stack's Nighres run.
-func runExp4Cell(a exp4Args) (*exp4Payload, error) {
-	var rig *LocalRig
-	var err error
-	switch a.Stack {
-	case StackReal:
-		rig, _, err = NewLocalReal(0)
-	case StackCacheless:
-		rig, err = NewLocalSim(engine.ModeCacheless)
-	case StackCache:
-		rig, err = NewLocalSim(engine.ModeWriteback)
-	default:
-		return nil, fmt.Errorf("exp4: unknown stack %q", a.Stack)
-	}
+// doc runs the Nighres workflow once on the stack's local platform.
+func (a exp4Args) doc() (*scenario.Doc, scenario.RunOpts, error) {
+	d, err := stackDoc("exp4 nighres "+string(a.Stack), a.Stack, false)
 	if err != nil {
-		return nil, err
+		return nil, scenario.RunOpts{}, err
 	}
-	if err := createInput(rig.Sim, rig.Part, workload.NighresInput, workload.NighresInputSize); err != nil {
-		return nil, err
-	}
-	rig.Sim.SpawnApp(rig.Host, 0, string(a.Stack), func(app *engine.App) error {
-		return workload.RunNighres(&workload.EngineRunner{App: app, Part: rig.Part})
-	})
-	if err := rig.Sim.Run(); err != nil {
-		return nil, fmt.Errorf("exp4 %s: %w", a.Stack, err)
-	}
-	return &exp4Payload{Durations: opDurations(rig.Sim.Log, workload.NighresOps())}, nil
+	addWorkload(d, scenario.WorkloadDoc{Name: "nighres", Kind: "nighres"})
+	return d, scenario.RunOpts{}, nil
+}
+
+func (exp4Args) payload(res *scenario.Result) any {
+	return &exp4Payload{Durations: opDurations(res.Sim.Log, workload.NighresOps())}
 }

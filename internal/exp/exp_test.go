@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
@@ -414,31 +414,33 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 	// The DES kernel, fluid model and engine must produce bit-identical
 	// results across runs — reproducibility is one of the paper's stated
 	// motivations for simulation.
-	run := func() (float64, float64, float64) {
-		mode := engine.ModeWriteback
-		r, w, mk, err := concurrentRun(8, 3*units.GB, false, &mode, 0, 0)
+	type obs struct {
+		concurrentPayload
+		makespan float64
+	}
+	run := func(a concurrentArgs) obs {
+		d, opts, err := a.doc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, w, mk
+		res, err := scenario.Run(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs{*concurrentPayloadOf(res), res.Makespan}
 	}
-	r1, w1, m1 := run()
-	r2, w2, m2 := run()
-	if r1 != r2 || w1 != w2 || m1 != m2 {
-		t.Fatalf("non-deterministic: (%v,%v,%v) vs (%v,%v,%v)", r1, w1, m1, r2, w2, m2)
+	cache := concurrentArgs{N: 8, Size: 3 * units.GB, Stack: StackCache}
+	if o1, o2 := run(cache), run(cache); o1 != o2 {
+		t.Fatalf("non-deterministic: %+v vs %+v", o1, o2)
 	}
 	// The jittered real proxy is deterministic per repetition seed too.
-	runReal := func(rep int) float64 {
-		_, _, mk, err := concurrentRun(4, 3*units.GB, false, nil, 0.03, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mk
+	real := func(rep int) float64 {
+		return run(concurrentArgs{N: 4, Size: 3 * units.GB, Stack: StackReal, Rep: rep, Jitter: 0.03}).makespan
 	}
-	if runReal(1) != runReal(1) {
+	if real(1) != real(1) {
 		t.Fatal("real proxy not deterministic for fixed rep")
 	}
-	if runReal(1) == runReal(2) {
+	if real(1) == real(2) {
 		t.Fatal("repetition jitter has no effect")
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/platform"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // FFwdRow is one workload configuration of the fast-forward ablation: the
@@ -85,60 +83,32 @@ type ffwdPayload struct {
 }
 
 func init() {
-	grid.RegisterCell("ffwd", func(a ffwdArgs) (any, error) { return runFFwdCell(a) })
+	grid.RegisterCell("ffwd", func(a ffwdArgs) (any, error) { return runDocCell(a) })
 }
 
-func runFFwdCell(a ffwdArgs) (*ffwdPayload, error) {
+// doc runs the workload's pipeline on the paper's local platform in
+// writeback mode with the workload's RAM, fast-forwarded or exact.
+func (a ffwdArgs) doc() (*scenario.Doc, scenario.RunOpts, error) {
 	w, err := ffwdWorkloadByName(a.Workload)
 	if err != nil {
-		return nil, err
+		return nil, scenario.RunOpts{}, err
 	}
-	sim := engine.NewSimulation()
+	d := paperDoc("ffwd ablation "+a.Workload, engine.ModeWriteback, false, false)
+	d.Platform.Hosts[0].RAM = byteStr(w.ram)
+	addWorkload(d, scenario.WorkloadDoc{Name: "iter", Kind: "iterative", Size: byteStr(w.size), Iterations: w.iterations})
+	var opts scenario.RunOpts
 	if a.FFwd {
-		sim.EnableFastForward(engine.FFwdConfig{})
+		opts.FastForward = &engine.FFwdConfig{}
 	}
-	cfg := core.DefaultConfig(w.ram)
-	mgr, err := core.NewManager(cfg)
-	if err != nil {
-		return nil, err
-	}
-	model, err := engine.NewCoreModel(mgr, ChunkSize, engine.ModeWriteback)
-	if err != nil {
-		return nil, err
-	}
-	spec := platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem"))
-	spec.MemoryCap = w.ram
-	hr, err := sim.AddHostWithModel(spec, engine.ModeWriteback, model)
-	if err != nil {
-		return nil, err
-	}
-	part, err := hr.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", DiskCap)
-	if err != nil {
-		return nil, err
-	}
-	if err := createInput(sim, part, "iter_input", w.size); err != nil {
-		return nil, err
-	}
-	cpu := workload.SyntheticCPU(w.size)
-	sim.SpawnApp(hr, 0, "iter0", func(app *engine.App) error {
-		return workload.RunIterative(&workload.EngineRunner{App: app, Part: part}, workload.IterativeSpec{
-			Iterations: w.iterations, Size: w.size, CPU: cpu,
-			Input: "iter_input", Output: "iter_scratch",
-		})
-	})
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("ffwd ablation %s: %w", a.Workload, err)
-	}
-	hit, miss := mgr.ReadHitBytes(), mgr.ReadMissBytes()
-	ratio := 0.0
-	if hit+miss > 0 {
-		ratio = float64(hit) / float64(hit+miss)
-	}
-	rep := sim.FFwdReport()
+	return d, opts, nil
+}
+
+func (ffwdArgs) payload(res *scenario.Result) any {
+	rep := res.Sim.FFwdReport()
 	return &ffwdPayload{
-		Makespan: sim.Makespan(), HitRatio: ratio,
+		Makespan: res.Makespan, HitRatio: res.ReadHitRatio(res.Doc.Platform.Hosts[0].Name),
 		Simulated: rep.IterationsSimulated, Skipped: rep.IterationsSkipped,
-	}, nil
+	}
 }
 
 // FFwdCells enumerates the ablation grid: coordinates are

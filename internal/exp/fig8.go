@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
@@ -57,13 +58,25 @@ type fig8Payload struct {
 
 func init() {
 	grid.RegisterCell("fig8", func(a fig8Args) (any, error) {
-		s, err := simTimeCell(a.Mode, a.Remote, a.N)
+		s, err := simTimeCell(a)
 		if err != nil {
 			return nil, err
 		}
 		return &fig8Payload{Seconds: s}, nil
 	})
 }
+
+// doc places the cell's n synthetic instances on 3 GB files on the
+// simulators' local or NFS platform in the cell's mode.
+func (a fig8Args) doc() (*scenario.Doc, scenario.RunOpts, error) {
+	d := paperDoc(fmt.Sprintf("fig8 mode=%v remote=%v n=%d", a.Mode, a.Remote, a.N), a.Mode, false, a.Remote)
+	addSynthetic(d, a.N, 3*units.GB, 0, 0)
+	return d, scenario.RunOpts{}, nil
+}
+
+// payload reads the run's Fig 5/7 observables; the timed cell keeps only
+// its wall-clock.
+func (fig8Args) payload(res *scenario.Result) any { return concurrentPayloadOf(res) }
 
 // Fig8Cells enumerates the Fig 8 sweep: one timing cell per
 // (configuration, level). Coordinates are (config index, level index).
@@ -123,7 +136,7 @@ func RunSimTime(levels []int) (*SimTimeResult, error) {
 func RunSimTimeConfig(mode engine.Mode, remote bool, levels []int) (SimTimeSeries, error) {
 	s := SimTimeSeries{Label: fmt.Sprintf("%v remote=%v", mode, remote)}
 	for _, n := range levels {
-		sec, err := simTimeCell(mode, remote, n)
+		sec, err := simTimeCell(fig8Args{Mode: mode, Remote: remote, N: n})
 		if err != nil {
 			return s, fmt.Errorf("fig8 %s n=%d: %w", s.Label, n, err)
 		}
@@ -134,12 +147,11 @@ func RunSimTimeConfig(mode engine.Mode, remote bool, levels []int) (SimTimeSerie
 	return s, nil
 }
 
-// simTimeCell times one concurrent run.
-func simTimeCell(mode engine.Mode, remote bool, n int) (float64, error) {
-	m := mode
+// simTimeCell times one concurrent run, from its document to its result.
+func simTimeCell(a fig8Args) (float64, error) {
 	start := time.Now()
-	if _, _, _, err := concurrentRun(n, 3*units.GB, remote, &m, 0, 0); err != nil {
-		return 0, fmt.Errorf("fig8 mode=%v remote=%v n=%d: %w", mode, remote, n, err)
+	if _, err := runDocCell(a); err != nil {
+		return 0, err
 	}
 	return time.Since(start).Seconds(), nil
 }

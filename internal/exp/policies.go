@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/platform"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -37,42 +37,20 @@ type policyWorkload struct {
 	name string
 	ram  int64
 	cost float64 // relative cell cost for the grid scheduler
-	run  func(rig *LocalRig) error
+	wl   scenario.WorkloadDoc
 }
 
 // syntheticPolicyWorkload places `instances` copies of the paper's synthetic
 // pipeline (Table I) at the given per-file size.
 func syntheticPolicyWorkload(name string, size int64, instances int) policyWorkload {
-	return policyWorkload{name: name, cost: costGB(size, instances), run: func(rig *LocalRig) error {
-		cpu := workload.SyntheticCPU(size)
-		for i := 0; i < instances; i++ {
-			if err := createInput(rig.Sim, rig.Part, workload.SyntheticFiles(i)[0], size); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < instances; i++ {
-			files := workload.SyntheticFiles(i)
-			rig.Sim.SpawnApp(rig.Host, i, fmt.Sprintf("app%d", i), func(a *engine.App) error {
-				return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: rig.Part}, workload.SyntheticSpec{
-					Size: size, CPU: cpu, Files: files,
-				})
-			})
-		}
-		return rig.Sim.Run()
-	}}
+	return policyWorkload{name: name, cost: costGB(size, instances), wl: scenario.WorkloadDoc{
+		Name: "app", Kind: "synthetic", Size: byteStr(size), Instances: instances}}
 }
 
 // nighresPolicyWorkload places the four-step Nighres workflow (Table II).
 func nighresPolicyWorkload() policyWorkload {
-	return policyWorkload{name: "nighres", cost: costGB(workload.NighresInputSize, 4), run: func(rig *LocalRig) error {
-		if err := createInput(rig.Sim, rig.Part, workload.NighresInput, workload.NighresInputSize); err != nil {
-			return err
-		}
-		rig.Sim.SpawnApp(rig.Host, 0, "nighres", func(a *engine.App) error {
-			return workload.RunNighres(&workload.EngineRunner{App: a, Part: rig.Part})
-		})
-		return rig.Sim.Run()
-	}}
+	return policyWorkload{name: "nighres", cost: costGB(workload.NighresInputSize, 4),
+		wl: scenario.WorkloadDoc{Name: "nighres", Kind: "nighres"}}
 }
 
 // policyWorkloads lists the ablation's workloads; quick thins the grid to
@@ -105,38 +83,6 @@ func policyWorkloadByName(name string) (policyWorkload, error) {
 	return policyWorkload{}, fmt.Errorf("unknown policy workload %q", name)
 }
 
-// newPolicyRig builds the paper's single-node simulator platform in
-// writeback mode with the given replacement policy and RAM size (≤0: the
-// paper's 250 GiB), returning the host's manager so hit/miss counters are
-// observable.
-func newPolicyRig(policy string, ram int64) (*LocalRig, *core.Manager, error) {
-	if ram <= 0 {
-		ram = RAM
-	}
-	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(ram)
-	cfg.Policy = policy
-	mgr, err := core.NewManager(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	model, err := engine.NewCoreModel(mgr, ChunkSize, engine.ModeWriteback)
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem"))
-	spec.MemoryCap = ram
-	hr, err := sim.AddHostWithModel(spec, engine.ModeWriteback, model)
-	if err != nil {
-		return nil, nil, err
-	}
-	part, err := hr.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", DiskCap)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &LocalRig{Sim: sim, Host: hr, Part: part}, mgr, nil
-}
-
 // policyArgs parameterizes one (workload, policy) cell.
 type policyArgs struct {
 	Workload string `json:"workload"`
@@ -150,27 +96,27 @@ type policyPayload struct {
 }
 
 func init() {
-	grid.RegisterCell("policy", func(a policyArgs) (any, error) { return runPolicyCell(a) })
+	grid.RegisterCell("policy", func(a policyArgs) (any, error) { return runDocCell(a) })
 }
 
-func runPolicyCell(a policyArgs) (*policyPayload, error) {
+// doc places the workload on the paper's local platform in writeback
+// mode with the cell's replacement policy and the workload's RAM.
+func (a policyArgs) doc() (*scenario.Doc, scenario.RunOpts, error) {
 	w, err := policyWorkloadByName(a.Workload)
 	if err != nil {
-		return nil, err
+		return nil, scenario.RunOpts{}, err
 	}
-	rig, mgr, err := newPolicyRig(a.Policy, w.ram)
-	if err != nil {
-		return nil, fmt.Errorf("policy ablation %s/%s: %w", a.Workload, a.Policy, err)
+	d := paperDoc("policy ablation "+a.Workload+"/"+a.Policy, engine.ModeWriteback, false, false)
+	d.Platform.Hosts[0].CachePolicy = a.Policy
+	if w.ram > 0 {
+		d.Platform.Hosts[0].RAM = byteStr(w.ram)
 	}
-	if err := w.run(rig); err != nil {
-		return nil, fmt.Errorf("policy ablation %s/%s: %w", a.Workload, a.Policy, err)
-	}
-	hit, miss := mgr.ReadHitBytes(), mgr.ReadMissBytes()
-	ratio := 0.0
-	if hit+miss > 0 {
-		ratio = float64(hit) / float64(hit+miss)
-	}
-	return &policyPayload{Makespan: rig.Sim.Makespan(), HitRatio: ratio}, nil
+	addWorkload(d, w.wl)
+	return d, scenario.RunOpts{}, nil
+}
+
+func (policyArgs) payload(res *scenario.Result) any {
+	return &policyPayload{Makespan: res.Makespan, HitRatio: res.ReadHitRatio(res.Doc.Platform.Hosts[0].Name)}
 }
 
 // PolicyCells enumerates the ablation grid: coordinates are

@@ -8,9 +8,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/textplot"
 	"repro/internal/trace"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // WritebackRow is one (workload, writeback policy, background ratio) cell
@@ -57,10 +59,19 @@ func (w wbMetrics) payload(makespan float64) writebackPayload {
 	}
 }
 
+// wbRig is a local cell's simulation: one host with one partition. Its
+// writers are bare processes no scenario workload kind expresses, so the
+// writeback cells build their simulations directly.
+type wbRig struct {
+	sim  *engine.Simulation
+	host *engine.HostRuntime
+	part *storage.Partition
+}
+
 // newWritebackRig builds the paper's single-node platform in writeback mode
 // with the given writeback policy, background ratio and RAM, returning the
 // host's manager so the flush/throttle/hit counters are observable.
-func newWritebackRig(writeback string, bg float64, ram int64) (*LocalRig, *core.Manager, error) {
+func newWritebackRig(writeback string, bg float64, ram int64) (*wbRig, *core.Manager, error) {
 	if ram <= 0 {
 		ram = RAM
 	}
@@ -86,7 +97,7 @@ func newWritebackRig(writeback string, bg float64, ram int64) (*LocalRig, *core.
 	if err != nil {
 		return nil, nil, err
 	}
-	return &LocalRig{Sim: sim, Host: hr, Part: part}, mgr, nil
+	return &wbRig{sim: sim, host: hr, part: part}, mgr, nil
 }
 
 // runWriteBurst places one write-then-reread application per entry of
@@ -98,12 +109,12 @@ func newWritebackRig(writeback string, bg float64, ram int64) (*LocalRig, *core.
 // writers all four orders coincide: interleaved equal-rate writers produce
 // the same effective schedule under list, age, round-robin and
 // proportional order alike.)
-func runWriteBurst(rig *LocalRig, sizes []int64) error {
+func runWriteBurst(rig *wbRig, sizes []int64) error {
 	for i, size := range sizes {
 		i, size := i, size
 		out := fmt.Sprintf("burst%d.bin", i)
-		rig.Sim.SpawnApp(rig.Host, i, fmt.Sprintf("writer%d", i), func(a *engine.App) error {
-			if err := a.WriteFile(out, size, rig.Part, "Write 1"); err != nil {
+		rig.sim.SpawnApp(rig.host, i, fmt.Sprintf("writer%d", i), func(a *engine.App) error {
+			if err := a.WriteFile(out, size, rig.part, "Write 1"); err != nil {
 				return err
 			}
 			a.Compute(5, "Compute 1")
@@ -114,7 +125,25 @@ func runWriteBurst(rig *LocalRig, sizes []int64) error {
 			return nil
 		})
 	}
-	return rig.Sim.Run()
+	return rig.sim.Run()
+}
+
+// runPipeline runs one instance of the synthetic pipeline on size-byte
+// files.
+func runPipeline(rig *wbRig, size int64) error {
+	files := workload.SyntheticFiles(0)
+	if _, err := rig.part.CreateSized(files[0], size); err != nil {
+		return fmt.Errorf("exp: creating input %s: %w", files[0], err)
+	}
+	if err := rig.sim.NS.Place(files[0], rig.part); err != nil {
+		return err
+	}
+	rig.sim.SpawnApp(rig.host, 0, "app0", func(a *engine.App) error {
+		return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: rig.part}, workload.SyntheticSpec{
+			Size: size, CPU: workload.SyntheticCPU(size), Files: files,
+		})
+	})
+	return rig.sim.Run()
 }
 
 // runWritebackNFS executes the NFS cell: one client application per entry
@@ -184,7 +213,7 @@ type wbWorkload struct {
 	cost float64 // relative cell cost for the grid scheduler
 	// run executes the workload on a prepared rig (nil for the NFS cell,
 	// which builds its own client/server pair).
-	run func(rig *LocalRig) error
+	run func(rig *wbRig) error
 	nfs bool
 }
 
@@ -199,14 +228,13 @@ func wbWorkloads(quick bool) []wbWorkload {
 	burstSizes := []int64{12 * units.GB, 6 * units.GB, 3 * units.GB, 3 * units.GB}
 	burst := wbWorkload{name: "writeburst-skewed24gb-32gbram", ram: 32 * units.GiB,
 		cost: costGB(24*units.GB, 1),
-		run: func(rig *LocalRig) error {
+		run: func(rig *wbRig) error {
 			return runWriteBurst(rig, burstSizes)
 		}}
 	pipeline := wbWorkload{name: "synthetic-20gb-32gbram", ram: 32 * units.GiB,
 		cost: costGB(20*units.GB, 1),
-		run: func(rig *LocalRig) error {
-			w := syntheticPolicyWorkload("", 20*units.GB, 1)
-			return w.run(rig)
+		run: func(rig *wbRig) error {
+			return runPipeline(rig, 20*units.GB)
 		}}
 	nfsCell := wbWorkload{name: "nfs-writeburst-skewed12gb-8gbram", nfs: true,
 		cost: costGB(12*units.GB, 1) * 2}
@@ -276,12 +304,12 @@ func runWritebackCell(a writebackArgs) (*writebackPayload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("writeback ablation %s/%s/bg=%g: %w", a.Workload, a.Writeback, a.BG, err)
 	}
-	rig.Host.EnableHitTrace(20)
+	rig.host.EnableHitTrace(20)
 	if err := w.run(rig); err != nil {
 		return nil, fmt.Errorf("writeback ablation %s/%s/bg=%g: %w", a.Workload, a.Writeback, a.BG, err)
 	}
-	pay := wbMetrics{mgr}.payload(rig.Sim.Makespan())
-	pay.Points = rig.Host.HitTrace.Points
+	pay := wbMetrics{mgr}.payload(rig.sim.Makespan())
+	pay.Points = rig.host.HitTrace.Points
 	return &pay, nil
 }
 

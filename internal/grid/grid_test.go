@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/des"
 )
 
 // TestMain doubles as the subprocess-worker helper: with GRID_WORKER_HELPER
@@ -58,6 +60,14 @@ func init() {
 	})
 	RegisterCell("test-panic", func(a testArgs) (any, error) {
 		panic("cell exploded")
+	})
+	RegisterCell("test-proc-panic", func(a testArgs) (any, error) {
+		k := des.NewKernel()
+		k.Spawn("bad-proc", func(p *des.Proc) {
+			p.Sleep(a.X)
+			panic("proc exploded")
+		})
+		return nil, k.Run()
 	})
 	RegisterCell("test-error", func(a testArgs) (any, error) {
 		return nil, fmt.Errorf("cell failed with x=%g", a.X)
@@ -227,6 +237,38 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if stats.Failed != 1 || stats.Cells != 3 {
 		t.Fatalf("stats = %+v, want Failed=1 Cells=3", stats)
+	}
+}
+
+func TestProcPanicFailsOnlyItsCell(t *testing.T) {
+	// A panic inside a simulated process surfaces as the cell's error
+	// through des.Kernel.Run; the in-process drain completes every other
+	// cell.
+	specs := []Spec{
+		spec("test-square", 0, 0),
+		spec("test-proc-panic", 1, 0),
+		spec("test-square", 2, 0),
+		spec("test-square", 3, 0),
+	}
+	var ok, failed int
+	stats, err := Run(specs, Options{Workers: 2}, func(r Result) {
+		if r.Err == "" {
+			ok++
+			return
+		}
+		failed++
+		if r.Coord.I != 1 {
+			t.Errorf("unexpected failing cell %v: %s", r.Coord, r.Err)
+		}
+		if !strings.Contains(r.Err, `process "bad-proc" panicked: proc exploded`) {
+			t.Errorf("want the process panic, got %q", r.Err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok != 3 || failed != 1 || stats.Failed != 1 {
+		t.Fatalf("ok=%d failed=%d stats=%+v, want 3/1", ok, failed, stats)
 	}
 }
 

@@ -276,18 +276,6 @@ func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
 	return nil
 }
 
-// ComputeJitter returns a deterministic multiplicative jitter for the k-th
-// compute phase (models the real cluster's repetition noise; seeded by rep).
-func (m *Model) ComputeJitter(rep int) float64 {
-	if m.cfg.Jitter == 0 {
-		return 1
-	}
-	m.jitterN++
-	// Cheap deterministic hash → [-1,1).
-	x := float64((m.jitterN*2654435761+rep*40503)%1000)/500 - 1
-	return 1 + m.cfg.Jitter*x
-}
-
 func minI64(a, b int64) int64 {
 	if a < b {
 		return a

@@ -67,9 +67,6 @@ type Config struct {
 	ProtectOpenWrites bool
 	// WritebackBatch is the flusher's per-iteration write size in bytes.
 	WritebackBatch int64
-	// Jitter adds a deterministic per-run relative perturbation to compute
-	// phases (the real cluster's 5-repetition min–max spread); 0 disables.
-	Jitter float64
 }
 
 // DefaultConfig returns CentOS-8-like defaults for the given RAM size.
@@ -257,7 +254,6 @@ type Model struct {
 	wakeFl   *des.Signal // work for the flusher
 	progress *des.Signal // writeback progress (throttled writers wait here)
 	running  func() bool
-	jitterN  int
 }
 
 // New returns a reference model.

@@ -304,27 +304,6 @@ func TestReleaseAnonPanicsOnOverflow(t *testing.T) {
 	m.ReleaseAnon(1)
 }
 
-func TestComputeJitterDeterministic(t *testing.T) {
-	cfg := DefaultConfig(1000)
-	cfg.Jitter = 0.05
-	m1, _ := New(cfg)
-	m2, _ := New(cfg)
-	for i := 0; i < 10; i++ {
-		a, b := m1.ComputeJitter(3), m2.ComputeJitter(3)
-		if a != b {
-			t.Fatalf("jitter not deterministic: %v vs %v", a, b)
-		}
-		if a < 0.95 || a > 1.05 {
-			t.Fatalf("jitter out of range: %v", a)
-		}
-	}
-	cfg.Jitter = 0
-	m3, _ := New(cfg)
-	if m3.ComputeJitter(0) != 1 {
-		t.Fatal("zero jitter must be exactly 1")
-	}
-}
-
 func TestPartialReadOnlyTouchesPrefix(t *testing.T) {
 	m := testModel(t, 10000)
 	c := newSeqCaller()

@@ -2,40 +2,43 @@ package linuxref_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
-	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/linuxref"
+	"repro/internal/scenario"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
-// runConcurrentWriters runs n concurrent synthetic pipelines on size-byte
-// files on the Exp 2 ground-truth platform and returns its reference model.
+// concurrentWritersDoc is the Exp 2 ground-truth platform (the paper's
+// node with Table III's measured bandwidths and the linuxref model) running
+// n concurrent synthetic pipelines on size-byte files.
+const concurrentWritersDoc = `{
+  "name": "linuxref concurrent writers",
+  "platform": {"hosts": [{
+    "name": "node0", "cores": 32, "gflops": 1, "ram": "250GiB",
+    "memReadMBps": 6860, "memWriteMBps": 2764, "model": "linuxref",
+    "disks": [{"name": "node0.disk", "readMBps": 510, "writeMBps": 420,
+               "capacity": "450GiB", "partition": "scratch"}]}]},
+  "workloads": [{"name": "app", "host": "node0", "partition": "scratch",
+                 "kind": "synthetic", "instances": %d, "size": "%d"}]
+}`
+
+// runConcurrentWriters runs concurrentWritersDoc and returns its reference
+// model.
 func runConcurrentWriters(n int, size int64) (*linuxref.Model, error) {
-	rig, model, err := exp.NewLocalReal(0)
+	d, err := scenario.LoadReader(strings.NewReader(fmt.Sprintf(concurrentWritersDoc, n, size)), "")
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		in := workload.SyntheticFiles(i)[0]
-		if _, err := rig.Part.CreateSized(in, size); err != nil {
-			return nil, err
-		}
-		if err := rig.Sim.NS.Place(in, rig.Part); err != nil {
-			return nil, err
-		}
+	res, err := scenario.Run(d, scenario.RunOpts{})
+	if err == nil {
+		err = res.WorkloadErr()
 	}
-	for i := 0; i < n; i++ {
-		files := workload.SyntheticFiles(i)
-		rig.Sim.SpawnApp(rig.Host, i, fmt.Sprintf("app%d", i), func(a *engine.App) error {
-			return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: rig.Part}, workload.SyntheticSpec{
-				Size: size, CPU: workload.SyntheticCPU(size), Files: files,
-			})
-		})
+	if err != nil {
+		return nil, err
 	}
-	return model, rig.Sim.Run()
+	return res.Hosts["node0"].Model.(*linuxref.Model), nil
 }
 
 // TestReclaimVisitsBoundedByDecisions gates reclaim work on an exact,

@@ -39,6 +39,13 @@ import (
 // dirty thresholds (scaled by its write-bandwidth share, or overridden by
 // the disk's "dirtyRatio"/"dirtyBackgroundRatio"), its own flusher, and
 // writer-driven wakeups — matching Linux's per-bdi flusher threads.
+// "evictExcludesOpenWrites" keeps the blocks of files open for writing out
+// of eviction (core.Config.EvictExcludesOpenWrites; the paper's model
+// evicts them). "model" selects the host's cache model: omitted is the
+// paper's block model, and "linuxref" is the reference stack of
+// internal/linuxref, the repository's stand-in for the paper's real
+// executions, which brings its own kernel policies and so takes none of
+// the cache settings above.
 type Config struct {
 	Hosts []HostConfig `json:"hosts"`
 	Links []LinkConfig `json:"links"`
@@ -64,9 +71,17 @@ type HostConfig struct {
 	// domain — per-device dirty thresholds, flusher and writer-driven
 	// wakeups — instead of the single host-wide flusher (false, the
 	// default, keeps the original byte-identical behavior).
-	PerDeviceWriteback bool         `json:"perDeviceWriteback"`
-	Disks              []DiskConfig `json:"disks"`
+	PerDeviceWriteback bool `json:"perDeviceWriteback"`
+	// EvictExcludesOpenWrites protects blocks of files open for writing
+	// from eviction.
+	EvictExcludesOpenWrites bool `json:"evictExcludesOpenWrites,omitempty"`
+	// Model is the cache model: "" (the paper's) or "linuxref".
+	Model string       `json:"model,omitempty"`
+	Disks []DiskConfig `json:"disks"`
 }
+
+// ModelLinuxref names the reference-stack cache model.
+const ModelLinuxref = "linuxref"
 
 // DiskConfig describes one disk and its (single) partition.
 type DiskConfig struct {
@@ -145,6 +160,9 @@ func (c *Config) Validate() error {
 		if h.LFUHalfLife < 0 {
 			return fmt.Errorf("platform: host %q: lfuHalfLife must be non-negative", h.Name)
 		}
+		if err := h.validateModel(); err != nil {
+			return err
+		}
 		for _, d := range h.Disks {
 			if d.Name == "" || d.Partition == "" {
 				return fmt.Errorf("platform: host %q: disk needs name and partition", h.Name)
@@ -187,6 +205,34 @@ func (c *Config) Validate() error {
 		}
 		if l.LatencyS < 0 {
 			return fmt.Errorf("platform: link %q: negative latency", l.Name)
+		}
+	}
+	return nil
+}
+
+// validateModel rejects an unknown model, and cache settings the linuxref
+// model would silently ignore.
+func (h HostConfig) validateModel() error {
+	switch h.Model {
+	case "":
+		return nil
+	case ModelLinuxref:
+	default:
+		return fmt.Errorf("platform: host %q: unknown model %q (want omitted or %q)", h.Name, h.Model, ModelLinuxref)
+	}
+	for _, f := range []struct {
+		set  bool
+		name string
+	}{
+		{h.CachePolicy != "", "cachePolicy"},
+		{h.WritebackPolicy != "", "writebackPolicy"},
+		{h.DirtyBackgroundRatio != 0, "dirtyBackgroundRatio"},
+		{h.LFUHalfLife != 0, "lfuHalfLife"},
+		{h.PerDeviceWriteback, "perDeviceWriteback"},
+		{h.EvictExcludesOpenWrites, "evictExcludesOpenWrites"},
+	} {
+		if f.set {
+			return fmt.Errorf("platform: host %q: model %s takes no %s", h.Name, ModelLinuxref, f.name)
 		}
 	}
 	return nil

@@ -279,15 +279,6 @@ func RealLocalDiskSpec(name string) DeviceSpec {
 	}
 }
 
-// RealRemoteDiskSpec returns the measured NFS-backing disk (515/375 MBps).
-func RealRemoteDiskSpec(name string) DeviceSpec {
-	t := TableIII()
-	return DeviceSpec{
-		Name: name, ReadBW: units.MBps(t.RemoteReadMBps), WriteBW: units.MBps(t.RemoteWriteMBps),
-		Capacity: 450 * units.GiB,
-	}
-}
-
 // ClusterNetworkSpec returns the 25 Gbps (measured 3000 MBps) cluster link.
 func ClusterNetworkSpec(name string) LinkSpec {
 	return LinkSpec{Name: name, BW: units.MBps(TableIII().NetworkMBps)}

@@ -10,8 +10,9 @@ import (
 
 // FuzzScenarioLoad feeds arbitrary documents to LoadReader, resolving
 // file references against the shipped scenarios' directory. Seeds: every
-// shipped scenario, plus one Doc per pcsim flag mode as pcsim compiles it
-// (testdata/fuzz/FuzzScenarioLoad, kept in step by cmd/pcsim's tests).
+// shipped scenario, one Doc per pcsim flag mode as pcsim compiles it
+// (testdata/fuzz/FuzzScenarioLoad, kept in step by cmd/pcsim's tests), and
+// a linuxref host as the experiment grid's reference cells use it.
 // Property: no panic, and an accepted document re-marshals to JSON that
 // loads again.
 func FuzzScenarioLoad(f *testing.F) {
@@ -30,6 +31,14 @@ func FuzzScenarioLoad(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add([]byte(`{"name": "linuxref host",
+  "platform": {"hosts": [{"name": "node0", "cores": 32, "gflops": 1, "ram": "250GiB",
+    "memReadMBps": 6860, "memWriteMBps": 2764, "model": "linuxref",
+    "disks": [{"name": "node0.disk", "readMBps": 510, "writeMBps": 420,
+               "capacity": "450GiB", "partition": "scratch"}]}]},
+  "mode": "writeback", "traceMemS": 1, "snapshotOps": true,
+  "workloads": [{"name": "app", "host": "node0", "partition": "scratch",
+                 "kind": "synthetic", "instances": 2, "size": "3GB"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := LoadReader(bytes.NewReader(data), dir)
 		if err != nil {

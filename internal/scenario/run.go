@@ -71,15 +71,8 @@ func (r *Result) Report(w io.Writer) {
 			fmt.Fprintf(w, "  %s\n", line)
 		}
 	}
-	keys := make([]string, 0, len(r.WorkloadErrs))
-	for k := range r.WorkloadErrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := r.WorkloadErrs[k]; err != nil {
-			fmt.Fprintf(w, "workload %s failed: %v\n", k, err)
-		}
+	for _, k := range r.failedWorkloads() {
+		fmt.Fprintf(w, "workload %s failed: %v\n", k, r.WorkloadErrs[k])
 	}
 	if len(r.Assertions) > 0 {
 		fmt.Fprintln(w, "assertions:")
@@ -92,6 +85,27 @@ func (r *Result) Report(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "makespan: %.6gs\n", r.Makespan)
+}
+
+// failedWorkloads lists the keys of the failed workload instances, sorted.
+func (r *Result) failedWorkloads() []string {
+	var keys []string
+	for k, err := range r.WorkloadErrs {
+		if err != nil {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// WorkloadErr returns the error of the first failed workload instance in
+// key order, naming the instance, or nil when every instance completed.
+func (r *Result) WorkloadErr() error {
+	if keys := r.failedWorkloads(); len(keys) > 0 {
+		return fmt.Errorf("workload %s: %w", keys[0], r.WorkloadErrs[keys[0]])
+	}
+	return nil
 }
 
 // ReadHitRatio is a host's read hit ratio over the run (0 when no reads
@@ -345,7 +359,7 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		// assertions), not run failures: record them and return nil so one
 		// expected error does not abort the simulation.
 		spawn(fmt.Sprintf("%s%d", wl.Name, as.instance), func(a *engine.App) error {
-			res.WorkloadErrs[as.key] = runWorkload(&workload.EngineRunner{App: a, Part: part}, wl, as.instance)
+			res.WorkloadErrs[as.key] = runWorkload(&workload.EngineRunner{App: a, Part: part}, wl, as.instance, d.SnapshotOps)
 			return nil
 		})
 	}
@@ -483,8 +497,8 @@ func (d *Doc) hostCacheConfig(name string) (core.Config, error) {
 }
 
 // runWorkload runs one instance of a synthetic, iterative or nighres
-// workload.
-func runWorkload(r *workload.EngineRunner, wl WorkloadDoc, instance int) error {
+// workload; snapshot records a synthetic one's per-op cache contents.
+func runWorkload(r *workload.EngineRunner, wl WorkloadDoc, instance int, snapshot bool) error {
 	size, _ := units.ParseBytes(wl.Size)
 	cpu := workload.SyntheticCPU(size)
 	if wl.CPUS != nil {
@@ -493,7 +507,7 @@ func runWorkload(r *workload.EngineRunner, wl WorkloadDoc, instance int) error {
 	switch wl.Kind {
 	case "synthetic":
 		return workload.RunSynthetic(r, workload.SyntheticSpec{
-			Size: size, CPU: cpu, Files: workload.SyntheticFiles(instance),
+			Size: size, CPU: cpu, Files: workload.SyntheticFiles(instance), Snapshot: snapshot,
 		})
 	case "iterative":
 		return workload.RunIterative(r, workload.IterativeSpec{

@@ -16,7 +16,9 @@
 // explicitly means no compute.
 //
 // Run is the simulator's one run path for single simulations: pcsim's
-// flag modes compile to a Doc and run through it too.
+// flag modes compile to a Doc and run through it, and so does every
+// engine-backed cell of the experiment grid (internal/exp), whose reference
+// stack is a host with "model": "linuxref" (see platform.Config).
 package scenario
 
 import (
@@ -56,6 +58,10 @@ type Doc struct {
 	// TraceMemS samples every host's memory accounting at this period
 	// (0: no memory trace).
 	TraceMemS float64 `json:"traceMemS,omitempty"`
+	// SnapshotOps records the host's per-file cache contents after every
+	// I/O operation of the synthetic workloads (Fig 4c), in the Snaps log
+	// of Result.Hosts. Every workload must then be synthetic.
+	SnapshotOps bool `json:"snapshotOps,omitempty"`
 
 	Mounts     []MountDoc     `json:"mounts,omitempty"`
 	Cgroups    []CgroupDoc    `json:"cgroups,omitempty"`
@@ -384,6 +390,37 @@ func (d *Doc) Validate() error {
 	if d.TraceMemS < 0 {
 		return fmt.Errorf("scenario: %s: negative traceMemS", d.Name)
 	}
+	if d.SnapshotOps {
+		for _, w := range d.Workloads {
+			if w.Kind != "synthetic" {
+				return fmt.Errorf("scenario: %s: snapshotOps records synthetic workloads only, not %s workload %q", d.Name, w.Kind, w.Name)
+			}
+		}
+	}
+	// The linuxref model keeps its own kernel settings and no core.Manager:
+	// it runs in writeback mode, takes no run-wide cache override, and
+	// cannot host cgroups or restore a warm cache.
+	linuxrefHosts := map[string]bool{}
+	for _, h := range d.Platform.Hosts {
+		if h.Model != platform.ModelLinuxref {
+			continue
+		}
+		linuxrefHosts[h.Name] = true
+		bad := ""
+		switch {
+		case d.Mode != "" && d.Mode != "writeback":
+			bad = "mode " + d.Mode
+		case d.DirtyRatio > 0:
+			bad = "dirtyRatio"
+		case d.DirtyExpireS != nil:
+			bad = "dirtyExpireS"
+		case d.Warmup != nil:
+			bad = "warmup"
+		}
+		if bad != "" {
+			return fmt.Errorf("scenario: %s: host %q runs model %s, which takes no %s", d.Name, h.Name, h.Model, bad)
+		}
+	}
 
 	hosts := map[string]bool{}
 	partOwner := map[string]string{} // partition -> host
@@ -438,6 +475,9 @@ func (d *Doc) Validate() error {
 		groups[g.Name] = true
 		if !hosts[g.Host] {
 			return fmt.Errorf("scenario: cgroup %q: unknown host %q", g.Name, g.Host)
+		}
+		if linuxrefHosts[g.Host] {
+			return fmt.Errorf("scenario: cgroup %q: host %q runs model linuxref, which takes no cgroup", g.Name, g.Host)
 		}
 		if n, err := units.ParseBytes(g.Limit); err != nil || n <= 0 {
 			return fmt.Errorf("scenario: cgroup %q: bad limit %q", g.Name, g.Limit)
@@ -508,6 +548,9 @@ func (d *Doc) Validate() error {
 	}
 
 	for _, a := range d.Assertions {
+		if linuxrefHosts[a.Host] && (a.Kind == AssertMinReadHitRatio || a.Kind == AssertAllDirtyFlushed || a.Kind == AssertMaxForcedEvict) {
+			return fmt.Errorf("scenario: assertion %s: host %q runs model linuxref, which does not report it", a.Kind, a.Host)
+		}
 		switch a.Kind {
 		case AssertMakespanBelow, AssertMakespanAbove:
 			if a.Seconds <= 0 {

@@ -353,6 +353,27 @@ func TestValidateRejects(t *testing.T) {
 			d.Mounts = []MountDoc{{Client: "node0", Partition: "export", Link: "net",
 				Retry: &RetryDoc{Policy: "yolo"}}}
 		}, "unknown retry policy"},
+		{"unknown host model", func(d *Doc) { d.Platform.Hosts[0].Model = "mglru" }, "unknown model"},
+		{"linuxref cachePolicy", linuxref(func(d *Doc) { d.Platform.Hosts[0].CachePolicy = "lru" }), "cachePolicy"},
+		{"linuxref writebackPolicy", linuxref(func(d *Doc) { d.Platform.Hosts[0].WritebackPolicy = "oldest-first" }), "writebackPolicy"},
+		{"linuxref dirtyBackgroundRatio", linuxref(func(d *Doc) { d.Platform.Hosts[0].DirtyBackgroundRatio = 0.1 }), "dirtyBackgroundRatio"},
+		{"linuxref lfuHalfLife", linuxref(func(d *Doc) { d.Platform.Hosts[0].LFUHalfLife = 10 }), "lfuHalfLife"},
+		{"linuxref perDeviceWriteback", linuxref(func(d *Doc) { d.Platform.Hosts[0].PerDeviceWriteback = true }), "perDeviceWriteback"},
+		{"linuxref evictExcludesOpenWrites", linuxref(func(d *Doc) { d.Platform.Hosts[0].EvictExcludesOpenWrites = true }), "evictExcludesOpenWrites"},
+		{"linuxref mode", linuxref(func(d *Doc) { d.Mode = "cacheless" }), "mode cacheless"},
+		{"linuxref dirtyRatio", linuxref(func(d *Doc) { d.DirtyRatio = 0.3 }), "dirtyRatio"},
+		{"linuxref dirtyExpireS", linuxref(func(d *Doc) { d.DirtyExpireS = cpuS(10) }), "dirtyExpireS"},
+		{"linuxref warmup", linuxref(func(d *Doc) { d.Warmup = &WarmupDoc{SnapshotFile: "warm.json"} }), "warmup"},
+		{"linuxref cgroup", linuxref(func(d *Doc) {
+			d.Cgroups = []CgroupDoc{{Host: "node0", Name: "g", Limit: "1GiB"}}
+		}), "takes no cgroup"},
+		{"linuxref hit-ratio assertion", linuxref(func(d *Doc) {
+			d.Assertions = []AssertionDoc{{Kind: AssertMinReadHitRatio, Host: "node0", Ratio: 0.5}}
+		}), "does not report it"},
+		{"snapshotOps on a nighres workload", func(d *Doc) {
+			d.SnapshotOps = true
+			d.Workloads[0].Kind = "nighres"
+		}, "snapshotOps"},
 	}
 	for _, tc := range cases {
 		d := baseDoc()
@@ -365,6 +386,14 @@ func TestValidateRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// linuxref makes the document's host a linuxref host before applying mut.
+func linuxref(mut func(*Doc)) func(*Doc) {
+	return func(d *Doc) {
+		d.Platform.Hosts[0].Model = platform.ModelLinuxref
+		mut(d)
 	}
 }
 

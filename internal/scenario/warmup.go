@@ -40,15 +40,8 @@ func applyWarmup(d *Doc, sim *engine.Simulation, plat *engine.Platform, groups m
 		if err != nil {
 			return fmt.Errorf("scenario: warmup run: %w", err)
 		}
-		keys := make([]string, 0, len(wres.WorkloadErrs))
-		for k := range wres.WorkloadErrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if werr := wres.WorkloadErrs[k]; werr != nil {
-				return fmt.Errorf("scenario: warmup workload %s: %v", k, werr)
-			}
+		if werr := wres.WorkloadErr(); werr != nil {
+			return fmt.Errorf("scenario: warmup %v", werr)
 		}
 		snap, err = wres.SnapshotState()
 		if err != nil {
