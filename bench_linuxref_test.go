@@ -11,28 +11,13 @@
 package repro
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/linuxref"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
-
-// linuxrefWritersDoc is the Exp 2 ground-truth platform (the paper's node
-// with Table III's measured bandwidths and the linuxref model) running n
-// concurrent synthetic pipelines on size-byte files.
-const linuxrefWritersDoc = `{
-  "name": "linuxref concurrent writers",
-  "platform": {"hosts": [{
-    "name": "node0", "cores": 32, "gflops": 1, "ram": "250GiB",
-    "memReadMBps": 6860, "memWriteMBps": 2764, "model": "linuxref",
-    "disks": [{"name": "node0.disk", "readMBps": 510, "writeMBps": 420,
-               "capacity": "450GiB", "partition": "scratch"}]}]},
-  "workloads": [{"name": "app", "host": "node0", "partition": "scratch",
-                 "kind": "synthetic", "instances": %d, "size": "%d"}]
-}`
 
 // BenchmarkLinuxrefConcurrentWrites runs 16 concurrent synthetic pipelines
 // (read, compute, write, three times) on 6 GB files on the Exp 2
@@ -43,7 +28,7 @@ func BenchmarkLinuxrefConcurrentWrites(b *testing.B) {
 	b.ReportAllocs()
 	var st linuxref.ReclaimStats
 	for i := 0; i < b.N; i++ {
-		d, err := scenario.LoadReader(strings.NewReader(fmt.Sprintf(linuxrefWritersDoc, n, size)), "")
+		d, err := exp.ConcurrentDoc(n, size, exp.StackReal)
 		if err != nil {
 			b.Fatal(err)
 		}

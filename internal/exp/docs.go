@@ -25,13 +25,22 @@ type docCell interface {
 	payload(res *scenario.Result) any
 }
 
-// runDocCell runs an engine-backed cell. A failed workload fails the cell
-// with the error of the first failed instance in key order.
+// runDocCell runs an engine-backed cell.
 func runDocCell(c docCell) (any, error) {
 	d, opts, err := c.doc()
 	if err != nil {
 		return nil, err
 	}
+	res, err := runDoc(d, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.payload(res), nil
+}
+
+// runDoc runs a cell's document. A failed workload fails the run with the
+// error of the first failed instance in key order.
+func runDoc(d *scenario.Doc, opts scenario.RunOpts) (*scenario.Result, error) {
 	res, err := scenario.Run(d, opts)
 	if err == nil {
 		err = res.WorkloadErr()
@@ -39,7 +48,7 @@ func runDocCell(c docCell) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", d.Name, err)
 	}
-	return c.payload(res), nil
+	return res, nil
 }
 
 // paperDoc starts a cell's document on the paper's platform (§III.D) in the

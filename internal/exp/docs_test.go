@@ -49,10 +49,7 @@ func TestCellDocsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reloading its document: %v\n%s", name, err, raw)
 		}
-		res, err := scenario.Run(loaded, opts)
-		if err == nil {
-			err = res.WorkloadErr()
-		}
+		res, err := runDoc(loaded, opts)
 		if err != nil {
 			t.Fatalf("%s: running the reloaded document: %v", name, err)
 		}

@@ -74,6 +74,14 @@ func (a concurrentArgs) doc() (*scenario.Doc, scenario.RunOpts, error) {
 
 func (concurrentArgs) payload(res *scenario.Result) any { return concurrentPayloadOf(res) }
 
+// ConcurrentDoc is the document of one local Fig 5 cell without repetition
+// jitter: n concurrent synthetic pipelines on size-byte files on stack st,
+// on the host "node0". For StackReal that host runs the linuxref model.
+func ConcurrentDoc(n int, size int64, st Stack) (*scenario.Doc, error) {
+	d, _, err := concurrentArgs{N: n, Size: size, Stack: st}.doc()
+	return d, err
+}
+
 // concurrentPayloadOf reads the instances' mean read and write times.
 func concurrentPayloadOf(res *scenario.Result) *concurrentPayload {
 	return &concurrentPayload{

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
@@ -423,7 +422,7 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := scenario.Run(d, opts)
+		res, err := runDoc(d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,13 +433,13 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic: %+v vs %+v", o1, o2)
 	}
 	// The jittered real proxy is deterministic per repetition seed too.
-	real := func(rep int) float64 {
+	realProxy := func(rep int) float64 {
 		return run(concurrentArgs{N: 4, Size: 3 * units.GB, Stack: StackReal, Rep: rep, Jitter: 0.03}).makespan
 	}
-	if real(1) != real(1) {
+	if realProxy(1) != realProxy(1) {
 		t.Fatal("real proxy not deterministic for fixed rep")
 	}
-	if real(1) == real(2) {
+	if realProxy(1) == realProxy(2) {
 		t.Fatal("repetition jitter has no effect")
 	}
 }

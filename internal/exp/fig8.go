@@ -147,10 +147,15 @@ func RunSimTimeConfig(mode engine.Mode, remote bool, levels []int) (SimTimeSerie
 	return s, nil
 }
 
-// simTimeCell times one concurrent run, from its document to its result.
+// simTimeCell times one concurrent run, from its platform build to its
+// result; compiling the cell's document is not timed.
 func simTimeCell(a fig8Args) (float64, error) {
+	d, opts, err := a.doc()
+	if err != nil {
+		return 0, err
+	}
 	start := time.Now()
-	if _, err := runDocCell(a); err != nil {
+	if _, err := runDoc(d, opts); err != nil {
 		return 0, err
 	}
 	return time.Since(start).Seconds(), nil

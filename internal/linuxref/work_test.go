@@ -1,33 +1,20 @@
 package linuxref_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/linuxref"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
-// concurrentWritersDoc is the Exp 2 ground-truth platform (the paper's
-// node with Table III's measured bandwidths and the linuxref model) running
-// n concurrent synthetic pipelines on size-byte files.
-const concurrentWritersDoc = `{
-  "name": "linuxref concurrent writers",
-  "platform": {"hosts": [{
-    "name": "node0", "cores": 32, "gflops": 1, "ram": "250GiB",
-    "memReadMBps": 6860, "memWriteMBps": 2764, "model": "linuxref",
-    "disks": [{"name": "node0.disk", "readMBps": 510, "writeMBps": 420,
-               "capacity": "450GiB", "partition": "scratch"}]}]},
-  "workloads": [{"name": "app", "host": "node0", "partition": "scratch",
-                 "kind": "synthetic", "instances": %d, "size": "%d"}]
-}`
-
-// runConcurrentWriters runs concurrentWritersDoc and returns its reference
-// model.
+// runConcurrentWriters runs the Exp 2 ground-truth cell (the paper's node
+// with Table III's measured bandwidths and the linuxref model) with n
+// concurrent synthetic pipelines on size-byte files and returns its
+// reference model.
 func runConcurrentWriters(n int, size int64) (*linuxref.Model, error) {
-	d, err := scenario.LoadReader(strings.NewReader(fmt.Sprintf(concurrentWritersDoc, n, size)), "")
+	d, err := exp.ConcurrentDoc(n, size, exp.StackReal)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 
 	"repro/internal/cgroup"
 	"repro/internal/chaos"
@@ -323,13 +324,13 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 					}
 				}
 			}
-			apps = append(apps, appSpec{wl: wl, instance: instance, key: fmt.Sprintf("%s[%d]", wl.Name, i), wf: wf})
+			apps = append(apps, appSpec{wl: wl, instance: instance, key: instanceKey(wl.Name, i), wf: wf})
 			instance++
 		}
 	}
-	for _, as := range apps {
-		as := as
-		wl := as.wl
+	for k := range apps {
+		as := &apps[k]
+		wl := &as.wl
 		hr := plat.Hosts[wl.Host]
 		part := plat.Partitions[wl.Partition]
 		spawn := func(name string, body func(*engine.App) error) {
@@ -358,8 +359,8 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		// Workload failures are scenario data (completed/failed
 		// assertions), not run failures: record them and return nil so one
 		// expected error does not abort the simulation.
-		spawn(fmt.Sprintf("%s%d", wl.Name, as.instance), func(a *engine.App) error {
-			res.WorkloadErrs[as.key] = runWorkload(&workload.EngineRunner{App: a, Part: part}, wl, as.instance, d.SnapshotOps)
+		spawn(wl.Name+strconv.Itoa(as.instance), func(a *engine.App) error {
+			res.WorkloadErrs[as.key] = runWorkload(&workload.EngineRunner{App: a, Part: part}, *wl, as.instance, d.SnapshotOps)
 			return nil
 		})
 	}
@@ -573,6 +574,9 @@ func createInput(sim *engine.Simulation, part *storage.Partition, name string, s
 	return sim.NS.Place(name, part)
 }
 
+// instanceKey names instance i of workload name in Result.WorkloadErrs.
+func instanceKey(name string, i int) string { return name + "[" + strconv.Itoa(i) + "]" }
+
 // evaluate runs every assertion (plus the implicit completion assertions)
 // against the finished simulation.
 func evaluate(d *Doc, plat *engine.Platform, groups map[string]*cgroup.Group, res *Result) []AssertionResult {
@@ -591,7 +595,7 @@ func evaluate(d *Doc, plat *engine.Platform, groups map[string]*cgroup.Group, re
 			}
 			for i := 0; i < n; i++ {
 				instances++
-				if err := res.WorkloadErrs[fmt.Sprintf("%s[%d]", name, i)]; err != nil {
+				if err := res.WorkloadErrs[instanceKey(name, i)]; err != nil {
 					failures++
 					if first == nil {
 						first = err
