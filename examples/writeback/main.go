@@ -70,7 +70,7 @@ func runBurst(writeback string, bg float64) (makespan, throttled, hitRatio float
 	if err := sim.Run(); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	ratio := trace.HitPoint{HitBytes: mgr.ReadHitBytes(), MissBytes: mgr.ReadMissBytes()}.Ratio()
+	ratio := trace.MemPoint{HitBytes: mgr.ReadHitBytes(), MissBytes: mgr.ReadMissBytes()}.HitRatio()
 	return sim.Makespan(), mgr.WriteThrottledSeconds(), ratio, mgr.FlushedBytes(), nil
 }
 

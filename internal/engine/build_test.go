@@ -203,9 +203,9 @@ func TestBuildPlatformModelAndEvictFlag(t *testing.T) {
 }
 
 func TestEnableHitTraceSeries(t *testing.T) {
-	// The hit sampler records cumulative counters: a cold read then a warm
-	// read must show the miss before the hit in the series, with the final
-	// sample matching the model's end-state counters.
+	// The memory sampler records the cumulative hit counters: a cold read
+	// then a warm read must show the miss before the hit in the series, with
+	// the final sample matching the model's end-state counters.
 	cfg, err := platform.LoadConfig(strings.NewReader(twoNodeConfig))
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestEnableHitTraceSeries(t *testing.T) {
 	if err := sim.NS.Place("f", export); err != nil {
 		t.Fatal(err)
 	}
-	server.EnableHitTrace(0.01)
+	server.EnableMemTrace(0.01)
 	sim.SpawnApp(server, 0, "app", func(a *App) error {
 		if err := a.ReadFile("f", "cold"); err != nil {
 			return err
@@ -236,7 +236,7 @@ func TestEnableHitTraceSeries(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pts := server.HitTrace.Points
+	pts := server.MemTrace.Points
 	if len(pts) < 2 {
 		t.Fatalf("only %d hit samples", len(pts))
 	}

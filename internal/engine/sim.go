@@ -58,7 +58,6 @@ type HostRuntime struct {
 	remotes map[*storage.Partition]*mount
 
 	MemTrace *trace.MemSeries
-	HitTrace *trace.HitSeries
 	Snaps    *trace.SnapshotLog
 }
 
@@ -198,8 +197,9 @@ func (hr *HostRuntime) Caller(p *des.Proc) core.Caller {
 // Disks returns the host's local disk devices in attach order.
 func (hr *HostRuntime) Disks() []*platform.Device { return hr.disks }
 
-// EnableMemTrace samples the host's memory accounting every dt seconds for
-// the duration of the run.
+// EnableMemTrace samples the host's memory accounting and cumulative
+// read-hit counters every dt seconds for the duration of the run. Models
+// that do not track hits (cacheless) sample them as zeros.
 func (hr *HostRuntime) EnableMemTrace(dt float64) {
 	hr.MemTrace = &trace.MemSeries{}
 	s := hr.sim
@@ -209,24 +209,7 @@ func (hr *HostRuntime) EnableMemTrace(dt float64) {
 			hr.MemTrace.Add(trace.MemPoint{
 				T: p.Now(), Used: st.Anon + st.Cache, Cache: st.Cache,
 				Dirty: st.Dirty, Anon: st.Anon,
-			})
-			p.Sleep(dt)
-		}
-	})
-}
-
-// EnableHitTrace samples the host model's cumulative read-hit counters
-// every dt seconds for the duration of the run — the hit-ratio-evolution
-// series of the policy and writeback ablations. Models that do not track
-// hits (cacheless, linuxref) sample as all zeros.
-func (hr *HostRuntime) EnableHitTrace(dt float64) {
-	hr.HitTrace = &trace.HitSeries{}
-	s := hr.sim
-	s.K.Spawn(hr.Host.Name()+"-hit-sampler", func(p *des.Proc) {
-		for s.running {
-			st := hr.Model.Snapshot()
-			hr.HitTrace.Add(trace.HitPoint{
-				T: p.Now(), HitBytes: st.ReadHitBytes, MissBytes: st.ReadMissBytes,
+				HitBytes: st.ReadHitBytes, MissBytes: st.ReadMissBytes,
 			})
 			p.Sleep(dt)
 		}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/platform"
-	"repro/internal/storage"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/units"
 )
@@ -97,85 +97,70 @@ func devDisks() []devDisk {
 	}
 }
 
-// runDevices runs one mode cell: each disk's writer writes size bytes to
-// it on a host with ram bytes of memory, in chunk-byte I/O steps.
+// devicesCell is one mode cell: each disk's writer writes size bytes to it
+// on a host with ram bytes of memory, in chunk-byte I/O steps.
+type devicesCell struct {
+	mode             string
+	ram, size, chunk int64
+}
+
+// runDevices runs one mode cell.
 func runDevices(mode string, ram, size, chunk int64) (*devicesPayload, error) {
-	disks := devDisks()
-
-	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(ram)
-	cfg.DirtyBackgroundRatio = devBG
-	mgr, err := core.NewManager(cfg)
+	pay, err := runDocCell(devicesCell{mode: mode, ram: ram, size: size, chunk: chunk})
 	if err != nil {
 		return nil, err
 	}
-	model, err := engine.NewCoreModel(mgr, chunk, engine.ModeWriteback)
-	if err != nil {
-		return nil, err
-	}
-	spec := platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem"))
-	spec.MemoryCap = ram
-	hr, err := sim.AddHostWithModel(spec, engine.ModeWriteback, model)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*storage.Partition, len(disks))
-	for i, d := range disks {
-		bw := units.MBps(d.mbps)
-		part, err := hr.AddDisk(platform.DeviceSpec{
-			Name: d.name, ReadBW: bw, WriteBW: bw, Capacity: 64 * units.GiB,
-		}, d.part, 64*units.GiB)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = part
-	}
-	if mode == "per-device" {
-		if err := hr.EnablePerDeviceWriteback(nil); err != nil {
-			return nil, err
-		}
-	}
+	return pay.(*devicesPayload), nil
+}
 
-	walls := make([]float64, len(disks))
-	for i, d := range disks {
-		i, d := i, d
-		out := fmt.Sprintf("storm-%s.bin", d.name)
-		sim.SpawnApp(hr, i, "writer-"+d.name, func(app *engine.App) error {
-			if err := app.WriteFile(out, size, parts[i], "Write 1"); err != nil {
-				return err
-			}
-			walls[i] = app.Now()
-			return nil
-		})
+// doc places one writer per disk on the paper's node, its disks replaced
+// by the mixed-speed pair, with background writeback on and, in
+// per-device mode, one writeback domain per disk.
+func (c devicesCell) doc() (*scenario.Doc, scenario.RunOpts, error) {
+	d := paperDoc("device ablation "+c.mode, engine.ModeWriteback, false, false)
+	d.Chunk = byteStr(c.chunk)
+	h := &d.Platform.Hosts[0]
+	h.RAM, h.DirtyBackgroundRatio, h.PerDeviceWriteback = byteStr(c.ram), devBG, c.mode == "per-device"
+	h.Disks = nil
+	for _, dk := range devDisks() {
+		h.Disks = append(h.Disks, platform.DiskConfig{Name: dk.name, ReadMBps: dk.mbps, WriteMBps: dk.mbps,
+			Capacity: byteStr(64 * units.GiB), Partition: dk.part})
+		d.Workloads = append(d.Workloads, scenario.WorkloadDoc{Name: "writer-" + dk.name, Host: h.Name,
+			Kind: "write", Partition: dk.part, Size: byteStr(c.size)})
 	}
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("device ablation %s: %w", mode, err)
-	}
+	return d, scenario.RunOpts{}, nil
+}
 
-	// Per-writer throttle time: the writer's own domain in per-device mode,
-	// the host-wide total (unsplittable) in global mode.
-	stats := mgr.DomainStats()
-	byDev := make(map[string]core.DomainStat, len(stats))
-	for _, st := range stats {
+// payload reads each writer's wall time off its write and its throttle
+// time off the host cache: the writer's own domain in per-device mode, the
+// host-wide total (unsplittable) in global mode.
+func (c devicesCell) payload(res *scenario.Result) any {
+	mgr := res.Hosts[res.Doc.Platform.Hosts[0].Name].Model.(engine.ManagerProvider).Manager()
+	byDev := map[string]core.DomainStat{}
+	for _, st := range mgr.DomainStats() {
 		byDev[st.Dev] = st
+	}
+	walls := make([]float64, len(res.Doc.Workloads))
+	for _, op := range res.Sim.Log.ByName("Write 1") {
+		walls[op.Instance] = op.End
 	}
 	memBW := platform.SimMemorySpec("mem").WriteBW
 	pay := &devicesPayload{}
-	for i, d := range disks {
+	for i, dk := range devDisks() {
 		throttled := mgr.WriteThrottledSeconds()
 		limit := mgr.DirtyThreshold()
-		if st, ok := byDev[d.name]; ok {
+		if st, ok := byDev[dk.name]; ok {
 			throttled = st.WriteThrottledSeconds
 			limit = st.DirtyThreshold
 		}
 		pred := cawl.Model{
-			MemBW: memBW, DevBW: units.MBps(d.mbps), DirtyLimit: limit,
-		}.WriteTime(size)
+			MemBW: memBW, DevBW: units.MBps(dk.mbps), DirtyLimit: limit,
+		}.WriteTime(c.size)
 		pay.Writers = append(pay.Writers, deviceWriterPayload{
-			Dev: d.name, Bytes: size, Wall: walls[i], Throttled: throttled, Pred: pred,
+			Dev: dk.name, Bytes: c.size, Wall: walls[i], Throttled: throttled, Pred: pred,
 		})
 	}
-	return pay, nil
+	return pay
 }
 
 // DevicesCells enumerates the ablation grid: one cell per writeback mode.

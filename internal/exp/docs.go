@@ -13,9 +13,10 @@ import (
 // This file is the simulation side of the engine-backed cells: each one
 // compiles to one scenario.Doc (the paper's platform, the stack's cache
 // model, the workloads) and runs through scenario.Run, the path pcsim and
-// the shipped scenarios take too. The writeback and device ablations run
-// bare writer processes no workload kind expresses and keep rigs of their
-// own; the pysim stack is the separate prototype.
+// the shipped scenarios take too. That includes the writeback and device
+// ablations, whose bare writers are the write and writeread workload
+// kinds. Only the pysim stack, the separate prototype, builds its own
+// simulation.
 
 // docCell is the argument struct of an engine-backed cell kind.
 type docCell interface {

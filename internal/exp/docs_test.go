@@ -18,6 +18,13 @@ import (
 // document marshalled to JSON, reloaded with scenario.LoadReader and run
 // gives the same payload bytes as the cell itself.
 func TestCellDocsRoundTrip(t *testing.T) {
+	wb := wbWorkloads(false) // burst, pipeline, NFS; RAM and volumes cut to 1/16
+	for i := range wb {
+		wb[i].ram /= 16
+		for j := range wb[i].sizes {
+			wb[i].sizes[j] /= 16
+		}
+	}
 	cells := map[string]docCell{
 		"exp1":       exp1Args{Size: units.GB, Stack: StackReal},
 		"concurrent": concurrentArgs{N: 3, Size: 300 * units.MB, Remote: true, Stack: StackReal, Rep: 1, Jitter: 0.03},
@@ -27,6 +34,10 @@ func TestCellDocsRoundTrip(t *testing.T) {
 		"policy":     policyArgs{Workload: "synthetic-20gb-32gbram", Policy: "clock"},
 		"ffwd":       ffwdArgs{Workload: "iter-60x1gb", FFwd: true},
 		"fig8":       fig8Args{Mode: engine.ModeCacheless, Remote: true, N: 2},
+		"writeback":  writebackCell{w: wb[0], wb: "file-rr", bg: 0.1},
+		"writeback2": writebackCell{w: wb[1], wb: "oldest-first"},
+		"writeback3": writebackCell{w: wb[2], wb: "proportional", bg: 0.1},
+		"devices":    devicesCell{mode: "per-device", ram: 2 * units.GiB, size: 3 * units.GB, chunk: 10 * units.MB},
 	}
 	for name, c := range cells {
 		want, err := runDocCell(c)

@@ -7,12 +7,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/platform"
-	"repro/internal/storage"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // WritebackRow is one (workload, writeback policy, background ratio) cell
@@ -28,12 +26,13 @@ type WritebackRow struct {
 }
 
 // WritebackSeries is the hit-ratio evolution of one local cell (the
-// time-series observable the end-state tables cannot show).
+// time-series observable the end-state tables cannot show), read off the
+// node's memory trace.
 type WritebackSeries struct {
 	Workload  string
 	Writeback string
 	BGRatio   float64
-	Points    []trace.HitPoint
+	Points    []trace.MemPoint
 }
 
 // WritebackResult collects the writeback ablation: every registered
@@ -46,175 +45,29 @@ type WritebackResult struct {
 	Series    []WritebackSeries
 }
 
-// wbMetrics reads the ablation observables off a manager.
-type wbMetrics struct{ mgr *core.Manager }
-
-func (w wbMetrics) payload(makespan float64) writebackPayload {
-	return writebackPayload{
-		Makespan:  makespan,
-		Flushed:   w.mgr.FlushedBytes(),
-		Throttled: w.mgr.WriteThrottledSeconds(),
-		HitBytes:  w.mgr.ReadHitBytes(),
-		MissBytes: w.mgr.ReadMissBytes(),
-	}
-}
-
-// wbRig is a local cell's simulation: one host with one partition. Its
-// writers are bare processes no scenario workload kind expresses, so the
-// writeback cells build their simulations directly.
-type wbRig struct {
-	sim  *engine.Simulation
-	host *engine.HostRuntime
-	part *storage.Partition
-}
-
-// newWritebackRig builds the paper's single-node platform in writeback mode
-// with the given writeback policy, background ratio and RAM, returning the
-// host's manager so the flush/throttle/hit counters are observable.
-func newWritebackRig(writeback string, bg float64, ram int64) (*wbRig, *core.Manager, error) {
-	if ram <= 0 {
-		ram = RAM
-	}
-	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(ram)
-	cfg.Writeback = writeback
-	cfg.DirtyBackgroundRatio = bg
-	mgr, err := core.NewManager(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	model, err := engine.NewCoreModel(mgr, ChunkSize, engine.ModeWriteback)
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem"))
-	spec.MemoryCap = ram
-	hr, err := sim.AddHostWithModel(spec, engine.ModeWriteback, model)
-	if err != nil {
-		return nil, nil, err
-	}
-	part, err := hr.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", DiskCap)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &wbRig{sim: sim, host: hr, part: part}, mgr, nil
-}
-
-// runWriteBurst places one write-then-reread application per entry of
-// sizes: each writes its own file and reads it back after a short compute
-// phase. The aggregate working set exceeds RAM and the sizes are
-// deliberately skewed, so per-file dirty backlogs differ and the writeback
-// order decides which blocks are clean (evictable) when the rereads arrive
-// — the write-heavy pattern that separates the policies. (With symmetric
-// writers all four orders coincide: interleaved equal-rate writers produce
-// the same effective schedule under list, age, round-robin and
-// proportional order alike.)
-func runWriteBurst(rig *wbRig, sizes []int64) error {
-	for i, size := range sizes {
-		i, size := i, size
-		out := fmt.Sprintf("burst%d.bin", i)
-		rig.sim.SpawnApp(rig.host, i, fmt.Sprintf("writer%d", i), func(a *engine.App) error {
-			if err := a.WriteFile(out, size, rig.part, "Write 1"); err != nil {
-				return err
-			}
-			a.Compute(5, "Compute 1")
-			if err := a.ReadFile(out, "Read 1"); err != nil {
-				return err
-			}
-			a.ReleaseTaskMemory()
-			return nil
-		})
-	}
-	return rig.sim.Run()
-}
-
-// runPipeline runs one instance of the synthetic pipeline on size-byte
-// files.
-func runPipeline(rig *wbRig, size int64) error {
-	files := workload.SyntheticFiles(0)
-	if _, err := rig.part.CreateSized(files[0], size); err != nil {
-		return fmt.Errorf("exp: creating input %s: %w", files[0], err)
-	}
-	if err := rig.sim.NS.Place(files[0], rig.part); err != nil {
-		return err
-	}
-	rig.sim.SpawnApp(rig.host, 0, "app0", func(a *engine.App) error {
-		return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: rig.part}, workload.SyntheticSpec{
-			Size: size, CPU: workload.SyntheticCPU(size), Files: files,
-		})
-	})
-	return rig.sim.Run()
-}
-
-// runWritebackNFS executes the NFS cell: one client application per entry
-// of sizes writes its file through to a writeback server (dirty throttling
-// and flush scheduling run server-side) and reads it back. Returns the
-// server manager the observables are read from.
-func runWritebackNFS(writeback string, bg float64, srvRAM int64, sizes []int64) (*core.Manager, float64, error) {
-	sim := engine.NewSimulation()
-	client, err := sim.AddHost(
-		platform.PaperHostSpec("client", platform.SimMemorySpec("client.mem")),
-		engine.ModeWriteback, core.DefaultConfig(RAM), ChunkSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	server, err := sim.AddHost(
-		platform.PaperHostSpec("server", platform.SimMemorySpec("server.mem")),
-		engine.ModeWriteback, core.DefaultConfig(RAM), ChunkSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	part, err := server.AddDisk(platform.SimRemoteDiskSpec("server.disk"), "export", DiskCap)
-	if err != nil {
-		return nil, 0, err
-	}
-	link, err := platform.NewLink(sim.Sys, platform.ClusterNetworkSpec("net"))
-	if err != nil {
-		return nil, 0, err
-	}
-	srvCfg := core.DefaultConfig(srvRAM)
-	srvCfg.Writeback = writeback
-	srvCfg.DirtyBackgroundRatio = bg
-	srvMgr, err := core.NewManager(srvCfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := client.MountRemote(part, link, engine.MountOpts{
-		SrvMgr: srvMgr, SrvMem: server.Host.Memory(), Chunk: ChunkSize,
-		ServerWriteback: true,
-	}); err != nil {
-		return nil, 0, err
-	}
-	for i, size := range sizes {
-		i, size := i, size
-		out := fmt.Sprintf("remote%d.bin", i)
-		sim.SpawnApp(client, i, fmt.Sprintf("client%d", i), func(a *engine.App) error {
-			if err := a.WriteFile(out, size, part, "Write 1"); err != nil {
-				return err
-			}
-			a.Compute(5, "Compute 1")
-			if err := a.ReadFile(out, "Read 1"); err != nil {
-				return err
-			}
-			a.ReleaseTaskMemory()
-			return nil
-		})
-	}
-	if err := sim.Run(); err != nil {
-		return nil, 0, err
-	}
-	return srvMgr, sim.Makespan(), nil
-}
-
 // wbWorkload is one placeable cell family of the writeback ablation.
 type wbWorkload struct {
 	name string
-	ram  int64   // 0: the paper's 250 GiB
-	cost float64 // relative cell cost for the grid scheduler
-	// run executes the workload on a prepared rig (nil for the NFS cell,
-	// which builds its own client/server pair).
-	run func(rig *wbRig) error
-	nfs bool
+	// ram is the RAM of the host whose cache writes back: the local node,
+	// or the NFS cell's server.
+	ram int64
+	// sizes are the write volumes of the write-then-reread instances; the
+	// pipeline cell runs the synthetic pipeline on sizes[0] instead.
+	sizes    []int64
+	pipeline bool
+	nfs      bool
+}
+
+// cost is the relative cell cost for the grid scheduler.
+func (w wbWorkload) cost() float64 {
+	var total int64
+	for _, size := range w.sizes {
+		total += size
+	}
+	if w.nfs {
+		return costGB(total, 1) * 2
+	}
+	return costGB(total, 1)
 }
 
 // wbBGRatios are the studied background-writeback settings: disabled (the
@@ -224,20 +77,25 @@ var wbBGRatios = []float64{0, 0.10}
 
 // wbWorkloads lists the ablation's workloads; quick thins the grid to the
 // write burst and the NFS cell.
+//
+// The write burst places one write-then-reread application per size on a
+// pressured node: each writes its own file and reads it back after a short
+// compute phase. The aggregate working set exceeds RAM and the sizes are
+// deliberately skewed, so per-file dirty backlogs differ and the writeback
+// order decides which blocks are clean (evictable) when the rereads arrive
+// — the write-heavy pattern that separates the policies. (With symmetric
+// writers all four orders coincide: interleaved equal-rate writers produce
+// the same effective schedule under list, age, round-robin and
+// proportional order alike.) The NFS cell runs a smaller burst whose
+// clients write through to a writeback server: dirty throttling and flush
+// scheduling run server-side.
 func wbWorkloads(quick bool) []wbWorkload {
-	burstSizes := []int64{12 * units.GB, 6 * units.GB, 3 * units.GB, 3 * units.GB}
 	burst := wbWorkload{name: "writeburst-skewed24gb-32gbram", ram: 32 * units.GiB,
-		cost: costGB(24*units.GB, 1),
-		run: func(rig *wbRig) error {
-			return runWriteBurst(rig, burstSizes)
-		}}
+		sizes: []int64{12 * units.GB, 6 * units.GB, 3 * units.GB, 3 * units.GB}}
 	pipeline := wbWorkload{name: "synthetic-20gb-32gbram", ram: 32 * units.GiB,
-		cost: costGB(20*units.GB, 1),
-		run: func(rig *wbRig) error {
-			return runPipeline(rig, 20*units.GB)
-		}}
-	nfsCell := wbWorkload{name: "nfs-writeburst-skewed12gb-8gbram", nfs: true,
-		cost: costGB(12*units.GB, 1) * 2}
+		sizes: []int64{20 * units.GB}, pipeline: true}
+	nfsCell := wbWorkload{name: "nfs-writeburst-skewed12gb-8gbram", ram: 8 * units.GiB,
+		sizes: []int64{6 * units.GB, 3 * units.GB, 1500 * units.MB, 1500 * units.MB}, nfs: true}
 	if quick {
 		return []wbWorkload{burst, nfsCell}
 	}
@@ -262,55 +120,84 @@ type writebackArgs struct {
 	BG        float64 `json:"bg"`
 }
 
-// writebackPayload is one cell's observables. Points is the hit-ratio
-// evolution — recorded by local cells only (the NFS cell's counters live
-// server-side where no trace hook is wired).
+// writebackPayload is one cell's observables. Points is the memory and
+// hit-counter series — recorded by local cells only (the NFS cell's
+// counters live server-side, where no host sampler runs).
 type writebackPayload struct {
 	Makespan  float64          `json:"makespan"`
 	Flushed   int64            `json:"flushed"`
 	Throttled float64          `json:"throttled"`
 	HitBytes  int64            `json:"hit_bytes"`
 	MissBytes int64            `json:"miss_bytes"`
-	Points    []trace.HitPoint `json:"points,omitempty"`
+	Points    []trace.MemPoint `json:"points,omitempty"`
 }
 
 func (p writebackPayload) row(workload, wb string, bg float64) WritebackRow {
 	return WritebackRow{
 		Workload: workload, Writeback: wb, BGRatio: bg, Makespan: p.Makespan,
 		Flushed: p.Flushed, Throttled: p.Throttled,
-		HitRatio: trace.HitPoint{HitBytes: p.HitBytes, MissBytes: p.MissBytes}.Ratio(),
+		HitRatio: trace.MemPoint{HitBytes: p.HitBytes, MissBytes: p.MissBytes}.HitRatio(),
 	}
 }
 
 func init() {
-	grid.RegisterCell("writeback", func(a writebackArgs) (any, error) { return runWritebackCell(a) })
+	grid.RegisterCell("writeback", func(a writebackArgs) (any, error) {
+		w, err := wbWorkloadByName(a.Workload)
+		if err != nil {
+			return nil, err
+		}
+		return runDocCell(writebackCell{w: w, wb: a.Writeback, bg: a.BG})
+	})
 }
 
-func runWritebackCell(a writebackArgs) (*writebackPayload, error) {
-	w, err := wbWorkloadByName(a.Workload)
-	if err != nil {
-		return nil, err
+// writebackCell is one cell with its workload resolved.
+type writebackCell struct {
+	w  wbWorkload
+	wb string
+	bg float64
+}
+
+// doc places the workload in writeback mode on the paper's node, or for
+// the NFS cell on the paper's client writing through to a writeback server
+// cache; the host whose cache writes back gets the cell's writeback policy,
+// background ratio and the workload's RAM. Local cells sample the node's
+// memory and hit counters every 20 s.
+func (c writebackCell) doc() (*scenario.Doc, scenario.RunOpts, error) {
+	d := paperDoc(fmt.Sprintf("writeback ablation %s/%s/bg=%g", c.w.name, c.wb, c.bg),
+		engine.ModeWriteback, false, c.w.nfs)
+	h := &d.Platform.Hosts[0]
+	if c.w.nfs {
+		h = &d.Platform.Hosts[1]
+		d.Mounts[0].ServerWriteback = true
+	} else {
+		d.TraceMemS = 20
 	}
-	if w.nfs {
-		mgr, makespan, err := runWritebackNFS(a.Writeback, a.BG, 8*units.GiB,
-			[]int64{6 * units.GB, 3 * units.GB, 1500 * units.MB, 1500 * units.MB})
-		if err != nil {
-			return nil, fmt.Errorf("writeback ablation %s/%s/bg=%g: %w", a.Workload, a.Writeback, a.BG, err)
-		}
-		pay := wbMetrics{mgr}.payload(makespan)
-		return &pay, nil
+	h.RAM, h.WritebackPolicy, h.DirtyBackgroundRatio = byteStr(c.w.ram), c.wb, c.bg
+	if c.w.pipeline {
+		addSynthetic(d, 1, c.w.sizes[0], 0, 0)
+		return d, scenario.RunOpts{}, nil
 	}
-	rig, mgr, err := newWritebackRig(a.Writeback, a.BG, w.ram)
-	if err != nil {
-		return nil, fmt.Errorf("writeback ablation %s/%s/bg=%g: %w", a.Workload, a.Writeback, a.BG, err)
+	cpu := 5.0
+	for i, size := range c.w.sizes {
+		addWorkload(d, scenario.WorkloadDoc{Name: fmt.Sprintf("writer%d", i), Kind: "writeread",
+			Size: byteStr(size), CPUS: &cpu})
 	}
-	rig.host.EnableHitTrace(20)
-	if err := w.run(rig); err != nil {
-		return nil, fmt.Errorf("writeback ablation %s/%s/bg=%g: %w", a.Workload, a.Writeback, a.BG, err)
+	return d, scenario.RunOpts{}, nil
+}
+
+func (c writebackCell) payload(res *scenario.Result) any {
+	var mgr *core.Manager
+	var points []trace.MemPoint
+	if c.w.nfs {
+		mgr = res.SrvMgrs[res.Doc.Mounts[0].Partition]
+	} else {
+		h := res.Hosts[res.Doc.Platform.Hosts[0].Name]
+		mgr, points = h.Model.(engine.ManagerProvider).Manager(), h.MemTrace.Points
 	}
-	pay := wbMetrics{mgr}.payload(rig.sim.Makespan())
-	pay.Points = rig.host.HitTrace.Points
-	return &pay, nil
+	return &writebackPayload{
+		Makespan: res.Makespan, Flushed: mgr.FlushedBytes(), Throttled: mgr.WriteThrottledSeconds(),
+		HitBytes: mgr.ReadHitBytes(), MissBytes: mgr.ReadMissBytes(), Points: points,
+	}
 }
 
 // WritebackCells enumerates the ablation grid: coordinates are
@@ -323,7 +210,7 @@ func WritebackCells(section string, quick bool) []grid.Spec {
 				specs = append(specs, grid.NewSpec("writeback",
 					grid.Coord{Section: section, I: wi, J: pi, K: bi},
 					fmt.Sprintf("writeback %s/%s/bg=%g", w.name, wb, bg),
-					w.cost, writebackArgs{Workload: w.name, Writeback: wb, BG: bg}))
+					w.cost(), writebackArgs{Workload: w.name, Writeback: wb, BG: bg}))
 			}
 		}
 	}
@@ -425,7 +312,7 @@ func (r *WritebackResult) WriteSeriesCSV(w io.Writer) error {
 	for _, s := range r.Series {
 		for _, p := range s.Points {
 			if _, err := fmt.Fprintf(w, "%s,%s,%.2f,%.3f,%d,%d,%.4f\n",
-				s.Workload, s.Writeback, s.BGRatio, p.T, p.HitBytes, p.MissBytes, p.Ratio()); err != nil {
+				s.Workload, s.Writeback, s.BGRatio, p.T, p.HitBytes, p.MissBytes, p.HitRatio()); err != nil {
 				return err
 			}
 		}

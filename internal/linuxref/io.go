@@ -191,6 +191,8 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		// Hits first in accounting order is irrelevant to timing: charge
 		// both transfers.
 		hitBytes := cs - minI64(missBytes, cs)
+		m.readHits += hitBytes
+		m.readMisses += cs - hitBytes
 		if missBytes > 0 {
 			c.DiskRead(file, missBytes)
 			for i := lo; i < hi; i++ {

@@ -241,6 +241,9 @@ type Model struct {
 	dirty    int64    // folio count
 	anon     int64    // bytes
 	stats    ReclaimStats
+	// readHits and readMisses are the cumulative application read bytes
+	// served from cached folios and from disk.
+	readHits, readMisses int64
 
 	// behind holds the reclaim candidates that appeared before the inactive
 	// cursor (folios cleaned or unprotected after the cursor passed them),
@@ -528,6 +531,8 @@ func (m *Model) Snapshot() core.Stats {
 		ActiveBlocks:   int(m.active.count),
 		InactiveBlocks: int(m.inactive.count),
 		DirtyThreshold: m.dirtyLimit(),
+		ReadHitBytes:   m.readHits,
+		ReadMissBytes:  m.readMisses,
 	}
 }
 

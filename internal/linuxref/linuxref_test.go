@@ -110,6 +110,11 @@ func TestWarmReadHitsMemory(t *testing.T) {
 		t.Fatalf("disk=%d mem=%d", c.diskRd-before, c.memRd)
 	}
 	m.ReleaseAnon(500)
+	// Hits and misses count every byte read: the cold read missed, the
+	// warm one hit.
+	if st := m.Snapshot(); st.ReadMissBytes != 500 || st.ReadHitBytes != 500 {
+		t.Fatalf("read hits %d, misses %d, want 500 each", st.ReadHitBytes, st.ReadMissBytes)
+	}
 }
 
 func TestSecondAccessActivates(t *testing.T) {

@@ -11,8 +11,9 @@ import (
 // FuzzScenarioLoad feeds arbitrary documents to LoadReader, resolving
 // file references against the shipped scenarios' directory. Seeds: every
 // shipped scenario, one Doc per pcsim flag mode as pcsim compiles it
-// (testdata/fuzz/FuzzScenarioLoad, kept in step by cmd/pcsim's tests), and
-// a linuxref host as the experiment grid's reference cells use it.
+// (testdata/fuzz/FuzzScenarioLoad, kept in step by cmd/pcsim's tests), a
+// linuxref host as the experiment grid's reference cells use it, and the
+// bare write and writeread writers of the writeback and device ablations.
 // Property: no panic, and an accepted document re-marshals to JSON that
 // loads again.
 func FuzzScenarioLoad(f *testing.F) {
@@ -39,6 +40,18 @@ func FuzzScenarioLoad(f *testing.F) {
   "mode": "writeback", "traceMemS": 1, "snapshotOps": true,
   "workloads": [{"name": "app", "host": "node0", "partition": "scratch",
                  "kind": "synthetic", "instances": 2, "size": "3GB"}]}`))
+	f.Add([]byte(`{"name": "bare writers",
+  "platform": {"hosts": [{"name": "node0", "cores": 4, "gflops": 1, "ram": "1GiB",
+    "memReadMBps": 1000, "memWriteMBps": 1000, "perDeviceWriteback": true,
+    "disks": [{"name": "fast", "readMBps": 2000, "writeMBps": 2000,
+               "capacity": "10GiB", "partition": "fastpart"},
+              {"name": "slow", "readMBps": 120, "writeMBps": 120,
+               "capacity": "10GiB", "partition": "slowpart"}]}]},
+  "traceMemS": 20,
+  "workloads": [{"name": "storm", "host": "node0", "partition": "fastpart",
+                 "kind": "write", "size": "2GB"},
+                {"name": "burst", "host": "node0", "partition": "slowpart",
+                 "kind": "writeread", "instances": 2, "size": "500MB", "cpuS": 5}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := LoadReader(bytes.NewReader(data), dir)
 		if err != nil {

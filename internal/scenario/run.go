@@ -54,11 +54,14 @@ type Result struct {
 	Assertions []AssertionResult
 	Passed     bool
 
-	// groups and srvMgrs keep the cgroup and NFS-server cache managers
-	// reachable after the run, so SnapshotState can capture them for
-	// warm-starting another run.
-	groups  map[string]*cgroup.Group
-	srvMgrs map[string]*core.Manager
+	// SrvMgrs holds each mounted partition's server cache, by partition
+	// name: its flush, throttle and hit counters, and the state
+	// SnapshotState captures for warm-starting another run.
+	SrvMgrs map[string]*core.Manager
+
+	// groups keeps the cgroup cache managers reachable after the run, so
+	// SnapshotState can capture them.
+	groups map[string]*cgroup.Group
 }
 
 // Report writes the deterministic run report: chaos log, assertion
@@ -204,12 +207,11 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		if m.ServerCache {
 			mgr, ok := srvMgrs[m.Partition]
 			if !ok {
-				ram, err := hostRAM(d, owner)
+				cfg, err := d.hostCacheConfig(owner)
 				if err != nil {
 					return nil, err
 				}
-				mgr, err = core.NewManager(core.DefaultConfig(ram))
-				if err != nil {
+				if mgr, err = core.NewManager(cfg); err != nil {
 					return nil, err
 				}
 				srvMgrs[m.Partition] = mgr
@@ -256,7 +258,7 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 	}
 
 	res.groups = groups
-	res.srvMgrs = srvMgrs
+	res.SrvMgrs = srvMgrs
 
 	if d.TraceMemS > 0 {
 		for _, hc := range d.Platform.Hosts {
@@ -455,20 +457,6 @@ func hostOf(d *Doc, part string) string {
 	return ""
 }
 
-// hostRAM returns a host's RAM by config name.
-func hostRAM(d *Doc, name string) (int64, error) {
-	for _, h := range d.Platform.Hosts {
-		if h.Name == name {
-			spec, err := h.HostSpec()
-			if err != nil {
-				return 0, err
-			}
-			return spec.MemoryCap, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown host %q", name)
-}
-
 // tuneCache applies the document's run-wide cache overrides to one host's
 // cache configuration.
 func (d *Doc) tuneCache(cfg *core.Config) {
@@ -481,7 +469,8 @@ func (d *Doc) tuneCache(cfg *core.Config) {
 }
 
 // hostCacheConfig is the cache config BuildPlatform gives a host, so
-// validation checks it and cgroups inherit the same policies and ratios.
+// validation checks it, and cgroups and the server caches of the host's
+// exported partitions inherit the same policies and ratios.
 func (d *Doc) hostCacheConfig(name string) (core.Config, error) {
 	for _, h := range d.Platform.Hosts {
 		if h.Name == name {
@@ -497,8 +486,9 @@ func (d *Doc) hostCacheConfig(name string) (core.Config, error) {
 	return core.Config{}, fmt.Errorf("scenario: unknown host %q", name)
 }
 
-// runWorkload runs one instance of a synthetic, iterative or nighres
-// workload; snapshot records a synthetic one's per-op cache contents.
+// runWorkload runs one instance of a synthetic, iterative, nighres, write
+// or writeread workload; snapshot records a synthetic one's per-op cache
+// contents.
 func runWorkload(r *workload.EngineRunner, wl WorkloadDoc, instance int, snapshot bool) error {
 	size, _ := units.ParseBytes(wl.Size)
 	cpu := workload.SyntheticCPU(size)
@@ -514,6 +504,11 @@ func runWorkload(r *workload.EngineRunner, wl WorkloadDoc, instance int, snapsho
 		return workload.RunIterative(r, workload.IterativeSpec{
 			Iterations: wl.Iterations, Size: size, CPU: cpu,
 			Input: workload.IterInput, Output: workload.IterOutput,
+		})
+	case "write", "writeread":
+		return workload.RunWriteRead(r, workload.WriteReadSpec{
+			File: "app" + strconv.Itoa(instance) + "_out", Size: size, CPU: cpu,
+			ReadBack: wl.Kind == "writeread",
 		})
 	default:
 		return workload.RunNighres(r)

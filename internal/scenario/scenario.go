@@ -10,10 +10,13 @@
 //
 // Workload kinds are the paper's synthetic pipeline, the Nighres workflow,
 // the repeated-iteration pipeline ("iterative", the fast-forward target;
-// RunOpts.FastForward arms the engine's phase detection) and any JSON task
-// DAG ("workflow", from a workflowFile). An omitted "cpuS" gives the
-// synthetic and iterative kinds the Table I CPU fit; "cpuS": 0 given
-// explicitly means no compute.
+// RunOpts.FastForward arms the engine's phase detection), any JSON task
+// DAG ("workflow", from a workflowFile), and two bare writers: "write"
+// writes a file of its own, and "writeread" writes it, computes and reads
+// it back. An omitted "cpuS" gives the synthetic, iterative and writeread
+// kinds the Table I CPU fit; "cpuS": 0 given explicitly means no compute.
+// "traceMemS" samples every host's memory accounting together with its
+// cumulative read-hit counters.
 //
 // Run is the simulator's one run path for single simulations: pcsim's
 // flag modes compile to a Doc and run through it, and so does every
@@ -55,8 +58,8 @@ type Doc struct {
 	// DirtyExpireS, when given, overrides every host's dirty expiry age in
 	// seconds (omitted: 30 s).
 	DirtyExpireS *float64 `json:"dirtyExpireS,omitempty"`
-	// TraceMemS samples every host's memory accounting at this period
-	// (0: no memory trace).
+	// TraceMemS samples every host's memory accounting and cumulative
+	// read-hit counters at this period (0: no memory trace).
 	TraceMemS float64 `json:"traceMemS,omitempty"`
 	// SnapshotOps records the host's per-file cache contents after every
 	// I/O operation of the synthetic workloads (Fig 4c), in the Snaps log
@@ -96,7 +99,8 @@ type MountDoc struct {
 	Partition string `json:"partition"`
 	Link      string `json:"link"`
 	// ServerCache gives the server a page cache (shared by every mount of
-	// the same partition), sized to the server host's RAM.
+	// the same partition), configured like the server host's own: its RAM,
+	// policies and ratios.
 	ServerCache bool `json:"serverCache,omitempty"`
 	// ServerWriteback makes the server cache writeback instead of the
 	// paper's writethrough.
@@ -160,18 +164,22 @@ type WorkloadDoc struct {
 	Host string `json:"host"`
 	// Kind is synthetic (the paper's three-task pipeline), nighres (the
 	// Table II workflow), iterative (the repeated-iteration pipeline: read
-	// the input, compute, rewrite a scratch output, Iterations times) or
-	// workflow (the task DAG of WorkflowFile).
+	// the input, compute, rewrite a scratch output, Iterations times),
+	// workflow (the task DAG of WorkflowFile), write (write Size bytes to a
+	// file of the instance's own, "Write 1") or writeread (write, compute
+	// CPUS seconds, "Compute 1", read the file back, "Read 1", and release
+	// the task memory).
 	Kind string `json:"kind"`
 	// Partition receives the workload's writes (a local partition or a
 	// mounted remote one).
 	Partition string `json:"partition"`
 	// Instances is the number of concurrent copies (default 1).
 	Instances int `json:"instances,omitempty"`
-	// Size is the per-file size (required for synthetic and iterative).
+	// Size is the per-file size (required for synthetic, iterative, write
+	// and writeread).
 	Size string `json:"size,omitempty"`
-	// CPUS is the injected CPU seconds per synthetic task or iteration
-	// (omitted: the Table I fit; 0: no compute).
+	// CPUS is the injected CPU seconds per synthetic task, iteration or
+	// writeread compute phase (omitted: the Table I fit; 0: no compute).
 	CPUS *float64 `json:"cpuS,omitempty"`
 	// Iterations is the iterative pipeline's iteration count (required for
 	// iterative).
@@ -548,7 +556,7 @@ func (d *Doc) Validate() error {
 	}
 
 	for _, a := range d.Assertions {
-		if linuxrefHosts[a.Host] && (a.Kind == AssertMinReadHitRatio || a.Kind == AssertAllDirtyFlushed || a.Kind == AssertMaxForcedEvict) {
+		if linuxrefHosts[a.Host] && (a.Kind == AssertAllDirtyFlushed || a.Kind == AssertMaxForcedEvict) {
 			return fmt.Errorf("scenario: assertion %s: host %q runs model linuxref, which does not report it", a.Kind, a.Host)
 		}
 		switch a.Kind {
@@ -624,7 +632,7 @@ func validateWorkload(w WorkloadDoc, where string, hosts map[string]bool, partOw
 			where, w.Name, w.Partition, w.Host)
 	}
 	switch w.Kind {
-	case "synthetic", "iterative":
+	case "synthetic", "iterative", "write", "writeread":
 		if n, err := units.ParseBytes(w.Size); err != nil || n <= 0 {
 			return fmt.Errorf("scenario: %s %q: %s needs a size", where, w.Name, w.Kind)
 		}
@@ -637,7 +645,7 @@ func validateWorkload(w WorkloadDoc, where string, hosts map[string]bool, partOw
 			return fmt.Errorf("scenario: %s %q: workflow needs a workflowFile", where, w.Name)
 		}
 	default:
-		return fmt.Errorf("scenario: %s %q: unknown kind %q (want synthetic, nighres, iterative or workflow)", where, w.Name, w.Kind)
+		return fmt.Errorf("scenario: %s %q: unknown kind %q (want synthetic, nighres, iterative, workflow, write or writeread)", where, w.Name, w.Kind)
 	}
 	if w.Instances < 0 {
 		return fmt.Errorf("scenario: %s %q: negative instances", where, w.Name)

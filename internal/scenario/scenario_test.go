@@ -297,6 +297,8 @@ func TestValidateRejects(t *testing.T) {
 		{"bad workload host", func(d *Doc) { d.Workloads[0].Host = "ghost" }, "unknown host"},
 		{"bad workload kind", func(d *Doc) { d.Workloads[0].Kind = "quantum" }, "unknown kind"},
 		{"synthetic needs size", func(d *Doc) { d.Workloads[0].Size = "" }, "needs a size"},
+		{"write needs size", func(d *Doc) { d.Workloads[0].Kind, d.Workloads[0].Size = "write", "" }, "write needs a size"},
+		{"writeread needs size", func(d *Doc) { d.Workloads[0].Kind, d.Workloads[0].Size = "writeread", "" }, "writeread needs a size"},
 		{"iterative needs iterations", func(d *Doc) { d.Workloads[0].Kind = "iterative" }, "positive iterations"},
 		{"workflow needs a file", func(d *Doc) { d.Workloads[0].Kind = "workflow" }, "needs a workflowFile"},
 		{"negative cpuS", func(d *Doc) { d.Workloads[0].CPUS = cpuS(-1) }, "negative cpuS"},
@@ -367,8 +369,11 @@ func TestValidateRejects(t *testing.T) {
 		{"linuxref cgroup", linuxref(func(d *Doc) {
 			d.Cgroups = []CgroupDoc{{Host: "node0", Name: "g", Limit: "1GiB"}}
 		}), "takes no cgroup"},
-		{"linuxref hit-ratio assertion", linuxref(func(d *Doc) {
-			d.Assertions = []AssertionDoc{{Kind: AssertMinReadHitRatio, Host: "node0", Ratio: 0.5}}
+		{"linuxref all-dirty-flushed assertion", linuxref(func(d *Doc) {
+			d.Assertions = []AssertionDoc{{Kind: AssertAllDirtyFlushed, Host: "node0"}}
+		}), "does not report it"},
+		{"linuxref forced-evictions assertion", linuxref(func(d *Doc) {
+			d.Assertions = []AssertionDoc{{Kind: AssertMaxForcedEvict, Host: "node0"}}
 		}), "does not report it"},
 		{"snapshotOps on a nighres workload", func(d *Doc) {
 			d.SnapshotOps = true
@@ -503,5 +508,62 @@ func TestIterativeAndWorkflowKinds(t *testing.T) {
 	}
 	if x.Report.Makespan != res.Makespan {
 		t.Errorf("workflow makespan %v, run makespan %v", x.Report.Makespan, res.Makespan)
+	}
+}
+
+// TestLinuxrefReadHits reads a file twice on a linuxref host: the second
+// read hits the cache, and hits plus misses count every byte read.
+func TestLinuxrefReadHits(t *testing.T) {
+	d := baseDoc()
+	d.Platform.Hosts[0].Model = platform.ModelLinuxref
+	d.Workloads[0] = WorkloadDoc{Name: "iter", Host: "node0", Kind: "iterative",
+		Partition: "scratch", Size: "100MB", Iterations: 2, CPUS: cpuS(0)}
+	d.Assertions = []AssertionDoc{{Kind: AssertMinReadHitRatio, Host: "node0", Ratio: 0.01}}
+	res, err := Run(d, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		var b bytes.Buffer
+		res.Report(&b)
+		t.Errorf("hit-ratio assertion failed:\n%s", b.String())
+	}
+	st := res.Hosts["node0"].Model.Snapshot()
+	if got, want := st.ReadHitBytes+st.ReadMissBytes, int64(2*100*units.MB); got != want {
+		t.Errorf("hits %d + misses %d = %d, want the %d bytes read", st.ReadHitBytes, st.ReadMissBytes, got, want)
+	}
+	if r := res.ReadHitRatio("node0"); r <= 0 {
+		t.Errorf("hit ratio %v, want above 0", r)
+	}
+}
+
+// TestServerCacheTakesServerHostConfig: a mount's server cache is
+// configured like its owner host's own cache.
+func TestServerCacheTakesServerHostConfig(t *testing.T) {
+	d := baseDoc()
+	d.Platform = nfsPlat()
+	srv := &d.Platform.Hosts[1]
+	srv.WritebackPolicy, srv.DirtyBackgroundRatio = "oldest-first", 0.05
+	d.Mounts = []MountDoc{{Client: "node0", Partition: "export", Link: "net",
+		ServerCache: true, ServerWriteback: true}}
+	d.Workloads[0] = WorkloadDoc{Name: "w", Host: "node0", Kind: "writeread",
+		Partition: "export", Size: "100MB", CPUS: cpuS(1)}
+	res, err := Run(d, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WorkloadErr(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := res.SrvMgrs["export"].Config()
+	if cfg.Writeback != "oldest-first" || cfg.DirtyBackgroundRatio != 0.05 || cfg.TotalMem != units.GiB {
+		t.Fatalf("server cache config: writeback %q, background ratio %v, RAM %d", cfg.Writeback, cfg.DirtyBackgroundRatio, cfg.TotalMem)
+	}
+	var ops []string
+	for _, op := range res.Sim.Log.Ops {
+		ops = append(ops, op.Name)
+	}
+	if want := []string{"Write 1", "Compute 1", "Read 1"}; !reflect.DeepEqual(ops, want) {
+		t.Fatalf("writeread ops %v, want %v", ops, want)
 	}
 }

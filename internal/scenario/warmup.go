@@ -185,13 +185,13 @@ func (r *Result) SnapshotState() (*snapshot.File, error) {
 			return nil, err
 		}
 	}
-	srvNames := make([]string, 0, len(r.srvMgrs))
-	for name := range r.srvMgrs {
+	srvNames := make([]string, 0, len(r.SrvMgrs))
+	for name := range r.SrvMgrs {
 		srvNames = append(srvNames, name)
 	}
 	sort.Strings(srvNames)
 	for _, name := range srvNames {
-		st := r.srvMgrs[name].SnapshotState()
+		st := r.SrvMgrs[name].SnapshotState()
 		if f.Servers == nil {
 			f.Servers = map[string]*core.ManagerState{}
 		}

@@ -1,6 +1,7 @@
 // Package trace collects simulation observables: memory-profile time series
-// (the atop/collectl role in the paper's experiments), per-operation timing
-// logs, and per-file cache-content snapshots (Figs 4b, 4c).
+// with read-hit counters (the atop/collectl role in the paper's
+// experiments), per-operation timing logs, and per-file cache-content
+// snapshots (Figs 4b, 4c).
 package trace
 
 import (
@@ -10,13 +11,27 @@ import (
 	"strings"
 )
 
-// MemPoint is one sample of the host memory state (all bytes).
+// MemPoint is one sample of the host memory state and its cumulative
+// read-hit counters (all bytes).
 type MemPoint struct {
 	T     float64
 	Used  int64 // anonymous + cache
 	Cache int64
 	Dirty int64
 	Anon  int64
+	// HitBytes and MissBytes are the cumulative application read bytes
+	// served from the cache and from disk.
+	HitBytes  int64 `json:",omitempty"`
+	MissBytes int64 `json:",omitempty"`
+}
+
+// HitRatio returns the cumulative read-hit ratio at the sample (0 before
+// any read).
+func (p MemPoint) HitRatio() float64 {
+	if p.HitBytes+p.MissBytes == 0 {
+		return 0
+	}
+	return float64(p.HitBytes) / float64(p.HitBytes+p.MissBytes)
 }
 
 // MemSeries is a time-ordered memory profile.
@@ -69,53 +84,6 @@ func (s *MemSeries) MaxDirty() int64 {
 		}
 	}
 	return m
-}
-
-// HitPoint is one sample of a host's cumulative read-hit counters.
-type HitPoint struct {
-	T         float64
-	HitBytes  int64 // cumulative cache-served application read bytes
-	MissBytes int64 // cumulative disk-served application read bytes
-}
-
-// Ratio returns the cumulative hit ratio at the sample (0 before any read).
-func (p HitPoint) Ratio() float64 {
-	if p.HitBytes+p.MissBytes == 0 {
-		return 0
-	}
-	return float64(p.HitBytes) / float64(p.HitBytes+p.MissBytes)
-}
-
-// HitSeries is a time-ordered read-hit profile — the MemSeries analogue for
-// the Manager's hit/miss counters, so ablations can plot hit-ratio
-// evolution instead of only the end state.
-type HitSeries struct {
-	Points []HitPoint
-}
-
-// Add appends a sample (callers sample with non-decreasing time).
-func (s *HitSeries) Add(p HitPoint) { s.Points = append(s.Points, p) }
-
-// At returns the last sample at or before t (zero value before the first).
-func (s *HitSeries) At(t float64) HitPoint {
-	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T > t })
-	if i == 0 {
-		return HitPoint{T: t}
-	}
-	return s.Points[i-1]
-}
-
-// WriteCSV emits "t,hit_bytes,miss_bytes,hit_ratio" rows.
-func (s *HitSeries) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "t,hit_bytes,miss_bytes,hit_ratio"); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%.3f,%d,%d,%.4f\n", p.T, p.HitBytes, p.MissBytes, p.Ratio()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Op is one timed application operation ("Read 1", "Write 3", ...).

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -104,31 +105,38 @@ func TestSnapshotLog(t *testing.T) {
 	}
 }
 
-func TestHitSeries(t *testing.T) {
-	s := &HitSeries{}
-	s.Add(HitPoint{T: 1, HitBytes: 0, MissBytes: 100})
-	s.Add(HitPoint{T: 2, HitBytes: 100, MissBytes: 100})
+func TestMemSeriesHitRatio(t *testing.T) {
+	s := &MemSeries{}
+	s.Add(MemPoint{T: 1, Cache: 100, HitBytes: 0, MissBytes: 100})
+	s.Add(MemPoint{T: 2, Cache: 100, HitBytes: 100, MissBytes: 100})
 	if got := s.At(0.5); got.HitBytes != 0 || got.MissBytes != 0 {
 		t.Fatalf("At(0.5) = %+v", got)
 	}
 	if got := s.At(1.5); got.MissBytes != 100 || got.HitBytes != 0 {
 		t.Fatalf("At(1.5) = %+v", got)
 	}
-	if r := s.At(1.5).Ratio(); r != 0 {
+	if r := s.At(1.5).HitRatio(); r != 0 {
 		t.Fatalf("cold ratio = %v", r)
 	}
-	if r := s.At(3).Ratio(); r != 0.5 {
+	if r := s.At(3).HitRatio(); r != 0.5 {
 		t.Fatalf("warm ratio = %v", r)
 	}
-	if (HitPoint{}).Ratio() != 0 {
+	if (MemPoint{}).HitRatio() != 0 {
 		t.Fatal("empty ratio not 0")
 	}
+	// The memory CSV keeps its columns; zero counters stay out of JSON.
 	var buf strings.Builder
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "t,hit_bytes,miss_bytes,hit_ratio\n1.000,0,100,0.0000\n2.000,100,100,0.5000\n"
-	if buf.String() != want {
+	if want := "t,used,cache,dirty,anon\n1.000,0,100,0,0\n2.000,0,100,0,0\n"; buf.String() != want {
 		t.Fatalf("csv:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	raw, err := json.Marshal(MemPoint{T: 1, Cache: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"T":1,"Used":0,"Cache":100,"Dirty":0,"Anon":0}`; string(raw) != want {
+		t.Fatalf("json = %s, want %s", raw, want)
 	}
 }

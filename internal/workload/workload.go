@@ -240,3 +240,27 @@ func RunNighres(r Runner) error {
 	}
 	return nil
 }
+
+// WriteReadSpec parameterizes a bare writer: it writes Size bytes to File
+// ("Write 1") and, with ReadBack, computes CPU seconds ("Compute 1"), reads
+// the file back ("Read 1") and releases the task memory — the
+// write-then-reread pattern of write-heavy workloads.
+type WriteReadSpec struct {
+	File     string
+	Size     int64
+	CPU      float64
+	ReadBack bool
+}
+
+// RunWriteRead executes a bare writer on r.
+func RunWriteRead(r Runner, spec WriteReadSpec) error {
+	if err := r.WriteFile(spec.File, spec.Size, "Write 1"); err != nil || !spec.ReadBack {
+		return err
+	}
+	r.Compute(spec.CPU, "Compute 1")
+	if err := r.ReadFile(spec.File, "Read 1"); err != nil {
+		return err
+	}
+	r.ReleaseTaskMemory()
+	return nil
+}
