@@ -62,6 +62,9 @@ func run(d *scenario.Doc, opts scenario.RunOpts) *scenario.Result {
 	}
 	res.Report(os.Stdout)
 	fmt.Println()
+	if !res.Passed {
+		log.Fatalf("%s: assertions failed", d.Name)
+	}
 	return res
 }
 
@@ -93,7 +96,7 @@ func main() {
 		{Kind: scenario.AssertNoDataLoss, Partition: "export"},
 	}
 	restartRes := run(restart, scenario.RunOpts{})
-	fmt.Printf("the restart cost %.4gs of wall-clock makespan\n\n",
+	fmt.Printf("the restart cost %.4gs of simulated makespan\n\n",
 		restartRes.Makespan-calmRes.Makespan)
 
 	// 3. Seeded random chaos: draw three faults from a menu over the first

@@ -1,61 +1,39 @@
 // Concurrent applications sharing one disk (the paper's Exp 2 scenario):
 // shows bandwidth sharing, the page cache absorbing writes until the dirty
-// threshold, and how the cacheless baseline mispredicts both.
+// threshold, and how the cacheless baseline mispredicts both. Each run is
+// the Exp 2 grid cell's own scenario document (exp.ConcurrentDoc).
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/platform"
+	"repro/internal/exp"
+	"repro/internal/scenario"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
-func run(mode engine.Mode, n int) (read, write float64) {
-	sim := engine.NewSimulation()
-	ram := 250 * units.GiB
-	host, err := sim.AddHost(platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem")),
-		mode, core.DefaultConfig(ram), 100*units.MB)
+func run(st exp.Stack, n int) (read, write float64) {
+	d, err := exp.ConcurrentDoc(n, 3*units.GB, st)
 	if err != nil {
 		log.Fatal(err)
 	}
-	disk, err := host.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", 450*units.GiB)
+	res, err := scenario.Run(d, scenario.RunOpts{})
+	if err == nil {
+		err = res.WorkloadErr()
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	size := 3 * units.GB
-	for i := 0; i < n; i++ {
-		files := workload.SyntheticFiles(i)
-		if _, err := disk.CreateSized(files[0], size); err != nil {
-			log.Fatal(err)
-		}
-		if err := sim.NS.Place(files[0], disk); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		files := workload.SyntheticFiles(i)
-		sim.SpawnApp(host, i, fmt.Sprintf("app%d", i), func(a *engine.App) error {
-			return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: disk}, workload.SyntheticSpec{
-				Size: size, CPU: workload.SyntheticCPU(size), Files: files,
-			})
-		})
-	}
-	if err := sim.Run(); err != nil {
-		log.Fatal(err)
-	}
-	return sim.Log.MeanPerInstance("read"), sim.Log.MeanPerInstance("write")
+	return res.Sim.Log.MeanPerInstance("read"), res.Sim.Log.MeanPerInstance("write")
 }
 
 func main() {
 	fmt.Println("mean per-instance read/write time (s) for N concurrent 3 GB pipelines")
 	fmt.Printf("%4s  %22s  %22s\n", "N", "writeback cache", "cacheless baseline")
 	for _, n := range []int{1, 4, 8, 16, 32} {
-		r1, w1 := run(engine.ModeWriteback, n)
-		r2, w2 := run(engine.ModeCacheless, n)
+		r1, w1 := run(exp.StackCache, n)
+		r2, w2 := run(exp.StackCacheless, n)
 		fmt.Printf("%4d  read %6.0f write %6.0f  read %6.0f write %6.0f\n", n, r1, w1, r2, w2)
 	}
 	// With the cache, re-reads hit memory and writes are buffered until the

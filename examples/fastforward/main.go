@@ -11,8 +11,8 @@
 //  1. exact — every iteration simulated;
 //  2. fast-forwarded — a handful simulated, the rest skipped (same makespan);
 //  3. warm-started — the final cache state of run 2 is snapshotted to JSON
-//     and restored into a fresh run, which therefore hits in cache from its
-//     very first iteration.
+//     and restored into a fresh run through the scenario's "warmup"
+//     stanza, which therefore hits in cache from its very first iteration.
 package main
 
 import (
@@ -22,101 +22,66 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/phase"
 	"repro/internal/platform"
+	"repro/internal/scenario"
 	"repro/internal/snapshot"
-	"repro/internal/storage"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
-const (
-	iterations = 100
-	fileSize   = units.GB
-	ram        = 8 * units.GiB
-)
+const iterations = 100
 
-type run struct {
-	sim  *engine.Simulation
-	hr   *engine.HostRuntime
-	mgr  *core.Manager
-	part *storage.Partition
+// iterDoc is the 100-iteration, 1 GB pipeline on the paper's 32-core host
+// with 8 GiB of memory, warm-started from snapFile when it is not "".
+func iterDoc(name, snapFile string) *scenario.Doc {
+	d := &scenario.Doc{
+		Name: name,
+		Platform: &platform.Config{Hosts: []platform.HostConfig{{
+			Name: "node0", Cores: 32, GFlops: 1, RAM: "8GiB",
+			MemReadMBps: 4812, MemWriteMBps: 4812,
+			Disks: []platform.DiskConfig{{Name: "node0.disk", ReadMBps: 465, WriteMBps: 465,
+				Capacity: "9GiB", Partition: "scratch"}},
+		}}},
+		Workloads: []scenario.WorkloadDoc{{Name: "iter", Host: "node0", Kind: "iterative",
+			Partition: "scratch", Size: "1GB", Iterations: iterations}},
+	}
+	if snapFile != "" {
+		d.Warmup = &scenario.WarmupDoc{SnapshotFile: snapFile}
+	}
+	return d
 }
 
-func build(ffwd bool) *run {
-	sim := engine.NewSimulation()
-	if ffwd {
-		// Defaults: steady after K=3 matching iterations, 1% tolerance on the
-		// continuous signature components (tune via phase.Config{K, Tol}).
-		sim.EnableFastForward(engine.FFwdConfig{Phase: phase.Config{}})
-	}
-	mgr, err := core.NewManager(core.DefaultConfig(ram))
-	if err != nil {
-		log.Fatal(err)
-	}
-	model, err := engine.NewCoreModel(mgr, 100*units.MB, engine.ModeWriteback)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec := platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem"))
-	spec.MemoryCap = ram
-	hr, err := sim.AddHostWithModel(spec, engine.ModeWriteback, model)
-	if err != nil {
-		log.Fatal(err)
-	}
-	part, err := hr.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", 8*fileSize+units.GiB)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := part.CreateSized("iter_input", fileSize); err != nil {
-		log.Fatal(err)
-	}
-	if err := sim.NS.Place("iter_input", part); err != nil {
-		log.Fatal(err)
-	}
-	return &run{sim: sim, hr: hr, mgr: mgr, part: part}
-}
-
-func (r *run) execute() time.Duration {
-	r.sim.SpawnApp(r.hr, 0, "iter0", func(app *engine.App) error {
-		return workload.RunIterative(&workload.EngineRunner{App: app, Part: r.part}, workload.IterativeSpec{
-			Iterations: iterations, Size: fileSize, CPU: workload.SyntheticCPU(fileSize),
-			Input: "iter_input", Output: "iter_scratch",
-		})
-	})
+// run executes d, returning the finished run and its wall-clock time.
+func run(d *scenario.Doc, opts scenario.RunOpts) (*scenario.Result, time.Duration) {
 	start := time.Now()
-	if err := r.sim.Run(); err != nil {
+	res, err := scenario.Run(d, opts)
+	if err == nil {
+		err = res.WorkloadErr()
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
-	return time.Since(start)
-}
-
-func (r *run) hitRatio() float64 {
-	hit, miss := r.mgr.ReadHitBytes(), r.mgr.ReadMissBytes()
-	if hit+miss == 0 {
-		return 0
-	}
-	return float64(hit) / float64(hit+miss)
+	return res, time.Since(start)
 }
 
 func main() {
 	// 1. Exact: all 100 iterations simulated one by one.
-	exact := build(false)
-	exactWall := exact.execute()
+	exact, exactWall := run(iterDoc("exact", ""), scenario.RunOpts{})
 	fmt.Printf("exact:        makespan %s   hit ratio %.4f   (%d iterations simulated)\n",
-		units.FormatSeconds(exact.sim.Makespan()), exact.hitRatio(), iterations)
+		units.FormatSeconds(exact.Makespan), exact.ReadHitRatio("node0"), iterations)
 
 	// 2. Fast-forwarded: the detector declares steady state after K matching
-	// iterations and the engine warps past the rest.
-	ffwd := build(true)
-	ffwdWall := ffwd.execute()
-	rep := ffwd.sim.FFwdReport()
+	// iterations and the engine warps past the rest. Defaults: steady after
+	// K=3 matching iterations, 1% tolerance on the continuous signature
+	// components (tune via phase.Config{K, Tol}).
+	ffwd, ffwdWall := run(iterDoc("fast-forward", ""),
+		scenario.RunOpts{FastForward: &engine.FFwdConfig{Phase: phase.Config{}}})
+	rep := ffwd.Sim.FFwdReport()
 	fmt.Printf("fast-forward: makespan %s   hit ratio %.4f   (%d simulated, %d skipped at t=%s)\n",
-		units.FormatSeconds(ffwd.sim.Makespan()), ffwd.hitRatio(),
+		units.FormatSeconds(ffwd.Makespan), ffwd.ReadHitRatio("node0"),
 		rep.IterationsSimulated, rep.IterationsSkipped, units.FormatSeconds(rep.SteadyAtSimS))
-	errPct := 100 * (ffwd.sim.Makespan() - exact.sim.Makespan()) / exact.sim.Makespan()
+	errPct := 100 * (ffwd.Makespan - exact.Makespan) / exact.Makespan
 	if errPct < 0 {
 		errPct = -errPct
 	}
@@ -124,55 +89,25 @@ func main() {
 		errPct, float64(exactWall)/float64(ffwdWall))
 
 	// 3. Snapshot the warmed cache and restore it into a fresh run. The
-	// snapshot records the manager state plus the backing files; the restorer
-	// recreates the files and rebases block timestamps to its own t=0.
-	// (cmd/pcsim exposes the same via -snapshot-out/-snapshot-in, and the
-	// scenario DSL via its "warmup" stanza.)
+	// snapshot records the manager state plus the backing files; the
+	// warmup stanza recreates the files, zeroes the cumulative counters
+	// (so the hit ratio below measures only this run) and rebases block
+	// timestamps to its own t=0. (cmd/pcsim exposes the same via
+	// -snapshot-out/-snapshot-in.)
 	dir, err := os.MkdirTemp("", "ffwd-example")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
 	snapPath := filepath.Join(dir, "warm.snap.json")
-	st := ffwd.mgr.SnapshotState()
-	doc := &snapshot.File{
-		SavedAtSimS: ffwd.sim.Makespan(),
-		Hosts:       map[string]*core.ManagerState{"node0": st},
-		Files: []snapshot.FileMeta{
-			{Name: "iter_input", Partition: "scratch", Size: fileSize},
-			{Name: "iter_scratch", Partition: "scratch", Size: fileSize},
-		},
+	snap, err := ffwd.SnapshotState()
+	if err == nil {
+		err = snapshot.WriteFile(snapPath, snap)
 	}
-	if err := snapshot.WriteFile(snapPath, doc); err != nil {
-		log.Fatal(err)
-	}
-
-	warm := build(false)
-	loaded, err := snapshot.ReadFile(snapPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, fm := range loaded.Files {
-		if _, ok := warm.part.Lookup(fm.Name); !ok {
-			if _, err := warm.part.CreateSized(fm.Name, fm.Size); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := warm.sim.NS.Place(fm.Name, warm.part); err != nil {
-			log.Fatal(err)
-		}
-	}
-	warmSt := loaded.Hosts["node0"]
-	// Zero the cumulative counters so the hit ratio below measures only this
-	// run (the scenario warmup stanza, and so pcsim -snapshot-in, does the
-	// same).
-	warmSt.ReadHits, warmSt.ReadMisses, warmSt.FlushedBytes = 0, 0, 0
-	warmSt.ThrottledSec, warmSt.ForcedEvictions = 0, 0
-	if err := warm.mgr.RestoreState(warmSt); err != nil {
-		log.Fatal(err)
-	}
-	warm.mgr.ShiftTimes(-loaded.SavedAtSimS) // rebase block ages to this run's t=0
-	warm.execute()
+	warm, _ := run(iterDoc("warm restart", snapPath), scenario.RunOpts{})
 	fmt.Printf("warm restart: makespan %s   hit ratio %.4f   (cache restored from %s)\n",
-		units.FormatSeconds(warm.sim.Makespan()), warm.hitRatio(), filepath.Base(snapPath))
+		units.FormatSeconds(warm.Makespan), warm.ReadHitRatio("node0"), filepath.Base(snapPath))
 }

@@ -1,46 +1,33 @@
 // The Nighres cortical-reconstruction workflow (the paper's Exp 4): a
 // four-step neuroimaging pipeline whose intermediate files make page
 // caching matter — and where a cacheless simulator overestimates I/O times
-// several-fold.
+// several-fold. Each run is the Exp 4 grid cell's own scenario document
+// (exp.NighresDoc).
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/platform"
-	"repro/internal/units"
+	"repro/internal/exp"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
-func run(mode engine.Mode) map[string]float64 {
-	sim := engine.NewSimulation()
-	ram := 250 * units.GiB
-	host, err := sim.AddHost(platform.PaperHostSpec("node0", platform.SimMemorySpec("node0.mem")),
-		mode, core.DefaultConfig(ram), 100*units.MB)
+func run(st exp.Stack) map[string]float64 {
+	d, err := exp.NighresDoc(st)
 	if err != nil {
 		log.Fatal(err)
 	}
-	disk, err := host.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", 450*units.GiB)
+	res, err := scenario.Run(d, scenario.RunOpts{})
+	if err == nil {
+		err = res.WorkloadErr()
+	}
 	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := disk.CreateSized(workload.NighresInput, workload.NighresInputSize); err != nil {
-		log.Fatal(err)
-	}
-	if err := sim.NS.Place(workload.NighresInput, disk); err != nil {
-		log.Fatal(err)
-	}
-	sim.SpawnApp(host, 0, "nighres", func(a *engine.App) error {
-		return workload.RunNighres(&workload.EngineRunner{App: a, Part: disk})
-	})
-	if err := sim.Run(); err != nil {
 		log.Fatal(err)
 	}
 	out := map[string]float64{}
-	for _, op := range sim.Log.Ops {
+	for _, op := range res.Sim.Log.Ops {
 		if op.Kind != "compute" {
 			out[op.Name] += op.Duration()
 		}
@@ -49,8 +36,8 @@ func run(mode engine.Mode) map[string]float64 {
 }
 
 func main() {
-	withCache := run(engine.ModeWriteback)
-	baseline := run(engine.ModeCacheless)
+	withCache := run(exp.StackCache)
+	baseline := run(exp.StackCacheless)
 
 	fmt.Println("Nighres I/O op durations (s): page-cache model vs cacheless baseline")
 	fmt.Printf("%-10s %14s %14s %8s\n", "op", "with cache", "cacheless", "ratio")

@@ -9,83 +9,42 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/platform"
-	"repro/internal/units"
+	"repro/internal/scenario"
 )
 
-// runPipeline executes a three-stage pipeline on an 8 GiB node under the
-// given policy: each stage reads the previous stage's 3 GB file and writes a
-// new one, so the working set (12 GB across four files) exceeds RAM and the
-// policy's victim choice decides which rereads hit the cache.
-func runPipeline(policy string) (makespan, hitRatio float64, err error) {
-	ram := 8 * units.GiB
-	size := 3 * units.GB
-
-	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(ram)
-	cfg.Policy = policy // "" would select the default two-list LRU
-	mgr, err := core.NewManager(cfg)
-	if err != nil {
-		return 0, 0, err
+// pipelineDoc is a synthetic three-task pipeline on an 8 GiB node under
+// the given policy: each task reads the previous task's 3 GB file and
+// writes a new one, so the working set (12 GB across four files) exceeds
+// RAM and the policy's victim choice decides which rereads hit the cache.
+func pipelineDoc(policy string) *scenario.Doc {
+	cpuS := 4.0
+	return &scenario.Doc{
+		Name: "policies " + policy,
+		Platform: &platform.Config{Hosts: []platform.HostConfig{{
+			Name: "node0", Cores: 4, GFlops: 1, RAM: "8GiB",
+			MemReadMBps: 4812, MemWriteMBps: 4812,
+			CachePolicy: policy, // "" would select the default two-list LRU
+			Disks: []platform.DiskConfig{{Name: "node0.disk", ReadMBps: 465, WriteMBps: 465,
+				Capacity: "100GiB", Partition: "scratch"}},
+		}}},
+		Workloads: []scenario.WorkloadDoc{{Name: "pipeline", Host: "node0", Kind: "synthetic",
+			Partition: "scratch", Size: "3GB", CPUS: &cpuS}},
 	}
-	model, err := engine.NewCoreModel(mgr, 100*units.MB, engine.ModeWriteback)
-	if err != nil {
-		return 0, 0, err
-	}
-	host, err := sim.AddHostWithModel(platform.HostSpec{
-		Name: "node0", Cores: 4, FlopRate: 1e9, MemoryCap: ram,
-		Memory: platform.SimMemorySpec("node0.mem"),
-	}, engine.ModeWriteback, model)
-	if err != nil {
-		return 0, 0, err
-	}
-	disk, err := host.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", 100*units.GiB)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	if _, err := disk.CreateSized("stage0.bin", size); err != nil {
-		return 0, 0, err
-	}
-	if err := sim.NS.Place("stage0.bin", disk); err != nil {
-		return 0, 0, err
-	}
-	sim.SpawnApp(host, 0, "pipeline", func(a *engine.App) error {
-		for stage := 0; stage < 3; stage++ {
-			in := fmt.Sprintf("stage%d.bin", stage)
-			out := fmt.Sprintf("stage%d.bin", stage+1)
-			if err := a.ReadFile(in, fmt.Sprintf("read %d", stage)); err != nil {
-				return err
-			}
-			a.Compute(4, fmt.Sprintf("compute %d", stage))
-			if err := a.WriteFile(out, size, disk, fmt.Sprintf("write %d", stage)); err != nil {
-				return err
-			}
-			a.ReleaseTaskMemory()
-		}
-		return nil
-	})
-	if err := sim.Run(); err != nil {
-		return 0, 0, err
-	}
-	hit, miss := mgr.ReadHitBytes(), mgr.ReadMissBytes()
-	ratio := 0.0
-	if hit+miss > 0 {
-		ratio = float64(hit) / float64(hit+miss)
-	}
-	return sim.Makespan(), ratio, nil
 }
 
 func main() {
 	fmt.Println("policy comparison: 3-stage pipeline, 3 GB files, 8 GiB RAM")
 	fmt.Printf("%-8s %12s %16s\n", "policy", "makespan (s)", "read-hit ratio")
 	for _, policy := range core.PolicyNames() {
-		makespan, ratio, err := runPipeline(policy)
+		res, err := scenario.Run(pipelineDoc(policy), scenario.RunOpts{})
+		if err == nil {
+			err = res.WorkloadErr()
+		}
 		if err != nil {
 			log.Fatalf("%s: %v", policy, err)
 		}
-		fmt.Printf("%-8s %12.1f %16.3f\n", policy, makespan, ratio)
+		fmt.Printf("%-8s %12.1f %16.3f\n", policy, res.Makespan, res.ReadHitRatio("node0"))
 	}
 	// Expected: each stage rereads the file the previous stage just wrote.
 	// That is a recency-friendly pattern, but under pressure the dirty data

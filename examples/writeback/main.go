@@ -14,128 +14,71 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/platform"
-	"repro/internal/trace"
+	"repro/internal/scenario"
 	"repro/internal/units"
 )
 
-// runBurst executes three concurrent writers with skewed file sizes (4, 2
+// node is the example's 4-core host with ram bytes of memory, no disks.
+func node(ram string) platform.HostConfig {
+	return platform.HostConfig{Name: "node0", Cores: 4, GFlops: 1, RAM: ram,
+		MemReadMBps: 4812, MemWriteMBps: 4812}
+}
+
+// run runs d and returns the finished run and its host's cache manager.
+func run(d *scenario.Doc) (*scenario.Result, *core.Manager) {
+	res, err := scenario.Run(d, scenario.RunOpts{})
+	if err == nil {
+		err = res.WorkloadErr()
+	}
+	if err != nil {
+		log.Fatalf("%s: %v", d.Name, err)
+	}
+	return res, res.Hosts["node0"].Model.(engine.ManagerProvider).Manager()
+}
+
+// burstDoc places three concurrent writers with skewed file sizes (4, 2
 // and 1 GB) on an 8 GiB node, each rereading its file afterwards. The
 // writes overrun the dirty threshold, so the writeback policy decides which
 // file's blocks are persisted (and thus evictable) first; the skew makes
 // the orders genuinely different — symmetric writers would produce the same
 // schedule under every policy.
-func runBurst(writeback string, bg float64) (makespan, throttled, hitRatio float64, flushed int64, err error) {
-	ram := 8 * units.GiB
-	sizes := []int64{4 * units.GB, 2 * units.GB, 1 * units.GB}
-
-	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(ram)
-	cfg.Writeback = writeback // "" would select the default list order
-	cfg.DirtyBackgroundRatio = bg
-	mgr, err := core.NewManager(cfg)
-	if err != nil {
-		return 0, 0, 0, 0, err
+func burstDoc(writeback string, bg float64) *scenario.Doc {
+	h := node("8GiB")
+	h.WritebackPolicy = writeback // "" would select the default list order
+	h.DirtyBackgroundRatio = bg
+	h.Disks = []platform.DiskConfig{{Name: "node0.disk", ReadMBps: 465, WriteMBps: 465,
+		Capacity: "100GiB", Partition: "scratch"}}
+	d := &scenario.Doc{Name: fmt.Sprintf("burst %s bg=%g", writeback, bg),
+		Platform: &platform.Config{Hosts: []platform.HostConfig{h}}}
+	cpuS := 3.0
+	for i, size := range []string{"4GB", "2GB", "1GB"} {
+		d.Workloads = append(d.Workloads, scenario.WorkloadDoc{Name: fmt.Sprintf("writer%d", i),
+			Host: "node0", Kind: "writeread", Partition: "scratch", Size: size, CPUS: &cpuS})
 	}
-	model, err := engine.NewCoreModel(mgr, 100*units.MB, engine.ModeWriteback)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	host, err := sim.AddHostWithModel(platform.HostSpec{
-		Name: "node0", Cores: 4, FlopRate: 1e9, MemoryCap: ram,
-		Memory: platform.SimMemorySpec("node0.mem"),
-	}, engine.ModeWriteback, model)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	disk, err := host.AddDisk(platform.SimLocalDiskSpec("node0.disk"), "scratch", 100*units.GiB)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-
-	for i, size := range sizes {
-		i, size := i, size
-		out := fmt.Sprintf("out%d.bin", i)
-		sim.SpawnApp(host, i, fmt.Sprintf("writer%d", i), func(a *engine.App) error {
-			if err := a.WriteFile(out, size, disk, fmt.Sprintf("write %d", i)); err != nil {
-				return err
-			}
-			a.Compute(3, fmt.Sprintf("compute %d", i))
-			if err := a.ReadFile(out, fmt.Sprintf("reread %d", i)); err != nil {
-				return err
-			}
-			a.ReleaseTaskMemory()
-			return nil
-		})
-	}
-	if err := sim.Run(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	ratio := trace.MemPoint{HitBytes: mgr.ReadHitBytes(), MissBytes: mgr.ReadMissBytes()}.HitRatio()
-	return sim.Makespan(), mgr.WriteThrottledSeconds(), ratio, mgr.FlushedBytes(), nil
+	return d
 }
 
-// runMixed executes the per-device walkthrough: an NVMe-class and an
-// HDD-class disk on one 16 GiB host, each written concurrently by its own
-// 12 GB writer. With one global domain the HDD backlog throttles the NVMe
-// writer; with EnablePerDeviceWriteback each writer stalls only on its own
+// mixedDoc is the per-device walkthrough: an NVMe-class and an HDD-class
+// disk on one 16 GiB host, each written concurrently by its own 12 GB
+// writer. With one global domain the HDD backlog throttles the NVMe
+// writer; with perDeviceWriteback each writer stalls only on its own
 // device — compare the per-device wall and throttle columns.
-func runMixed(perDevice bool) ([]core.DomainStat, []float64, error) {
-	ram := 16 * units.GiB
-	size := 12 * units.GB
-	disks := []struct {
+func mixedDoc(perDevice bool) *scenario.Doc {
+	h := node("16GiB")
+	h.DirtyBackgroundRatio = 0.10
+	h.PerDeviceWriteback = perDevice
+	d := &scenario.Doc{Name: fmt.Sprintf("mixed perDevice=%v", perDevice)}
+	for _, dk := range []struct {
 		name string
 		mbps float64
-	}{{"nvme0", 2000}, {"hdd0", 120}}
-
-	sim := engine.NewSimulation()
-	cfg := core.DefaultConfig(ram)
-	cfg.DirtyBackgroundRatio = 0.10
-	mgr, err := core.NewManager(cfg)
-	if err != nil {
-		return nil, nil, err
+	}{{"nvme0", 2000}, {"hdd0", 120}} {
+		h.Disks = append(h.Disks, platform.DiskConfig{Name: dk.name, ReadMBps: dk.mbps, WriteMBps: dk.mbps,
+			Capacity: "64GiB", Partition: dk.name + "p"})
+		d.Workloads = append(d.Workloads, scenario.WorkloadDoc{Name: "writer-" + dk.name,
+			Host: "node0", Kind: "write", Partition: dk.name + "p", Size: "12GB"})
 	}
-	model, err := engine.NewCoreModel(mgr, 100*units.MB, engine.ModeWriteback)
-	if err != nil {
-		return nil, nil, err
-	}
-	host, err := sim.AddHostWithModel(platform.HostSpec{
-		Name: "node0", Cores: 4, FlopRate: 1e9, MemoryCap: ram,
-		Memory: platform.SimMemorySpec("node0.mem"),
-	}, engine.ModeWriteback, model)
-	if err != nil {
-		return nil, nil, err
-	}
-	walls := make([]float64, len(disks))
-	for i, d := range disks {
-		i, d := i, d
-		bw := d.mbps * 1e6
-		part, err := host.AddDisk(platform.DeviceSpec{
-			Name: d.name, ReadBW: bw, WriteBW: bw, Capacity: 64 * units.GiB,
-		}, d.name+"p", 64*units.GiB)
-		if err != nil {
-			return nil, nil, err
-		}
-		sim.SpawnApp(host, i, "writer-"+d.name, func(a *engine.App) error {
-			if err := a.WriteFile("out-"+d.name, size, part, "write"); err != nil {
-				return err
-			}
-			walls[i] = a.Now()
-			return nil
-		})
-	}
-	if perDevice {
-		// Must run after the disks exist and before sim.Run: it derives one
-		// writeback domain per attached disk (bandwidth-share thresholds)
-		// and swaps the host-wide flusher for per-domain flusher procs with
-		// writer-driven wakeups.
-		if err := host.EnablePerDeviceWriteback(nil); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := sim.Run(); err != nil {
-		return nil, nil, err
-	}
-	return mgr.DomainStats(), walls, nil
+	d.Platform = &platform.Config{Hosts: []platform.HostConfig{h}}
+	return d
 }
 
 func main() {
@@ -144,12 +87,10 @@ func main() {
 		"writeback", "bg ratio", "makespan (s)", "flushed", "throttled (s)", "read-hit ratio")
 	for _, wb := range core.WritebackPolicyNames() {
 		for _, bg := range []float64{0, 0.10} {
-			makespan, throttled, ratio, flushed, err := runBurst(wb, bg)
-			if err != nil {
-				log.Fatalf("%s/bg=%g: %v", wb, bg, err)
-			}
+			res, mgr := run(burstDoc(wb, bg))
 			fmt.Printf("%-14s %9.2f %12.1f %10s %13.1f %15.3f\n",
-				wb, bg, makespan, units.FormatBytes(flushed), throttled, ratio)
+				wb, bg, res.Makespan, units.FormatBytes(mgr.FlushedBytes()),
+				mgr.WriteThrottledSeconds(), res.ReadHitRatio("node0"))
 		}
 	}
 	// Expected: with background writeback off, every policy flushes only
@@ -165,16 +106,20 @@ func main() {
 	fmt.Printf("%-12s %-8s %10s %15s %10s\n",
 		"mode", "device", "wall (s)", "throttled (s)", "flushed")
 	for _, perDevice := range []bool{false, true} {
-		stats, walls, err := runMixed(perDevice)
-		if err != nil {
-			log.Fatalf("mixed perDevice=%v: %v", perDevice, err)
-		}
+		res, mgr := run(mixedDoc(perDevice))
 		mode := "global"
 		if perDevice {
 			mode = "per-device"
 		}
+		// Each writer's wall time is the end of its write; its instance
+		// index is its disk's.
+		walls := make([]float64, 2)
+		for _, op := range res.Sim.Log.ByName("Write 1") {
+			walls[op.Instance] = op.End
+		}
 		// Domain 0 is the global backstop; per-device stats follow in disk
 		// order. In global mode there is only domain 0 — the host total.
+		stats := mgr.DomainStats()
 		byDev := map[string]core.DomainStat{}
 		for _, st := range stats {
 			byDev[st.Dev] = st

@@ -67,14 +67,7 @@ func (s *Simulation) BuildPlatform(cfg *platform.Config, mode Mode, chunk int64,
 			p.Partitions[dc.Partition] = part
 		}
 		if hc.PerDeviceWriteback && mode != ModeCacheless {
-			knobs := make(map[string]DiskWritebackKnobs, len(hc.Disks))
-			for _, dc := range hc.Disks {
-				knobs[dc.Name] = DiskWritebackKnobs{
-					DirtyRatio:           dc.DirtyRatio,
-					DirtyBackgroundRatio: dc.DirtyBackgroundRatio,
-				}
-			}
-			if err := hr.EnablePerDeviceWriteback(knobs); err != nil {
+			if err := hr.enablePerDeviceWriteback(hc.Disks); err != nil {
 				return nil, err
 			}
 		}

@@ -81,6 +81,40 @@ func TestBuildPlatformDirtyRatioOverride(t *testing.T) {
 	}
 }
 
+// TestBuildPlatformPerDiskWritebackRatios checks that a perDeviceWriteback
+// host's per-disk ratios reach the disk's own writeback domain, and that a
+// disk without them keeps its bandwidth-share thresholds.
+func TestBuildPlatformPerDiskWritebackRatios(t *testing.T) {
+	cfg := &platform.Config{Hosts: []platform.HostConfig{{
+		Name: "h", Cores: 4, GFlops: 1, RAM: "8GiB", MemReadMBps: 1000, MemWriteMBps: 1000,
+		PerDeviceWriteback: true, DirtyBackgroundRatio: 0.1,
+		Disks: []platform.DiskConfig{
+			{Name: "fast0", ReadMBps: 300, WriteMBps: 300, Capacity: "10GiB", Partition: "pfast"},
+			{Name: "slow0", ReadMBps: 100, WriteMBps: 100, Capacity: "10GiB", Partition: "pslow",
+				DirtyRatio: 0.04, DirtyBackgroundRatio: 0.02},
+		},
+	}}}
+	p, err := NewSimulation().BuildPlatform(cfg, ModeWriteback, 1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.Hosts["h"].Model.(ManagerProvider).Manager()
+	avail := float64(m.Available())
+	want := map[string][2]int64{
+		"fast0": {int64(0.20 * 0.75 * avail), int64(0.1 * 0.75 * avail)},
+		"slow0": {int64(0.04 * avail), int64(0.02 * avail)},
+	}
+	if m.DomainCount() != 3 {
+		t.Fatalf("%d domains, want the backstop plus one per disk", m.DomainCount())
+	}
+	for dom := 1; dom < m.DomainCount(); dom++ {
+		w := want[m.DomainDev(dom)]
+		if got := [2]int64{m.DomainDirtyThreshold(dom), m.DomainBackgroundThreshold(dom)}; got != w {
+			t.Errorf("%s: dirty/background thresholds %v, want %v", m.DomainDev(dom), got, w)
+		}
+	}
+}
+
 func TestBuildPlatformRejectsInvalid(t *testing.T) {
 	sim := NewSimulation()
 	if _, err := sim.BuildPlatform(&platform.Config{}, ModeWriteback, 1<<20, nil); err == nil {

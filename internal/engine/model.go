@@ -146,8 +146,9 @@ func (m *coreModel) CachedByFile() map[string]int64 {
 	return m.io.Manager().CachedByFile()
 }
 
-// Start spawns domain 0's flusher; EnablePerDeviceWriteback adds one per
-// device domain it creates.
+// Start spawns domain 0's flusher; enablePerDeviceWriteback, run by
+// BuildPlatform before any workload spawns, adds one per device domain it
+// creates.
 func (m *coreModel) Start(k *des.Kernel, mkCaller func(*des.Proc) core.Caller, running func() bool) {
 	if m.mode == ModeDirectIO {
 		return // nothing cached, nothing to flush

@@ -4,19 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/platform"
 )
 
-// DiskWritebackKnobs are one disk's optional writeback-threshold overrides
-// for per-device writeback (platform JSON: the disk's "dirtyRatio" and
-// "dirtyBackgroundRatio" fields). Zero values mean "derive from the global
-// ratios scaled by the disk's write-bandwidth share", Linux's default
-// bandwidth-proportional bdi split.
-type DiskWritebackKnobs struct {
-	DirtyRatio           float64
-	DirtyBackgroundRatio float64
-}
-
-// EnablePerDeviceWriteback adds one writeback domain per local disk to the
+// enablePerDeviceWriteback adds one writeback domain per local disk to the
 // host's cache, next to the default domain 0, which stays the cross-device
 // backstop for files that live on no local disk (remote mounts, unplaced
 // files). Each new domain gets its own dirty thresholds and its own flusher
@@ -25,12 +16,15 @@ type DiskWritebackKnobs struct {
 // background threshold kicks that domain's flusher signal immediately
 // instead of waiting out the FlushInterval poll.
 //
-// Must be called after the host's disks are attached and before the
-// simulation runs; the host's model must be the engine's core.Manager-backed
-// model (AddHost, NewCoreModel). knobs may be nil or name a subset of the
-// disks. Strictly opt-in: hosts that never call this keep one domain, whose
-// flusher never wakes early.
-func (hr *HostRuntime) EnablePerDeviceWriteback(knobs map[string]DiskWritebackKnobs) error {
+// BuildPlatform calls it for a host that sets perDeviceWriteback, after
+// the host's disks are attached and so before any workload spawns; the
+// host's model must be the engine's core.Manager-backed model. disks are
+// the host's disk descriptions in attach order, or nil: a disk's nonzero
+// "dirtyRatio"/"dirtyBackgroundRatio" override its domain's thresholds,
+// which otherwise are the global ratios scaled by the disk's share of the
+// host's disk write bandwidth (Linux's proportional bdi split). Strictly
+// opt-in: other hosts keep one domain, whose flusher never wakes early.
+func (hr *HostRuntime) enablePerDeviceWriteback(disks []platform.DiskConfig) error {
 	cm, ok := hr.Model.(*coreModel)
 	if !ok {
 		return fmt.Errorf("engine: per-device writeback on %s: model has no core.Manager", hr.Host.Name())
@@ -40,11 +34,11 @@ func (hr *HostRuntime) EnablePerDeviceWriteback(knobs map[string]DiskWritebackKn
 	}
 	m := cm.Manager()
 	devs := make([]core.DomainConfig, 0, len(hr.disks))
-	for _, dev := range hr.disks {
+	for i, dev := range hr.disks {
 		dc := core.DomainConfig{Dev: dev.Name(), WriteBW: dev.Spec().WriteBW}
-		if k, ok := knobs[dev.Name()]; ok {
-			dc.DirtyRatio = k.DirtyRatio
-			dc.DirtyBackgroundRatio = k.DirtyBackgroundRatio
+		if i < len(disks) {
+			dc.DirtyRatio = disks[i].DirtyRatio
+			dc.DirtyBackgroundRatio = disks[i].DirtyBackgroundRatio
 		}
 		devs = append(devs, dc)
 	}

@@ -51,7 +51,7 @@ func newPerDevRig(t *testing.T, bg float64, perDevice bool) *perDevRig {
 		t.Fatal(err)
 	}
 	if perDevice {
-		if err := hr.EnablePerDeviceWriteback(nil); err != nil {
+		if err := hr.enablePerDeviceWriteback(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

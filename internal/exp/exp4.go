@@ -86,12 +86,20 @@ func RunExp4() (*Exp4Result, error) {
 
 // doc runs the Nighres workflow once on the stack's local platform.
 func (a exp4Args) doc() (*scenario.Doc, scenario.RunOpts, error) {
-	d, err := stackDoc("exp4 nighres "+string(a.Stack), a.Stack, false)
+	d, err := NighresDoc(a.Stack)
+	return d, scenario.RunOpts{}, err
+}
+
+// NighresDoc is the document of one Fig 6 cell: the Nighres workflow once
+// on stack st's local platform, on the host "node0". For StackReal that
+// host runs the linuxref model.
+func NighresDoc(st Stack) (*scenario.Doc, error) {
+	d, err := stackDoc("exp4 nighres "+string(st), st, false)
 	if err != nil {
-		return nil, scenario.RunOpts{}, err
+		return nil, err
 	}
 	addWorkload(d, scenario.WorkloadDoc{Name: "nighres", Kind: "nighres"})
-	return d, scenario.RunOpts{}, nil
+	return d, nil
 }
 
 func (exp4Args) payload(res *scenario.Result) any {
