@@ -7,6 +7,11 @@
 // subprocesses) and merged deterministically: the report is byte-identical
 // for every worker count. See README.md for the fan-out protocol.
 //
+// With -cache DIR each successful cell's payload is stored under DIR, keyed
+// by the binary, the cell's kind and its arguments, so a re-run or a run
+// resumed after a crash executes only the cells it has no entry for, and
+// prints the same bytes (see README.md).
+//
 // Usage:
 //
 //	experiments                      # everything, full scale
@@ -20,14 +25,7 @@
 //	experiments -devices             # per-device writeback ablation (mixed-speed host vs CAWL model)
 //	experiments -ffwd                # fast-forward speedup/error ablation (exact vs phase-skipped)
 //	experiments -worker              # serve cells over stdin/stdout (spawned via -worker-cmd)
-//
-// With -queue-dir the grid runs through a durable, file-backed queue that
-// survives coordinator and worker crashes and that several hosts sharing the
-// directory can drain concurrently (see README.md):
-//
-//	experiments -quick -queue-dir /shared/q            # coordinator: enqueue/resume, drain, merge
-//	experiments -queue-worker -queue-dir /shared/q     # extra worker fleet (any host, e.g. over ssh)
-//	experiments -queue-status -queue-dir /shared/q     # pending/leased/done/failed + heartbeat ages
+//	experiments -quick -cache c      # store results in c; a re-run executes no cell
 package main
 
 import (
@@ -37,13 +35,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/exp"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/platform"
-	"repro/internal/queue"
 	"repro/internal/textplot"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -78,19 +74,13 @@ func Main(args []string, stdout io.Writer) int {
 		reps      = fs.Int("reps", 5, "real-proxy repetitions for Exps 2-3")
 		outDir    = fs.String("out", "results", "output directory for CSV files")
 
-		workers   = fs.Int("workers", 0, "grid worker count (0: GOMAXPROCS)")
-		worker    = fs.Bool("worker", false, "serve as a grid worker: read JSON cell specs on stdin, stream JSON results on stdout")
-		workerCmd = fs.String("worker-cmd", "", "fan cells out to subprocesses: argv spawned once per worker slot (e.g. \"./experiments -worker\" or \"ssh host experiments -worker\")")
-		cellTO    = fs.Duration("cell-timeout", 0, "per-cell attempt timeout (0: none)")
-		cellRetry = fs.Int("cell-retries", 0, "extra attempts after a failed cell (error, panic, timeout, dead worker)")
-
-		queueDir     = fs.String("queue-dir", "", "durable work queue directory: enumerate cells into it (or resume it), drain with -workers local workers plus any attached fleets, and merge the result store")
-		queueWorker  = fs.Bool("queue-worker", false, "attach -workers drain loops to the -queue-dir queue and exit when it is drained (no report; run on any host sharing the directory)")
-		queueStatus  = fs.Bool("queue-status", false, "print the -queue-dir queue's consolidated status report (cells, per-worker heartbeat ages, aggregate busy time) and exit")
-		queueEnqueue = fs.Bool("queue-enqueue", false, "create or validate the -queue-dir queue from the selected experiments and exit without draining or merging")
-		queueTTL     = fs.Duration("queue-lease-ttl", 30*time.Second, "queue cell lease TTL: heartbeats renew it at TTL/4; a worker silent past its TTL forfeits its cells")
-		queueMax     = fs.Int("queue-max-cells", 0, "with -queue-worker, each drain loop runs at most N cells then exits (0: until drained)")
-		timingsJSON  = fs.String("timings-json", "", "write the grid utilization summary as machine-readable JSON to FILE (the BENCH_* field format)")
+		workers     = fs.Int("workers", 0, "grid worker count (0: GOMAXPROCS)")
+		worker      = fs.Bool("worker", false, "serve as a grid worker: read JSON cell specs on stdin, stream JSON results on stdout")
+		workerCmd   = fs.String("worker-cmd", "", "fan cells out to subprocesses: argv spawned once per worker slot (e.g. \"./experiments -worker\" or \"ssh host experiments -worker\")")
+		cellTO      = fs.Duration("cell-timeout", 0, "per-cell attempt timeout (0: none)")
+		cellRetry   = fs.Int("cell-retries", 0, "extra attempts after a failed cell (error, panic, timeout, dead worker)")
+		cacheDir    = fs.String("cache", "", "result cache directory: replay the stored payload of every cell this binary already computed there, run the rest and store them")
+		timingsJSON = fs.String("timings-json", "", "write the grid utilization summary as machine-readable JSON to FILE (the BENCH_* field format)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -103,38 +93,18 @@ func Main(args []string, stdout io.Writer) int {
 		}
 		return 0
 	}
-	if (*queueWorker || *queueStatus || *queueEnqueue) && *queueDir == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -queue-worker, -queue-status and -queue-enqueue require -queue-dir")
-		return 2
-	}
-	if *queueStatus {
-		q, err := queue.Open(*queueDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 2
-		}
-		st, err := q.Status()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		st.Render(stdout)
-		return 0
-	}
-	// Every drain — the in-memory grid, the queue coordinator's local slots
-	// and a -queue-worker fleet — runs its cells the same way.
 	drain := grid.Options{Workers: *workers, Timeout: *cellTO, Retries: *cellRetry,
 		WorkerCmd: strings.Fields(*workerCmd)}
-	if *queueWorker {
-		drain.MaxCells = *queueMax
-		return queueWorkerMain(*queueDir, *queueTTL, drain, *timings)
-	}
 	if !(*exp1 || *exp2 || *exp3 || *exp4 || *fig8 || *ablations || *tables || *policies || *wbacks || *devs || *ffwd) {
 		*all = true
 	}
 	if *all {
 		*exp1, *exp2, *exp3, *exp4, *fig8, *ablations, *tables = true, true, true, true, true, true, true
 		*profiles, *contents = true, true
+	}
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -reps must be at least 1, got %d\n", *reps)
+		return 2
 	}
 	levels := exp.ConcurrencyLevels(32, 1)
 	if *quick {
@@ -147,11 +117,22 @@ func Main(args []string, stdout io.Writer) int {
 	if *exp1 {
 		for _, gbStr := range strings.Split(*sizes, ",") {
 			gb, err := strconv.Atoi(strings.TrimSpace(gbStr))
+			if err == nil && gb <= 0 {
+				err = fmt.Errorf("size must be positive")
+			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: bad -sizes entry %q: %v\n", gbStr, err)
 				return 2
 			}
 			sizesGB = append(sizesGB, gb)
+		}
+	}
+	var cache *grid.Cache
+	if *cacheDir != "" {
+		var err error
+		if cache, err = grid.OpenCache(*cacheDir); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: cache: %v\n", err)
+			return 2
 		}
 	}
 
@@ -321,36 +302,14 @@ func Main(args []string, stdout io.Writer) int {
 	}
 
 	em := exp.NewEmitter(stdout, *outDir, sections)
-	var stats metrics.GridStats
-	if *queueDir != "" {
-		var progress func(done, total int, r grid.Result)
-		if *timings {
-			progress = printProgress
-		}
-		var err error
-		stats, err = exp.RunQueue(em, sections, exp.QueueRunOptions{
-			Dir:         *queueDir,
-			LeaseTTL:    *queueTTL,
-			EnqueueOnly: *queueEnqueue,
-			Drain:       drain,
-			Progress:    progress,
-			Log:         os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 2
-		}
-		if *queueEnqueue {
-			return writeTimingsJSON(*timingsJSON, stats)
-		}
-	} else {
-		specs := exp.SpecsOf(sections)
-		var err error
-		stats, err = grid.Run(specs, drain, withProgress(*timings, len(specs), em.Deliver))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
+	specs, deliver := exp.SpecsOf(sections), em.Deliver
+	if cache != nil {
+		specs, deliver = cached(cache, specs, em.Deliver)
+	}
+	stats, err := grid.Run(specs, drain, withProgress(*timings, len(specs), deliver))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 1
 	}
 	if *timings {
 		fmt.Fprintf(stdout, "== Grid: %d cells on %d workers ==\n", stats.Cells, stats.Workers())
@@ -374,8 +333,7 @@ func Main(args []string, stdout io.Writer) int {
 }
 
 // writeTimingsJSON saves the utilization summary as JSON when a path was
-// given (the -timings-json satellite: one machine-readable format shared by
-// queue-wide aggregation and the BENCH_* baselines).
+// given (one machine-readable format shared with the BENCH_* baselines).
 func writeTimingsJSON(path string, stats metrics.GridStats) int {
 	if path == "" {
 		return 0
@@ -412,30 +370,35 @@ func withProgress(on bool, total int, deliver func(grid.Result)) func(grid.Resul
 	return func(r grid.Result) {
 		done++
 		printProgress(done, total, r)
-		if deliver != nil {
-			deliver(r)
-		}
+		deliver(r)
 	}
 }
 
-// queueWorkerMain drains an existing queue with grid.Drain and exits when it
-// is drained (or each slot has run its -queue-max-cells share). Cell
-// failures are recorded in the queue, not in the exit code: the coordinator
-// owns reporting.
-func queueWorkerMain(dir string, ttl time.Duration, drain grid.Options, verbose bool) int {
-	q, err := queue.Open(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 2
+// cached answers every cell of specs that has an entry in cache by handing
+// its stored payload to deliver, and returns the cells left to run with a
+// deliver that stores each successful result before passing it on. An
+// entry that cannot be trusted is reported and its cell re-run.
+func cached(cache *grid.Cache, specs []grid.Spec, deliver func(grid.Result)) ([]grid.Spec, func(grid.Result)) {
+	misses := map[grid.Coord]grid.Spec{}
+	var run []grid.Spec
+	for _, s := range specs {
+		payload, ok, err := cache.Load(s)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: cache: %v, re-running\n", err)
+		}
+		if ok {
+			deliver(grid.Result{Coord: s.Coord, Kind: s.Kind, Payload: payload})
+			continue
+		}
+		misses[s.Coord] = s
+		run = append(run, s)
 	}
-	stats, err := grid.Drain(q.Source(ttl), drain, withProgress(verbose, q.Cells(), nil))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 1
+	return run, func(r grid.Result) {
+		if err := cache.Store(misses[r.Coord], r); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: cache: storing %s: %v\n", r.Coord, err)
+		}
+		deliver(r)
 	}
-	fmt.Fprintf(os.Stderr, "experiments: queue worker done: ran %d cells (%d failed) in %.1fs busy\n",
-		stats.Cells, stats.Failed, stats.Busy())
-	return 0
 }
 
 // concurrentSection builds the Exp 2/3 (Fig 5/7) section.

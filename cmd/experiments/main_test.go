@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestMain doubles as the worker-subprocess helper: with
@@ -18,7 +21,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runGridArgs is a small but multi-section grid: 19 cells across four
+// runGridArgs is a small but multi-section grid: 39 cells across four
 // experiment families, fast enough to run repeatedly in a unit test.
 func runGridArgs(dir string, extra ...string) []string {
 	return append([]string{
@@ -84,26 +87,60 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 }
 
 // TestSubprocessFanoutByteIdentical runs the same grid over -worker-cmd
-// subprocesses (the test binary in worker mode), from memory and through a
-// durable queue, and demands the same bytes as the in-process
-// single-worker run.
+// subprocesses (the test binary in worker mode) and demands the same bytes
+// as the in-process single-worker run.
 func TestSubprocessFanoutByteIdentical(t *testing.T) {
 	stdout1, csv1 := runGrid(t, "-workers", "1")
 	t.Setenv("EXPERIMENTS_WORKER_TEST", "1") // inherited by the spawned workers
 	stdoutSub, csvSub := runGrid(t, "-workers", "3", "-worker-cmd", os.Args[0])
 	expectIdentical(t, "in-process vs subprocess", stdout1, stdoutSub, csv1, csvSub)
-	qdir := filepath.Join(t.TempDir(), "q")
-	stdoutQ, csvQ := runGrid(t, "-workers", "3", "-worker-cmd", os.Args[0], "-queue-dir", qdir)
-	expectIdentical(t, "in-process vs queue subprocess", stdout1, stdoutQ, csv1, csvQ)
 }
 
-// TestFailingCellFailsSectionNotRun injects a failing cell kind (exp1 at a
-// negative size panics deep in the engine) and checks the run reports the
-// failure with exit 1 while still rendering the healthy sections.
+// TestBadWorkerCmdFails: a worker command that cannot start fails every
+// cell, so the run exits 1.
+func TestBadWorkerCmdFails(t *testing.T) {
+	var b strings.Builder
+	if code := Main(runGridArgs(t.TempDir(), "-workers", "2", "-worker-cmd", "/nonexistent/worker"), &b); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+}
+
+// TestTimingsJSON checks the machine-readable utilization summary: present,
+// parseable, and consistent with the run.
+func TestTimingsJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "timings.json")
+	runGrid(t, "-workers", "2", "-timings-json", path)
+	rep := readTimings(t, path)
+	if rep.Cells != 39 {
+		t.Errorf("cells = %d, want the test grid's 39", rep.Cells)
+	}
+	if rep.Failed != 0 || rep.Workers != 2 || len(rep.PerWorkerBusySeconds) != 2 {
+		t.Errorf("report = %+v", rep)
+	}
+}
+
+// readTimings parses a -timings-json file.
+func readTimings(t *testing.T, path string) metrics.TimingsReport {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep metrics.TimingsReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("parsing %s: %v\n%s", path, err, data)
+	}
+	return rep
+}
+
+// TestFailingCellFailsSectionNotRun injects failing cells (exp1 at 1000 GB
+// overflows the simulated scratch partition and the pysim host's RAM) and
+// checks the run reports the failure with exit 1 while still rendering the
+// healthy sections.
 func TestFailingCellFailsSectionNotRun(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
-	code := Main([]string{"-exp1", "-sizes", "-1,3", "-exp4", "-out", dir, "-workers", "2"}, &b)
+	code := Main([]string{"-exp1", "-sizes", "1000,3", "-exp4", "-out", dir, "-workers", "2"}, &b)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (failed section)", code)
 	}
@@ -167,8 +204,23 @@ func TestExp4Flag(t *testing.T) {
 }
 
 func TestBadSizeFlag(t *testing.T) {
-	var b strings.Builder
-	if code := Main([]string{"-exp1", "-sizes", "abc"}, &b); code == 0 {
-		t.Fatal("bad -sizes accepted")
+	notADir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-exp1", "-sizes", "abc"},
+		{"-exp1", "-sizes", "0"},
+		{"-exp1", "-sizes", "3,-5"},
+		{"-exp2", "-quick", "-reps", "0"},
+		{"-tables", "-exp4", "-cache", notADir},
+	} {
+		var b strings.Builder
+		if code := Main(append(args, "-out", t.TempDir()), &b); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: wrote to stdout: %q", args, b.String())
+		}
 	}
 }

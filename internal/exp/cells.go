@@ -41,7 +41,7 @@ type Section struct {
 	Merge func(ps []grid.Payload) (*Output, error)
 }
 
-// SpecsOf concatenates the sections' cells (the pool input: one queue across
+// SpecsOf concatenates the sections' cells (the pool input: one list across
 // all sections maximizes overlap and shortens the straggler tail).
 func SpecsOf(sections []Section) []grid.Spec {
 	var out []grid.Spec

@@ -7,19 +7,17 @@
 // `experiments -worker` subprocesses (including workers on other hosts fed
 // through ssh pipes) run cells for the same drain as in-process slots.
 //
-// There is one scheduler, Drain: its slots claim cells from a Source, run
-// each with the attempt/retry/timeout policy of Options (in process, or on
-// the slot's -worker-cmd subprocess), heartbeat the claim, and complete it.
-// A Source has two backends: the in-memory spec list behind Run, and the
-// durable queue journal of package queue, which leases cells under a TTL so
-// several processes and hosts can drain it. Both claim costliest first
-// (ClaimOrder).
+// There is one scheduler, Run: its slots take cells costliest first and run
+// each with the attempt/retry/timeout policy of Options, in process or on
+// the slot's -worker-cmd subprocess. A cell is a pure function of its Kind,
+// its Args and the binary, which is what Cache keys on: a run can skip the
+// cells an earlier run already computed and replay their stored payloads.
 //
 // Payloads always round-trip through JSON, in-process included, so a run's
 // bytes cannot depend on which side of a process boundary a cell happened to
 // execute on: Go's float64 encoding is exact under round-trip, and the
 // merger orders payloads by Coord, so stdout reports and CSVs are
-// byte-identical for every worker count, fan-out mode and source.
+// byte-identical for every worker count, fan-out mode and cache state.
 package grid
 
 import (
@@ -67,7 +65,7 @@ type Spec struct {
 	Kind  string `json:"kind"`
 	Label string `json:"label,omitempty"`
 	// Cost is the cell's self-estimated relative cost (any consistent unit;
-	// the exp package uses simulated bytes × instances). Drain claims
+	// the exp package uses simulated bytes × instances). Run starts
 	// costlier cells first so a long cell starts early instead of becoming
 	// the straggler tail.
 	Cost float64         `json:"cost,omitempty"`

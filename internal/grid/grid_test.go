@@ -120,7 +120,7 @@ func TestClampWorkers(t *testing.T) {
 		{-3, 100, 0}, // negative too
 		{4, 100, 4},  // explicit count passes through
 		{16, 4, 4},   // clamped to the cell count
-		{16, 0, 16},  // no cells: no clamp (Run returns before spawning)
+		{16, 0, 1},   // no cells: one slot (Run returns before spawning)
 		{1, 1, 1},
 	}
 	for _, c := range cases {
@@ -146,7 +146,7 @@ func TestScheduleOrderLongestFirst(t *testing.T) {
 		spec("test-square", 3, 5), // ties keep enumeration order (stable)
 		spec("test-square", 4, 0),
 	}
-	got := ClaimOrder(specs)
+	got := claimOrder(specs)
 	wantI := []int{1, 3, 2, 0, 4}
 	for i, c := range got {
 		if c != wantI[i] {
@@ -156,7 +156,7 @@ func TestScheduleOrderLongestFirst(t *testing.T) {
 	// The input slice is untouched.
 	for i, s := range specs {
 		if s.Coord.I != i {
-			t.Fatalf("ClaimOrder mutated its input at %d", i)
+			t.Fatalf("claimOrder mutated its input at %d", i)
 		}
 	}
 }
@@ -359,6 +359,14 @@ func TestRunDeliversEveryCell(t *testing.T) {
 	if stats.Workers() != 8 {
 		t.Fatalf("stats.Workers() = %d, want 8", stats.Workers())
 	}
+
+	// No cells (a fully warm cache): no slot starts and the stats are zero.
+	stats, err = Run(nil, Options{Workers: 8}, func(r Result) {
+		t.Errorf("cell %v delivered from an empty run", r.Coord)
+	})
+	if err != nil || stats.Cells != 0 || stats.Workers() != 0 || stats.WallSeconds != 0 {
+		t.Fatalf("empty run: stats = %+v, err %v; want zero stats", stats, err)
+	}
 }
 
 func TestSortPayloads(t *testing.T) {
@@ -514,39 +522,5 @@ func TestPayloadJSONRoundTripIsExact(t *testing.T) {
 		if back != v {
 			t.Fatalf("float64 %v did not round-trip (got %v)", v, back)
 		}
-	}
-}
-
-// failingSource hands out cells forever and fails every completion.
-type failingSource struct {
-	mu     sync.Mutex
-	claims int
-}
-
-func (f *failingSource) Claim(int) (Claim, bool, time.Duration, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.claims++
-	return Claim{Cell: f.claims, Spec: spec("test-square", f.claims, 0)}, true, 0, nil
-}
-
-func (f *failingSource) Beat(int) error { return nil }
-
-func (f *failingSource) Complete(int, Claim, Result) error {
-	return fmt.Errorf("result store gone")
-}
-
-func TestDrainStopsOnSourceError(t *testing.T) {
-	// A source error is a drain error: every slot stops claiming and Drain
-	// returns it, instead of looping over a source that cannot record work.
-	src := &failingSource{}
-	stats, err := Drain(src, Options{Workers: 3}, func(r Result) {
-		t.Errorf("cell %v delivered although its completion failed", r.Coord)
-	})
-	if err == nil || !strings.Contains(err.Error(), "result store gone") {
-		t.Fatalf("err = %v, want the source's error", err)
-	}
-	if stats.Cells != 0 || src.claims > 3 {
-		t.Fatalf("stats = %+v after %d claims: want no cells and one claim per slot", stats, src.claims)
 	}
 }

@@ -3,7 +3,6 @@ package grid
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -31,13 +29,10 @@ type Options struct {
 	// Retries is the number of extra attempts after a failed one (error,
 	// panic, timeout, or dead worker). 0 means one attempt.
 	Retries int
-	// MaxCells, when positive, stops each slot after that many cells.
-	// Bounded drains suit spot capacity and make interruption testable.
-	MaxCells int
 	// WorkerCmd, when set, execs this argv once per slot and feeds it cells
 	// over the stdin/stdout JSON protocol (see ServeWorker) instead of
 	// running them in-process. "ssh host experiments -worker" fans the same
-	// source out across hosts.
+	// drain out across hosts.
 	WorkerCmd []string
 	// WorkerEnv appends to the subprocess environment (tests use it to put
 	// the test binary into worker mode).
@@ -48,67 +43,33 @@ type Options struct {
 	WorkerStderr io.Writer
 }
 
-// Claim is one cell a Source handed to a drain slot.
-type Claim struct {
-	// Cell is the source's handle on the cell, passed back to Complete.
-	Cell int
-	Spec Spec
-	// Beat is how often Drain calls Source.Beat while the cell runs; 0 means
-	// the claim never expires and needs no heartbeat.
-	Beat time.Duration
-}
-
-// Source is where Drain's slots claim cells and return their results: the
-// in-memory spec list behind Run, or the durable queue journal
-// (queue.Queue.Source), which leases cells under a TTL. It must be safe
-// for concurrent use by all slots.
-type Source interface {
-	// Claim hands slot its next cell. Otherwise ok is false and poll is 0
-	// when every cell is finished, or how long to wait before asking again
-	// while other claimers hold every remaining cell.
-	Claim(slot int) (c Claim, ok bool, poll time.Duration, err error)
-	// Beat renews slot's claim while its cell runs.
-	Beat(slot int) error
-	// Complete records the outcome of slot's claim c.
-	Complete(slot int, c Claim, r Result) error
-}
-
-// Run drains specs from memory: Drain over a source that hands the specs
-// out costliest first and never leases, beats or polls. Workers is clamped
-// to the cell count.
+// Run is the grid's one cell scheduler. Each of opts.Workers slots (clamped
+// to the cell count) takes specs costliest first from one channel and runs
+// each in process, or on the slot's WorkerCmd subprocess, under opts'
+// timeout and retries. deliver is called serially, from the calling
+// goroutine, with each finished Result. A failed cell is reported in its
+// Result, so the returned error is always nil. Zero specs start no slot
+// and return zero stats.
 func Run(specs []Spec, opts Options, deliver func(Result)) (metrics.GridStats, error) {
-	opts.Workers = clampWorkers(opts.Workers, len(specs))
-	src := make(memSource, len(specs))
-	for _, i := range ClaimOrder(specs) {
-		src <- Claim{Cell: i, Spec: specs[i]}
+	if len(specs) == 0 {
+		return metrics.GridStats{}, nil
 	}
-	close(src)
-	return Drain(src, opts, deliver)
-}
+	n := clampWorkers(opts.Workers, len(specs))
+	todo := make(chan Spec, len(specs))
+	for _, i := range claimOrder(specs) {
+		todo <- specs[i]
+	}
+	close(todo)
 
-// Drain is the grid's one cell scheduler. Each of opts.Workers slots
-// claims a cell from src, runs it (in process, or on the slot's WorkerCmd
-// subprocess) under opts' timeout and retries, heartbeats the claim
-// meanwhile, and completes it. deliver is called serially, from the
-// calling goroutine, with each completed Result. A failed cell is reported
-// in its Result, never as a drain error. A source error stops every slot
-// from claiming more and is returned once the running cells finish. The
-// stats cover the cells this drain ran.
-func Drain(src Source, opts Options, deliver func(Result)) (metrics.GridStats, error) {
-	n := clampWorkers(opts.Workers, 0)
 	stats := metrics.GridStats{BusySeconds: make([]float64, n)}
 	results := make(chan Result, n)
-	errs := make([]error, n)
-	var stop atomic.Bool
 	var wg sync.WaitGroup
 	start := time.Now()
 	for slot := 0; slot < n; slot++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			if errs[slot] = drainSlot(src, slot, opts, &stop, results); errs[slot] != nil {
-				stop.Store(true)
-			}
+			runSlot(todo, slot, opts, results)
 		}(slot)
 	}
 	go func() {
@@ -130,11 +91,11 @@ func Drain(src Source, opts Options, deliver func(Result)) (metrics.GridStats, e
 		}
 	}
 	stats.WallSeconds = time.Since(start).Seconds()
-	return stats, errors.Join(errs...)
+	return stats, nil
 }
 
-// drainSlot is one slot's claim → run → complete loop.
-func drainSlot(src Source, slot int, opts Options, stop *atomic.Bool, out chan<- Result) error {
+// runSlot is one slot's take → run → send loop.
+func runSlot(todo <-chan Spec, slot int, opts Options, out chan<- Result) {
 	exec := cellExec(runInProcess)
 	if len(opts.WorkerCmd) > 0 {
 		pw := &procWorker{cmdline: opts.WorkerCmd, env: opts.WorkerEnv,
@@ -142,102 +103,30 @@ func drainSlot(src Source, slot int, opts Options, stop *atomic.Bool, out chan<-
 		defer pw.stop()
 		exec = pw.exec
 	}
-	for ran := 0; opts.MaxCells <= 0 || ran < opts.MaxCells; ran++ {
-		c, ok, err := claim(src, slot, stop)
-		if err != nil {
-			return fmt.Errorf("grid: claiming a cell: %w", err)
-		}
-		if !ok {
-			return nil
-		}
-		endBeat := heartbeat(src, slot, c.Beat)
-		res := runCell(c.Spec, opts, exec)
-		endBeat()
+	for s := range todo {
+		res := runCell(s, opts, exec)
 		// The executor owns the payload; the spec owns the identity.
-		res.Coord, res.Kind, res.Worker = c.Spec.Coord, c.Spec.Kind, slot
-		if err := src.Complete(slot, c, res); err != nil {
-			return fmt.Errorf("grid: completing %s: %w", c.Spec.Coord, err)
-		}
+		res.Coord, res.Kind, res.Worker = s.Coord, s.Kind, slot
 		out <- res
 	}
-	return nil
 }
-
-// claim asks src for slot's next cell, polling while other claimers hold
-// every remaining one. ok is false once src is drained or the drain stops.
-func claim(src Source, slot int, stop *atomic.Bool) (c Claim, ok bool, err error) {
-	for !stop.Load() {
-		c, ok, poll, err := src.Claim(slot)
-		if err != nil || ok || poll <= 0 {
-			return c, ok, err
-		}
-		time.Sleep(poll)
-	}
-	return Claim{}, false, nil
-}
-
-// heartbeat calls src.Beat for slot every period until the returned stop
-// function is called; a zero period starts nothing. A failed beat (a
-// transient filesystem error) is not fatal: the claim just ages toward
-// expiry and the next beat retries.
-func heartbeat(src Source, slot int, period time.Duration) (stop func()) {
-	if period <= 0 {
-		return func() {}
-	}
-	done, exited := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(exited)
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				src.Beat(slot)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-exited
-	}
-}
-
-// memSource hands out in-memory claims in queued order. They never expire,
-// so it never beats, polls or records anything.
-type memSource chan Claim
-
-func (m memSource) Claim(int) (Claim, bool, time.Duration, error) {
-	c, ok := <-m
-	return c, ok, 0, nil
-}
-
-func (memSource) Beat(int) error                    { return nil }
-func (memSource) Complete(int, Claim, Result) error { return nil }
 
 // clampWorkers resolves the requested slot count: ≤0 means GOMAXPROCS, and
-// the result is clamped to [1, cells] (cells 0: no upper clamp).
+// the result is clamped to [1, cells].
 func clampWorkers(requested, cells int) int {
 	n := requested
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if cells > 0 && n > cells {
-		n = cells
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(n, cells))
 }
 
-// ClaimOrder returns the longest-cell-first claim order of specs, as
-// indices: descending self-estimated cost, stable on the enumeration order
-// so equal-cost cells keep a deterministic sequence. Starting the costliest
+// claimOrder returns the longest-cell-first run order of specs, as indices:
+// descending self-estimated cost, stable on the enumeration order so
+// equal-cost cells keep a deterministic sequence. Starting the costliest
 // cells first keeps a drain's tail short: the last cells to finish are the
-// cheap ones. Both sources claim in this order.
-func ClaimOrder(specs []Spec) []int {
+// cheap ones.
+func claimOrder(specs []Spec) []int {
 	order := make([]int, len(specs))
 	for i := range order {
 		order[i] = i

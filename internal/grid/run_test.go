@@ -4,39 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/metrics"
-	"repro/internal/queue"
 )
 
 // The cell kinds used here (test-square, test-flaky, test-hang, test-error,
 // test-panic) and the GRID_WORKER_HELPER subprocess mode are defined by the
 // package's internal tests, which share this binary.
-
-// drainSources runs the same drain over each of grid.Drain's two sources:
-// the in-memory list behind grid.Run, and a durable queue in a temp dir.
-var drainSources = []struct {
-	name  string
-	drain func(t *testing.T, specs []grid.Spec, opts grid.Options, deliver func(grid.Result)) (metrics.GridStats, error)
-}{
-	{"memory", func(t *testing.T, specs []grid.Spec, opts grid.Options, deliver func(grid.Result)) (metrics.GridStats, error) {
-		return grid.Run(specs, opts, deliver)
-	}},
-	{"queue", func(t *testing.T, specs []grid.Spec, opts grid.Options, deliver func(grid.Result)) (metrics.GridStats, error) {
-		q, err := queue.Create(filepath.Join(t.TempDir(), "q"), specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A short TTL keeps the idle slots' polls (TTL/4) brief.
-		return grid.Drain(q.Source(2*time.Second), opts, deliver)
-	}},
-}
 
 // flakyRuns makes every test-flaky key unique, so -count=N reruns start
 // from a fresh attempt counter.
@@ -51,11 +29,11 @@ func cell(kind string, i int, cost float64, key string) grid.Spec {
 	return grid.NewSpec(kind, grid.Coord{Section: "d", I: i}, "", cost, cellArgs{X: float64(i), Case: key})
 }
 
-// TestDrainSharedLoop checks the one drain loop's contract on both sources:
-// each cell delivered once with the right payload, costliest-first claims on
-// one slot, retries, the in-process timeout, MaxCells, and the Failed and
+// TestRunSharedLoop checks the one scheduler's contract: each cell
+// delivered once with the right payload, costliest first on one slot,
+// retries, the in-process timeout, subprocess slots, and the Failed and
 // Retried counts of GridStats.
-func TestDrainSharedLoop(t *testing.T) {
+func TestRunSharedLoop(t *testing.T) {
 	cases := []struct {
 		name        string
 		specs       func(key string) []grid.Spec
@@ -165,49 +143,34 @@ func TestDrainSharedLoop(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "max cells",
-			specs: func(string) []grid.Spec {
-				var specs []grid.Spec
-				for i := 0; i < 6; i++ {
-					specs = append(specs, cell("test-square", i, float64(i), ""))
-				}
-				return specs
-			},
-			opts:      grid.Options{Workers: 1, MaxCells: 2},
-			wantOrder: []int{5, 4},
-			wantCells: 2,
-		},
 	}
-	for _, src := range drainSources {
-		for _, c := range cases {
-			t.Run(src.name+"/"+c.name, func(t *testing.T) {
-				byCell := map[int]grid.Result{}
-				var order []int
-				key := fmt.Sprintf("%s#%d", t.Name(), flakyRuns.Add(1))
-				stats, err := src.drain(t, c.specs(key), c.opts, func(r grid.Result) {
-					if _, dup := byCell[r.Coord.I]; dup {
-						t.Errorf("cell %v delivered twice", r.Coord)
-					}
-					byCell[r.Coord.I] = r
-					order = append(order, r.Coord.I)
-				})
-				if err != nil {
-					t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			byCell := map[int]grid.Result{}
+			var order []int
+			key := fmt.Sprintf("%s#%d", t.Name(), flakyRuns.Add(1))
+			stats, err := grid.Run(c.specs(key), c.opts, func(r grid.Result) {
+				if _, dup := byCell[r.Coord.I]; dup {
+					t.Errorf("cell %v delivered twice", r.Coord)
 				}
-				if len(byCell) != c.wantCells || stats.Cells != c.wantCells {
-					t.Fatalf("delivered %d cells (stats %d), want %d", len(byCell), stats.Cells, c.wantCells)
-				}
-				if c.wantOrder != nil && fmt.Sprint(order) != fmt.Sprint(c.wantOrder) {
-					t.Errorf("delivery order %v, want %v", order, c.wantOrder)
-				}
-				if stats.Failed != c.wantFailed || stats.Retried != c.wantRetried {
-					t.Errorf("stats Failed=%d Retried=%d, want %d/%d", stats.Failed, stats.Retried, c.wantFailed, c.wantRetried)
-				}
-				if c.check != nil {
-					c.check(t, byCell)
-				}
+				byCell[r.Coord.I] = r
+				order = append(order, r.Coord.I)
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(byCell) != c.wantCells || stats.Cells != c.wantCells {
+				t.Fatalf("delivered %d cells (stats %d), want %d", len(byCell), stats.Cells, c.wantCells)
+			}
+			if c.wantOrder != nil && fmt.Sprint(order) != fmt.Sprint(c.wantOrder) {
+				t.Errorf("delivery order %v, want %v", order, c.wantOrder)
+			}
+			if stats.Failed != c.wantFailed || stats.Retried != c.wantRetried {
+				t.Errorf("stats Failed=%d Retried=%d, want %d/%d", stats.Failed, stats.Retried, c.wantFailed, c.wantRetried)
+			}
+			if c.check != nil {
+				c.check(t, byCell)
+			}
+		})
 	}
 }

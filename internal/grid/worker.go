@@ -16,9 +16,9 @@ import (
 //
 // The coordinator speaks this protocol to `experiments -worker`
 // subprocesses; because specs are self-describing, the command can just as
-// well be `ssh host experiments -worker`, letting several hosts drain one
-// queue. w must carry nothing but protocol frames: worker diagnostics
-// belong on stderr.
+// well be `ssh host experiments -worker`, letting several hosts run the
+// cells of one drain. w must carry nothing but protocol frames: worker
+// diagnostics belong on stderr.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	dec := json.NewDecoder(r)
 	enc := json.NewEncoder(w)

@@ -141,11 +141,6 @@ type GridStats struct {
 	// total cell-execution time worker w accumulated (all attempts).
 	WallSeconds float64
 	BusySeconds []float64
-	// WorkerIDs, when set, names each BusySeconds slot. In-process pools
-	// leave it nil (slots are anonymous goroutines); the durable queue fills
-	// it with the journal's worker ids so multi-host aggregation stays
-	// attributable.
-	WorkerIDs []string
 }
 
 // Workers returns the pool size.
@@ -183,14 +178,14 @@ func (s GridStats) Parallelism() float64 {
 // TimingsReport is GridStats in its machine-readable form: the JSON document
 // `experiments -timings-json` writes, with the same field names the BENCH_*
 // files use (wall_seconds, busy_seconds, utilization,
-// effective_parallelism), so queue-wide aggregation, ad-hoc tooling, and
-// recorded baselines all share one format.
+// effective_parallelism), so ad-hoc tooling and recorded baselines share one
+// format. It covers the cells the run executed; cells answered from a
+// result cache are not counted.
 type TimingsReport struct {
 	Cells                int       `json:"cells"`
 	Failed               int       `json:"failed"`
 	Retried              int       `json:"retried"`
 	Workers              int       `json:"workers"`
-	WorkerIDs            []string  `json:"worker_ids,omitempty"`
 	WallSeconds          float64   `json:"wall_seconds"`
 	BusySeconds          float64   `json:"busy_seconds"`
 	PerWorkerBusySeconds []float64 `json:"per_worker_busy_seconds"`
@@ -205,7 +200,6 @@ func (s GridStats) Report() TimingsReport {
 		Failed:               s.Failed,
 		Retried:              s.Retried,
 		Workers:              s.Workers(),
-		WorkerIDs:            s.WorkerIDs,
 		WallSeconds:          s.WallSeconds,
 		BusySeconds:          s.Busy(),
 		PerWorkerBusySeconds: s.BusySeconds,

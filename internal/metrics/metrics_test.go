@@ -165,7 +165,6 @@ func TestTimingsReportRoundTrip(t *testing.T) {
 		Retried:     2,
 		WallSeconds: 10,
 		BusySeconds: []float64{8, 6, 4, 2},
-		WorkerIDs:   []string{"a", "b", "c", "d"},
 	}
 	rep := s.Report()
 	if rep.Workers != 4 || rep.BusySeconds != 20 || rep.Cells != 10 {
@@ -192,7 +191,7 @@ func TestTimingsReportRoundTrip(t *testing.T) {
 		t.Fatalf("JSON did not round-trip:\n%+v\n%+v", back, rep)
 	}
 	for _, field := range []string{
-		`"cells"`, `"failed"`, `"retried"`, `"workers"`, `"worker_ids"`,
+		`"cells"`, `"failed"`, `"retried"`, `"workers"`,
 		`"wall_seconds"`, `"busy_seconds"`, `"per_worker_busy_seconds"`,
 		`"utilization"`, `"effective_parallelism"`,
 	} {
@@ -203,13 +202,13 @@ func TestTimingsReportRoundTrip(t *testing.T) {
 }
 
 func TestTimingsReportAnonymousWorkers(t *testing.T) {
-	// In-process pools have no worker ids; the field is omitted, not null.
+	// Drain slots are anonymous: the report names no workers.
 	s := GridStats{Cells: 1, WallSeconds: 1, BusySeconds: []float64{1}}
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(buf.Bytes(), []byte("worker_ids")) {
-		t.Fatalf("anonymous pool must omit worker_ids:\n%s", buf.String())
+		t.Fatalf("report must not name workers:\n%s", buf.String())
 	}
 }
