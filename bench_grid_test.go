@@ -16,11 +16,11 @@ func benchGridSpecs() []grid.Spec {
 	return exp.ConcurrentCells("bench", false, units.GB, []int{1, 2, 4, 8}, 1)
 }
 
-// BenchmarkGridFanout measures the sharded experiment-grid runner draining
-// the same cell set with one worker vs GOMAXPROCS workers. The sequential/
-// parallel wall-clock ratio is the runner's speedup (recorded in
-// BENCH_grid.json); the merged bytes are identical either way, which the
-// determinism tests assert.
+// BenchmarkGridFanout measures the experiment-grid runner draining the same
+// cell set with one worker vs GOMAXPROCS workers. The sequential/parallel
+// wall-clock ratio is the runner's speedup; the merged bytes are identical
+// either way, which the determinism tests assert. perfbench's grid-quick
+// workload measures the whole -quick grid.
 func BenchmarkGridFanout(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		workers := workers

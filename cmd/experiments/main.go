@@ -3,9 +3,8 @@
 // CSV data under -out.
 //
 // Every experiment enumerates its independent simulation cells into one
-// grid, fanned out over -workers in-process workers (or -worker-cmd
-// subprocesses) and merged deterministically: the report is byte-identical
-// for every worker count. See README.md for the fan-out protocol.
+// grid, run over -workers in-process slots and merged deterministically:
+// the report is byte-identical for every worker count (see README.md).
 //
 // With -cache DIR each successful cell's payload is stored under DIR, keyed
 // by the binary, the cell's kind and its arguments, so a re-run or a run
@@ -24,7 +23,6 @@
 //	experiments -writebacks          # writeback-policy ablation (list-order/oldest-first/file-rr/proportional)
 //	experiments -devices             # per-device writeback ablation (mixed-speed host vs CAWL model)
 //	experiments -ffwd                # fast-forward speedup/error ablation (exact vs phase-skipped)
-//	experiments -worker              # serve cells over stdin/stdout (spawned via -worker-cmd)
 //	experiments -quick -cache c      # store results in c; a re-run executes no cell
 package main
 
@@ -75,26 +73,14 @@ func Main(args []string, stdout io.Writer) int {
 		outDir    = fs.String("out", "results", "output directory for CSV files")
 
 		workers     = fs.Int("workers", 0, "grid worker count (0: GOMAXPROCS)")
-		worker      = fs.Bool("worker", false, "serve as a grid worker: read JSON cell specs on stdin, stream JSON results on stdout")
-		workerCmd   = fs.String("worker-cmd", "", "fan cells out to subprocesses: argv spawned once per worker slot (e.g. \"./experiments -worker\" or \"ssh host experiments -worker\")")
-		cellTO      = fs.Duration("cell-timeout", 0, "per-cell attempt timeout (0: none)")
-		cellRetry   = fs.Int("cell-retries", 0, "extra attempts after a failed cell (error, panic, timeout, dead worker)")
+		cellTO      = fs.Duration("cell-timeout", 0, "per-cell timeout (0: none)")
 		cacheDir    = fs.String("cache", "", "result cache directory: replay the stored payload of every cell this binary already computed there, run the rest and store them")
-		timingsJSON = fs.String("timings-json", "", "write the grid utilization summary as machine-readable JSON to FILE (the BENCH_* field format)")
+		timingsJSON = fs.String("timings-json", "", "write the grid utilization summary as machine-readable JSON to FILE")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *worker {
-		// Stdout carries nothing but protocol frames in worker mode.
-		if err := grid.ServeWorker(os.Stdin, stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	drain := grid.Options{Workers: *workers, Timeout: *cellTO, Retries: *cellRetry,
-		WorkerCmd: strings.Fields(*workerCmd)}
+	drain := grid.Options{Workers: *workers, Timeout: *cellTO}
 	if !(*exp1 || *exp2 || *exp3 || *exp4 || *fig8 || *ablations || *tables || *policies || *wbacks || *devs || *ffwd) {
 		*all = true
 	}
@@ -315,8 +301,8 @@ func Main(args []string, stdout io.Writer) int {
 		fmt.Fprintf(stdout, "== Grid: %d cells on %d workers ==\n", stats.Cells, stats.Workers())
 		fmt.Fprintf(stdout, "wall %.1fs, busy %.1fs, utilization %.0f%%, effective parallelism %.1fx\n",
 			stats.WallSeconds, stats.Busy(), 100*stats.Utilization(), stats.Parallelism())
-		if stats.Failed > 0 || stats.Retried > 0 {
-			fmt.Fprintf(stdout, "failed %d, retried %d\n", stats.Failed, stats.Retried)
+		if stats.Failed > 0 {
+			fmt.Fprintf(stdout, "failed %d\n", stats.Failed)
 		}
 		fmt.Fprintln(stdout)
 	}
@@ -333,7 +319,7 @@ func Main(args []string, stdout io.Writer) int {
 }
 
 // writeTimingsJSON saves the utilization summary as JSON when a path was
-// given (one machine-readable format shared with the BENCH_* baselines).
+// given.
 func writeTimingsJSON(path string, stats metrics.GridStats) int {
 	if path == "" {
 		return 0

@@ -10,17 +10,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestMain doubles as the worker-subprocess helper: with
-// EXPERIMENTS_WORKER_TEST set the test binary behaves as `experiments
-// -worker`, so the -worker-cmd fan-out path is exercised end to end against
-// a real subprocess speaking the real protocol.
-func TestMain(m *testing.M) {
-	if os.Getenv("EXPERIMENTS_WORKER_TEST") == "1" {
-		os.Exit(Main([]string{"-worker"}, os.Stdout))
-	}
-	os.Exit(m.Run())
-}
-
 // runGridArgs is a small but multi-section grid: 39 cells across four
 // experiment families, fast enough to run repeatedly in a unit test.
 func runGridArgs(dir string, extra ...string) []string {
@@ -84,25 +73,6 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	stdout1, csv1 := runGrid(t, "-workers", "1")
 	stdout8, csv8 := runGrid(t, "-workers", "8")
 	expectIdentical(t, "workers 1 vs 8", stdout1, stdout8, csv1, csv8)
-}
-
-// TestSubprocessFanoutByteIdentical runs the same grid over -worker-cmd
-// subprocesses (the test binary in worker mode) and demands the same bytes
-// as the in-process single-worker run.
-func TestSubprocessFanoutByteIdentical(t *testing.T) {
-	stdout1, csv1 := runGrid(t, "-workers", "1")
-	t.Setenv("EXPERIMENTS_WORKER_TEST", "1") // inherited by the spawned workers
-	stdoutSub, csvSub := runGrid(t, "-workers", "3", "-worker-cmd", os.Args[0])
-	expectIdentical(t, "in-process vs subprocess", stdout1, stdoutSub, csv1, csvSub)
-}
-
-// TestBadWorkerCmdFails: a worker command that cannot start fails every
-// cell, so the run exits 1.
-func TestBadWorkerCmdFails(t *testing.T) {
-	var b strings.Builder
-	if code := Main(runGridArgs(t.TempDir(), "-workers", "2", "-worker-cmd", "/nonexistent/worker"), &b); code != 1 {
-		t.Errorf("exit %d, want 1", code)
-	}
 }
 
 // TestTimingsJSON checks the machine-readable utilization summary: present,

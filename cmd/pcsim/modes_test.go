@@ -161,6 +161,19 @@ func TestPcsimFfwdOraclePasses(t *testing.T) {
 	}
 }
 
+// TestPcsimFailedWorkloadNamesInstance: four 20 GB pipelines on a 16 GiB
+// host run out of memory by design, so the run exits 1, prints no report,
+// and its error names the instance that failed.
+func TestPcsimFailedWorkloadNamesInstance(t *testing.T) {
+	code, out, stderr := runMain(t, "-size", "20GB", "-ram", "16GiB", "-instances", "4")
+	if code != 1 || out != "" {
+		t.Fatalf("exit %d, stdout %q; want exit 1 and no output", code, out)
+	}
+	if !strings.HasPrefix(stderr, "pcsim: workload app[0]: ") || !strings.Contains(stderr, "out of memory") {
+		t.Errorf("stderr %q, want the failed instance app[0] and its out-of-memory error", stderr)
+	}
+}
+
 // TestPcsimSnapshotRoundTrip saves a cache with -snapshot-out and restores
 // it with -snapshot-in. The restored run starts with the saved run's cache
 // and its grown output files, so its whole-file re-reads move more bytes;

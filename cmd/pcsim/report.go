@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/engine"
@@ -24,18 +23,11 @@ const oracleMaxErrPct = 1.0
 // run.
 func run(doc *scenario.Doc, opts scenario.RunOpts) (*scenario.Result, error) {
 	res, err := scenario.Run(doc, opts)
+	if err == nil {
+		err = res.WorkloadErr()
+	}
 	if err != nil {
 		return nil, err
-	}
-	keys := make([]string, 0, len(res.WorkloadErrs))
-	for k := range res.WorkloadErrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := res.WorkloadErrs[k]; err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }

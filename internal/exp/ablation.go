@@ -45,8 +45,8 @@ type ablationVariant struct {
 //   - chunk-size sensitivity;
 //   - split vs shared disk channels.
 //
-// Cells reference variants by name, so the list is the lookup table both in
-// the coordinator and in worker subprocesses.
+// Cells reference variants by name, so the list is the lookup table a cell
+// resolves its variant through.
 func ablationVariants() []ablationVariant {
 	return []ablationVariant{
 		{name: "paper default (symmetric bw)", note: "baseline configuration"},

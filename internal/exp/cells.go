@@ -14,7 +14,7 @@ import (
 // coordinate-ordered payloads into the family's result struct. The merge
 // performs the exact arithmetic the old sequential loops did, in the same
 // order, so reports and CSVs are byte-identical to a sequential run
-// regardless of worker count or fan-out mode.
+// regardless of worker count or cache state.
 
 // CSV is one output file of a section.
 type CSV struct {

@@ -73,7 +73,7 @@ func policyWorkloads(quick bool) []policyWorkload {
 }
 
 // policyWorkloadByName resolves a cell's workload (cells reference
-// workloads by name so specs stay self-describing across processes).
+// workloads by name so a spec's args stay plain JSON the cache can key on).
 func policyWorkloadByName(name string) (policyWorkload, error) {
 	for _, w := range policyWorkloads(false) {
 		if w.name == name {

@@ -296,7 +296,7 @@ func (e *Emitter) Deliver(r grid.Result) {
 			e.failed[si] = true
 			e.payloads[si] = nil // free what accumulated; the section won't render
 		}
-		e.failures = append(e.failures, fmt.Sprintf("%s (%s, %d attempts): %s", r.Coord, r.Kind, r.Attempts, r.Err))
+		e.failures = append(e.failures, fmt.Sprintf("%s (%s): %s", r.Coord, r.Kind, r.Err))
 	} else if !e.failed[si] {
 		e.payloads[si] = append(e.payloads[si], grid.Payload{Coord: r.Coord, Raw: r.Payload})
 	}

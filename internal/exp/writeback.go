@@ -103,7 +103,7 @@ func wbWorkloads(quick bool) []wbWorkload {
 }
 
 // wbWorkloadByName resolves a cell's workload (cells reference workloads by
-// name so specs stay self-describing across processes).
+// name so a spec's args stay plain JSON the cache can key on).
 func wbWorkloadByName(name string) (wbWorkload, error) {
 	for _, w := range wbWorkloads(false) {
 		if w.name == name {

@@ -2,22 +2,17 @@
 // and hands the results back for a deterministic, coordinate-ordered merge.
 //
 // A cell is a Spec: a registered kind plus JSON-encoded arguments and a grid
-// Coord. Specs are self-describing — any process that imports the package
-// that registered the kind can execute one — which is what lets
-// `experiments -worker` subprocesses (including workers on other hosts fed
-// through ssh pipes) run cells for the same drain as in-process slots.
+// Coord. There is one scheduler, Run: its slots take cells costliest first
+// and run each in this process, panic-isolated and under the Options
+// timeout. A cell is a pure function of its Kind, its Args and the binary,
+// which is what Cache keys on: a run can skip the cells an earlier run
+// already computed and replay their stored payloads.
 //
-// There is one scheduler, Run: its slots take cells costliest first and run
-// each with the attempt/retry/timeout policy of Options, in process or on
-// the slot's -worker-cmd subprocess. A cell is a pure function of its Kind,
-// its Args and the binary, which is what Cache keys on: a run can skip the
-// cells an earlier run already computed and replay their stored payloads.
-//
-// Payloads always round-trip through JSON, in-process included, so a run's
-// bytes cannot depend on which side of a process boundary a cell happened to
-// execute on: Go's float64 encoding is exact under round-trip, and the
+// Payloads always round-trip through JSON, fresh ones included, so a run's
+// bytes cannot depend on whether a cell was computed now or replayed from
+// the cache: Go's float64 encoding is exact under round-trip, and the
 // merger orders payloads by Coord, so stdout reports and CSVs are
-// byte-identical for every worker count, fan-out mode and cache state.
+// byte-identical for every worker count and cache state.
 package grid
 
 import (
@@ -26,7 +21,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Coord is a cell's position in the experiment grid: the section it belongs
@@ -84,18 +78,14 @@ func NewSpec(kind string, coord Coord, label string, cost float64, args any) Spe
 
 // Result carries one executed cell back to the merger.
 type Result struct {
-	Coord   Coord           `json:"coord"`
-	Kind    string          `json:"kind"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-	// Err is the cell's failure (execution error, panic, or timeout) after
-	// all retry attempts; empty on success. A failed cell fails its section,
-	// never the run.
-	Err      string  `json:"err,omitempty"`
-	Attempts int     `json:"attempts,omitempty"`
-	Seconds  float64 `json:"seconds,omitempty"` // execution wall-clock, all attempts
-	// Worker is the drain slot that ran the cell (not part of the protocol;
-	// subprocess workers don't know their slot).
-	Worker int `json:"-"`
+	Coord   Coord
+	Kind    string
+	Payload json.RawMessage
+	// Err is the cell's failure (execution error, panic, or timeout);
+	// empty on success. A failed cell fails its section, never the run.
+	Err     string
+	Seconds float64 // execution wall-clock
+	Worker  int     // the drain slot that ran the cell
 }
 
 // Payload is a successful cell's coordinate-tagged raw payload, ready for a
@@ -116,9 +106,9 @@ var (
 )
 
 // Register adds a cell kind. The run function receives the spec's raw args
-// and returns a JSON-marshalable payload. Registration happens at init time
-// (both the coordinator and `-worker` subprocesses run it by importing the
-// registering package); duplicate kinds panic, matching the core registries.
+// and returns a JSON-marshalable payload. Registration happens at init time,
+// by importing the registering package; duplicate kinds panic, matching the
+// core registries.
 func Register(kind string, run func(args json.RawMessage) (any, error)) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -149,11 +139,9 @@ func lookup(kind string) (func(json.RawMessage) (any, error), bool) {
 
 // RunSpec executes one cell in the current process with panic isolation: a
 // panicking cell yields a Result carrying the panic value and stack, never
-// an aborted run. Used by both in-process drain slots and worker
-// subprocesses.
+// an aborted run.
 func RunSpec(s Spec) Result {
 	res := Result{Coord: s.Coord, Kind: s.Kind}
-	start := time.Now()
 	run, ok := lookup(s.Kind)
 	if !ok {
 		res.Err = fmt.Sprintf("unknown cell kind %q", s.Kind)
@@ -167,7 +155,6 @@ func RunSpec(s Spec) Result {
 		}()
 		return run(s.Args)
 	}()
-	res.Seconds = time.Since(start).Seconds()
 	if err != nil {
 		res.Err = err.Error()
 		return res

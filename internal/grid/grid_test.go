@@ -1,61 +1,24 @@
 package grid
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/des"
 )
 
-// TestMain doubles as the subprocess-worker helper: with GRID_WORKER_HELPER
-// set the test binary serves the stdin/stdout cell protocol instead of
-// running tests, so the procWorker path is exercised against a real process.
-func TestMain(m *testing.M) {
-	if os.Getenv("GRID_WORKER_HELPER") == "1" {
-		if err := ServeWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
 // Test cell kinds. The registry is global and process-wide, so each kind is
 // registered exactly once here and parameterized through its args.
 
 type testArgs struct {
-	X     float64 `json:"x"`
-	Sleep int     `json:"sleep_ms,omitempty"`
-}
-
-// flakyCount tracks per-key attempt counts for the "test-flaky" kind.
-// flakyRuns makes every key unique (see flakyCase), so -count=N reruns start
-// from a fresh attempt counter.
-var (
-	flakyMu    sync.Mutex
-	flakyCount = map[string]int{}
-	flakyRuns  atomic.Int64
-)
-
-// flakyCase returns test-flaky args keyed to this run of test t.
-func flakyCase(t *testing.T) map[string]string {
-	return map[string]string{"case": fmt.Sprintf("%s#%d", t.Name(), flakyRuns.Add(1))}
+	X float64 `json:"x"`
 }
 
 func init() {
 	RegisterCell("test-square", func(a testArgs) (any, error) {
-		if a.Sleep > 0 {
-			time.Sleep(time.Duration(a.Sleep) * time.Millisecond)
-		}
 		return map[string]float64{"y": a.X * a.X}, nil
 	})
 	RegisterCell("test-panic", func(a testArgs) (any, error) {
@@ -71,17 +34,6 @@ func init() {
 	})
 	RegisterCell("test-error", func(a testArgs) (any, error) {
 		return nil, fmt.Errorf("cell failed with x=%g", a.X)
-	})
-	Register("test-flaky", func(raw json.RawMessage) (any, error) {
-		key := string(raw)
-		flakyMu.Lock()
-		flakyCount[key]++
-		n := flakyCount[key]
-		flakyMu.Unlock()
-		if n < 3 {
-			return nil, fmt.Errorf("transient failure %d", n)
-		}
-		return map[string]int{"attempts": n}, nil
 	})
 	RegisterCell("test-hang", func(a testArgs) (any, error) {
 		time.Sleep(5 * time.Second)
@@ -272,43 +224,6 @@ func TestProcPanicFailsOnlyItsCell(t *testing.T) {
 	}
 }
 
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	// test-flaky fails its first two attempts per unique args value.
-	s := NewSpec("test-flaky", Coord{Section: "t"}, "flaky", 0, flakyCase(t))
-	var got Result
-	stats, err := Run([]Spec{s}, Options{Workers: 1, Retries: 2}, func(r Result) { got = r })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Err != "" {
-		t.Fatalf("cell failed after retries: %s", got.Err)
-	}
-	if got.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", got.Attempts)
-	}
-	if stats.Retried != 1 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want Retried=1 Failed=0", stats)
-	}
-}
-
-func TestRetryExhausted(t *testing.T) {
-	s := NewSpec("test-flaky", Coord{Section: "t"}, "flaky", 0, flakyCase(t))
-	var got Result
-	stats, err := Run([]Spec{s}, Options{Workers: 1, Retries: 1}, func(r Result) { got = r })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Err == "" {
-		t.Fatal("want failure after exhausting retries")
-	}
-	if got.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", got.Attempts)
-	}
-	if stats.Failed != 1 || stats.Retried != 1 {
-		t.Fatalf("stats = %+v, want Failed=1 Retried=1", stats)
-	}
-}
-
 func TestInProcessTimeout(t *testing.T) {
 	s := spec("test-hang", 0, 0)
 	var got Result
@@ -387,121 +302,6 @@ func TestSortPayloads(t *testing.T) {
 		if p.Coord != want[i] {
 			t.Fatalf("position %d: %v, want %v", i, p.Coord, want[i])
 		}
-	}
-}
-
-func TestServeWorkerProtocol(t *testing.T) {
-	// Drive the worker protocol over in-memory pipes: specs in, results out,
-	// in request order, panic isolated, EOF is a clean shutdown.
-	var in bytes.Buffer
-	enc := json.NewEncoder(&in)
-	for _, s := range []Spec{spec("test-square", 3, 0), spec("test-panic", 4, 0), spec("test-square", 5, 0)} {
-		if err := enc.Encode(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out bytes.Buffer
-	if err := ServeWorker(&in, &out); err != nil {
-		t.Fatalf("ServeWorker: %v", err)
-	}
-	dec := json.NewDecoder(&out)
-	var results []Result
-	for {
-		var r Result
-		if err := dec.Decode(&r); err != nil {
-			if err == io.EOF {
-				break
-			}
-			t.Fatal(err)
-		}
-		results = append(results, r)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
-	}
-	var p map[string]float64
-	if err := json.Unmarshal(results[0].Payload, &p); err != nil || p["y"] != 9 {
-		t.Fatalf("result 0: payload %s err %v, want y=9", results[0].Payload, err)
-	}
-	if !strings.Contains(results[1].Err, "panic: cell exploded") {
-		t.Fatalf("result 1: want isolated panic, got %q", results[1].Err)
-	}
-	if err := json.Unmarshal(results[2].Payload, &p); err != nil || p["y"] != 25 {
-		t.Fatalf("result 2: payload %s err %v, want y=25", results[2].Payload, err)
-	}
-}
-
-func TestServeWorkerGarbageInput(t *testing.T) {
-	err := ServeWorker(strings.NewReader("this is not json"), io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "decoding spec") {
-		t.Fatalf("want protocol error, got %v", err)
-	}
-}
-
-func TestSubprocessPool(t *testing.T) {
-	var specs []Spec
-	for i := 0; i < 10; i++ {
-		specs = append(specs, spec("test-square", i, float64(i)))
-	}
-	seen := map[int]float64{}
-	stats, err := Run(specs, Options{
-		Workers:   2,
-		WorkerCmd: []string{os.Args[0]},
-		WorkerEnv: []string{"GRID_WORKER_HELPER=1"},
-	}, func(r Result) {
-		if r.Err != "" {
-			t.Errorf("cell %v failed: %s", r.Coord, r.Err)
-			return
-		}
-		var p map[string]float64
-		if err := json.Unmarshal(r.Payload, &p); err != nil {
-			t.Errorf("cell %v payload: %v", r.Coord, err)
-			return
-		}
-		seen[r.Coord.I] = p["y"]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 10 {
-		t.Fatalf("delivered %d cells, want 10", len(seen))
-	}
-	for i := 0; i < 10; i++ {
-		if seen[i] != float64(i*i) {
-			t.Fatalf("cell %d: y = %g, want %d", i, seen[i], i*i)
-		}
-	}
-	if stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want Failed=0", stats)
-	}
-}
-
-func TestSubprocessTimeoutKillsAndRestartsWorker(t *testing.T) {
-	// The hanging cell's worker is killed on timeout; the next cell must
-	// still run (on a lazily restarted process).
-	specs := []Spec{
-		spec("test-hang", 0, 9),
-		spec("test-square", 1, 1),
-	}
-	byCell := map[int]Result{}
-	_, err := Run(specs, Options{
-		Workers:   1,
-		Timeout:   100 * time.Millisecond,
-		WorkerCmd: []string{os.Args[0]},
-		WorkerEnv: []string{"GRID_WORKER_HELPER=1"},
-	}, func(r Result) { byCell[r.Coord.I] = r })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(byCell[0].Err, "timed out") {
-		t.Fatalf("hanging cell: want timeout, got %q", byCell[0].Err)
-	}
-	if byCell[1].Err != "" {
-		t.Fatalf("cell after the killed worker failed: %s", byCell[1].Err)
-	}
-	var p map[string]float64
-	if err := json.Unmarshal(byCell[1].Payload, &p); err != nil || p["y"] != 1 {
-		t.Fatalf("restarted worker produced %s (err %v), want y=1", byCell[1].Payload, err)
 	}
 }
 

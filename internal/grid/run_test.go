@@ -3,53 +3,43 @@ package grid_test
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
 )
 
-// The cell kinds used here (test-square, test-flaky, test-hang, test-error,
-// test-panic) and the GRID_WORKER_HELPER subprocess mode are defined by the
+// The cell kinds used here (test-square, test-hang) are defined by the
 // package's internal tests, which share this binary.
 
-// flakyRuns makes every test-flaky key unique, so -count=N reruns start
-// from a fresh attempt counter.
-var flakyRuns atomic.Int64
-
 type cellArgs struct {
-	X    float64 `json:"x"`
-	Case string  `json:"case,omitempty"` // keys test-flaky's attempt counter
+	X float64 `json:"x"`
 }
 
-func cell(kind string, i int, cost float64, key string) grid.Spec {
-	return grid.NewSpec(kind, grid.Coord{Section: "d", I: i}, "", cost, cellArgs{X: float64(i), Case: key})
+func cell(kind string, i int, cost float64) grid.Spec {
+	return grid.NewSpec(kind, grid.Coord{Section: "d", I: i}, "", cost, cellArgs{X: float64(i)})
 }
 
 // TestRunSharedLoop checks the one scheduler's contract: each cell
-// delivered once with the right payload, costliest first on one slot,
-// retries, the in-process timeout, subprocess slots, and the Failed and
-// Retried counts of GridStats.
+// delivered once with the right payload, costliest first on one slot, the
+// in-process timeout, and the Failed count of GridStats.
 func TestRunSharedLoop(t *testing.T) {
 	cases := []struct {
-		name        string
-		specs       func(key string) []grid.Spec
-		opts        grid.Options
-		wantOrder   []int // delivery order on one slot; nil: any
-		wantCells   int
-		wantFailed  int
-		wantRetried int
-		check       func(t *testing.T, byCell map[int]grid.Result)
+		name       string
+		specs      func() []grid.Spec
+		opts       grid.Options
+		wantOrder  []int // delivery order on one slot; nil: any
+		wantCells  int
+		wantFailed int
+		check      func(t *testing.T, byCell map[int]grid.Result)
 	}{
 		{
 			name: "each cell once",
-			specs: func(string) []grid.Spec {
+			specs: func() []grid.Spec {
 				var specs []grid.Spec
 				for i := 0; i < 12; i++ {
-					specs = append(specs, cell("test-square", i, float64(i%4), ""))
+					specs = append(specs, cell("test-square", i, float64(i%4)))
 				}
 				return specs
 			},
@@ -66,12 +56,12 @@ func TestRunSharedLoop(t *testing.T) {
 		},
 		{
 			name: "costliest first",
-			specs: func(string) []grid.Spec {
+			specs: func() []grid.Spec {
 				return []grid.Spec{
-					cell("test-square", 0, 1, ""),
-					cell("test-square", 1, 9, ""),
-					cell("test-square", 2, 4, ""),
-					cell("test-square", 3, 9, ""), // tie keeps enumeration order
+					cell("test-square", 0, 1),
+					cell("test-square", 1, 9),
+					cell("test-square", 2, 4),
+					cell("test-square", 3, 9), // tie keeps enumeration order
 				}
 			},
 			opts:      grid.Options{Workers: 1},
@@ -79,38 +69,9 @@ func TestRunSharedLoop(t *testing.T) {
 			wantCells: 4,
 		},
 		{
-			name: "retries succeed",
-			specs: func(key string) []grid.Spec {
-				return []grid.Spec{cell("test-flaky", 0, 0, key), cell("test-square", 1, 0, "")}
-			},
-			opts:        grid.Options{Workers: 1, Retries: 2},
-			wantCells:   2,
-			wantRetried: 1,
-			check: func(t *testing.T, byCell map[int]grid.Result) {
-				if r := byCell[0]; r.Err != "" || r.Attempts != 3 {
-					t.Errorf("flaky cell: err %q after %d attempts, want success on attempt 3", r.Err, r.Attempts)
-				}
-			},
-		},
-		{
-			name: "retries exhausted",
-			specs: func(key string) []grid.Spec {
-				return []grid.Spec{cell("test-flaky", 0, 0, key), cell("test-error", 1, 0, "")}
-			},
-			opts:        grid.Options{Workers: 2, Retries: 1},
-			wantCells:   2,
-			wantFailed:  2,
-			wantRetried: 2,
-			check: func(t *testing.T, byCell map[int]grid.Result) {
-				if r := byCell[0]; r.Err == "" || r.Attempts != 2 {
-					t.Errorf("flaky cell: err %q after %d attempts, want failure after 2", r.Err, r.Attempts)
-				}
-			},
-		},
-		{
 			name: "in-process timeout",
-			specs: func(string) []grid.Spec {
-				return []grid.Spec{cell("test-hang", 0, 1, ""), cell("test-square", 1, 0, "")}
+			specs: func() []grid.Spec {
+				return []grid.Spec{cell("test-hang", 0, 1), cell("test-square", 1, 0)}
 			},
 			opts:       grid.Options{Workers: 1, Timeout: 50 * time.Millisecond},
 			wantCells:  2,
@@ -124,32 +85,12 @@ func TestRunSharedLoop(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "subprocess slots",
-			specs: func(string) []grid.Spec {
-				var specs []grid.Spec
-				for i := 0; i < 6; i++ {
-					specs = append(specs, cell("test-square", i, 0, ""))
-				}
-				return append(specs, cell("test-panic", 6, 0, ""))
-			},
-			opts: grid.Options{Workers: 2, WorkerCmd: []string{os.Args[0]},
-				WorkerEnv: []string{"GRID_WORKER_HELPER=1"}},
-			wantCells:  7,
-			wantFailed: 1,
-			check: func(t *testing.T, byCell map[int]grid.Result) {
-				if !strings.Contains(byCell[6].Err, "panic: cell exploded") {
-					t.Errorf("panicking cell: err %q, want the worker's isolated panic", byCell[6].Err)
-				}
-			},
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			byCell := map[int]grid.Result{}
 			var order []int
-			key := fmt.Sprintf("%s#%d", t.Name(), flakyRuns.Add(1))
-			stats, err := grid.Run(c.specs(key), c.opts, func(r grid.Result) {
+			stats, err := grid.Run(c.specs(), c.opts, func(r grid.Result) {
 				if _, dup := byCell[r.Coord.I]; dup {
 					t.Errorf("cell %v delivered twice", r.Coord)
 				}
@@ -165,8 +106,8 @@ func TestRunSharedLoop(t *testing.T) {
 			if c.wantOrder != nil && fmt.Sprint(order) != fmt.Sprint(c.wantOrder) {
 				t.Errorf("delivery order %v, want %v", order, c.wantOrder)
 			}
-			if stats.Failed != c.wantFailed || stats.Retried != c.wantRetried {
-				t.Errorf("stats Failed=%d Retried=%d, want %d/%d", stats.Failed, stats.Retried, c.wantFailed, c.wantRetried)
+			if stats.Failed != c.wantFailed {
+				t.Errorf("stats Failed=%d, want %d", stats.Failed, c.wantFailed)
 			}
 			if c.check != nil {
 				c.check(t, byCell)

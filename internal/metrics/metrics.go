@@ -131,14 +131,15 @@ func MeanErr(rows []ErrRow) float64 {
 }
 
 // GridStats aggregates the experiment-grid runner's own counters: how many
-// cells ran, failed, or needed retries, and how well the worker pool kept
-// its workers busy.
+// cells ran or failed, and how well the worker pool kept its workers busy.
 type GridStats struct {
-	Cells   int
-	Failed  int
-	Retried int // cells that needed more than one attempt
+	Cells  int
+	Failed int
+	// Retried is always 0: the grid runs each cell once. It stays only for
+	// the benchmark harness, which still reports it.
+	Retried int
 	// WallSeconds is the run's wall-clock duration; BusySeconds[w] is the
-	// total cell-execution time worker w accumulated (all attempts).
+	// total cell-execution time worker w accumulated.
 	WallSeconds float64
 	BusySeconds []float64
 }
@@ -176,15 +177,11 @@ func (s GridStats) Parallelism() float64 {
 }
 
 // TimingsReport is GridStats in its machine-readable form: the JSON document
-// `experiments -timings-json` writes, with the same field names the BENCH_*
-// files use (wall_seconds, busy_seconds, utilization,
-// effective_parallelism), so ad-hoc tooling and recorded baselines share one
-// format. It covers the cells the run executed; cells answered from a
-// result cache are not counted.
+// `experiments -timings-json` writes. It covers the cells the run executed;
+// cells answered from a result cache are not counted.
 type TimingsReport struct {
 	Cells                int       `json:"cells"`
 	Failed               int       `json:"failed"`
-	Retried              int       `json:"retried"`
 	Workers              int       `json:"workers"`
 	WallSeconds          float64   `json:"wall_seconds"`
 	BusySeconds          float64   `json:"busy_seconds"`
@@ -198,7 +195,6 @@ func (s GridStats) Report() TimingsReport {
 	return TimingsReport{
 		Cells:                s.Cells,
 		Failed:               s.Failed,
-		Retried:              s.Retried,
 		Workers:              s.Workers(),
 		WallSeconds:          s.WallSeconds,
 		BusySeconds:          s.Busy(),

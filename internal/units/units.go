@@ -59,7 +59,13 @@ func ParseBytes(s string) (int64, error) {
 			if v < 0 {
 				return 0, fmt.Errorf("units: negative size %q", s)
 			}
-			return int64(v * float64(suf.mult)), nil
+			// Not-a-number, infinite and out-of-range sizes would convert
+			// to a negative int64.
+			n := v * float64(suf.mult)
+			if !(n < 1<<63) {
+				return 0, fmt.Errorf("units: size %q out of range", s)
+			}
+			return int64(n), nil
 		}
 	}
 	v, err := strconv.ParseInt(t, 10, 64)

@@ -32,7 +32,8 @@ func TestParseBytes(t *testing.T) {
 }
 
 func TestParseBytesErrors(t *testing.T) {
-	for _, in := range []string{"", "abc", "-5MB", "12XB", "GB", "-3"} {
+	for _, in := range []string{"", "abc", "-5MB", "12XB", "GB", "-3",
+		"NaNGiB", "InfMB", "1e30GiB", "9223372036854775807KB", "99999999999999999999"} {
 		if v, err := ParseBytes(in); err == nil {
 			t.Fatalf("ParseBytes(%q) = %d, want error", in, v)
 		}
