@@ -32,7 +32,9 @@ func runConcurrentWriters(n int, size int64) (*linuxref.Model, error) {
 // deterministic count: under 16 concurrent writers, reclaim passes may
 // examine only a few folios per folio they evict or promote. A scan that
 // re-walks the dirty and write-protected prefix of the inactive list on
-// every call exceeds this bound by two orders of magnitude.
+// every call exceeds this bound by two orders of magnitude. The counts
+// themselves are pinned: a change to how folios are stored, listed or
+// queued for writeback must make exactly the same reclaim decisions.
 func TestReclaimVisitsBoundedByDecisions(t *testing.T) {
 	model, err := runConcurrentWriters(16, 6*units.GB)
 	if err != nil {
@@ -43,6 +45,9 @@ func TestReclaimVisitsBoundedByDecisions(t *testing.T) {
 	}
 	st := model.ReclaimStats()
 	t.Logf("reclaim work: %+v", st)
+	if want := (linuxref.ReclaimStats{Scans: 1927, Visits: 747781, Evictions: 178401, Promotions: 271872}); st != want {
+		t.Errorf("reclaim work %+v, want %+v", st, want)
+	}
 	decisions := st.Evictions + st.Promotions
 	if decisions == 0 {
 		t.Fatal("workload never reclaimed")
