@@ -1,6 +1,9 @@
 package linuxref
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/des"
 )
@@ -39,48 +42,56 @@ func (m *Model) writebackWork(now float64) bool {
 		return true
 	}
 	f := m.oldestDirty()
-	return f != nil && now-f.entry >= m.cfg.DirtyExpire
+	return f != 0 && now-m.folios.at(f).entry >= m.cfg.DirtyExpire
 }
 
-// oldestDirty pops lazily-cleaned entries and returns the oldest dirty
-// folio, or nil.
-func (m *Model) oldestDirty() *folio {
-	for len(m.dirtyQ) > 0 {
-		f := m.dirtyQ[0]
-		if f.dirty {
-			return f
+// oldestDirty drops stale entries from the front of the dirty ring and
+// returns the oldest dirty folio's slot, or 0. An entry is stale once its
+// folio was cleaned or its slot freed.
+func (m *Model) oldestDirty() int32 {
+	for m.dirtyQ.n > 0 {
+		e := m.dirtyQ.front()
+		if r := m.folios.at(e.f); r.dirty && r.gen == e.gen {
+			return e.f
 		}
-		m.dirtyQ = m.dirtyQ[1:]
+		m.dirtyQ.pop()
 	}
-	return nil
+	return 0
+}
+
+// writeOldest cleans the run of oldest dirty folios that belong to one
+// file, up to budget bytes but at least one folio, and writes them back in
+// one request. It returns the bytes written, 0 when nothing is dirty.
+func (m *Model) writeOldest(c core.Caller, budget int64) int64 {
+	f := m.oldestDirty()
+	if f == 0 {
+		return 0
+	}
+	ino := m.folios.at(f).ino
+	var bytes int64
+	for bytes < budget {
+		g := m.oldestDirty()
+		if g == 0 || m.folios.at(g).ino != ino {
+			break
+		}
+		m.dirtyQ.pop()
+		m.markClean(g)
+		bytes += m.cfg.FolioSize
+	}
+	c.DiskWrite(m.inos[ino].name, bytes) // blocking; state may change meanwhile
+	return bytes
 }
 
 // writebackBatch cleans up to WritebackBatch bytes of the oldest dirty
 // folios and writes them to their backing stores (grouped per file to model
 // per-inode writeback requests).
 func (m *Model) writebackBatch(c core.Caller) {
-	budget := m.cfg.WritebackBatch
-	for budget > 0 {
-		f := m.oldestDirty()
-		if f == nil {
+	for budget := m.cfg.WritebackBatch; budget > 0; {
+		n := m.writeOldest(c, budget)
+		if n == 0 {
 			return
 		}
-		// Gather folios of the same file from the queue head run.
-		ino := f.ino
-		var bytes int64
-		for budget > 0 {
-			g := m.oldestDirty()
-			if g == nil || g.ino != ino {
-				break
-			}
-			m.dirtyQ = m.dirtyQ[1:]
-			m.markClean(g)
-			bytes += m.cfg.FolioSize
-			budget -= m.cfg.FolioSize
-		}
-		if bytes > 0 {
-			c.DiskWrite(ino.name, bytes) // blocking; state may change meanwhile
-		}
+		budget -= n
 	}
 }
 
@@ -131,14 +142,21 @@ func (m *Model) ensureFree(c core.Caller, need int64) error {
 			continue
 		}
 		// No process context (sequential tests): flush synchronously.
-		f := m.oldestDirty()
-		if f == nil {
+		if m.writeOldest(c, m.cfg.FolioSize) == 0 {
 			return ErrOutOfMemory
 		}
-		m.dirtyQ = m.dirtyQ[1:]
-		m.markClean(f)
-		c.DiskWrite(f.ino.name, m.cfg.FolioSize)
 	}
+	return nil
+}
+
+// growTable grows ino's folio table to cover its first n bytes, or fails if
+// they span more folios than an int32 index reaches.
+func (m *Model) growTable(ino *inode, n int64) error {
+	_, hi := m.folioRange(0, n)
+	if hi > math.MaxInt32 {
+		return fmt.Errorf("linuxref: %s: %d bytes span %d folios, more than the folio table holds", ino.name, n, hi)
+	}
+	ino.reserve(hi)
 	return nil
 }
 
@@ -149,17 +167,17 @@ func (m *Model) folioRange(off, n int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// touch handles a cache hit on f: referenced-bit promotion as in
+// touch handles a cache hit on slot f: referenced-bit promotion as in
 // mark_page_accessed (inactive+referenced → active MRU).
-func (m *Model) touch(f *folio) {
-	switch {
-	case f.list == &m.active:
-		f.referenced = true // stays put; order refreshed on activation only
-	case f.referenced:
-		m.inactive.remove(f)
-		m.active.pushBack(f)
+func (m *Model) touch(f int32) {
+	switch r := m.folios.at(f); {
+	case r.list == activeList:
+		r.referenced = true // stays put; order refreshed on activation only
+	case r.referenced:
+		m.remove(&m.inactive, f)
+		m.pushBack(&m.active, f)
 	default:
-		f.referenced = true
+		r.referenced = true
 	}
 }
 
@@ -171,6 +189,11 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 	if ino.size < fileSize {
 		ino.size = fileSize // pre-existing input data
 	}
+	// The application's copy of a read past RAM runs out of memory first,
+	// so the table need not grow past RAM up front.
+	if err := m.growTable(ino, min(n, m.cfg.TotalMem)); err != nil {
+		return err
+	}
 	for off := int64(0); off < n; off += m.cfg.ReadChunk {
 		cs := m.cfg.ReadChunk
 		if n-off < cs {
@@ -179,7 +202,7 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		lo, hi := m.folioRange(off, cs)
 		var missFolios int64
 		for i := lo; i < hi; i++ {
-			if ino.at(i) == nil {
+			if ino.at(i) == 0 {
 				missFolios++
 			}
 		}
@@ -190,14 +213,14 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		}
 		// Hits first in accounting order is irrelevant to timing: charge
 		// both transfers.
-		hitBytes := cs - minI64(missBytes, cs)
+		hitBytes := cs - min(missBytes, cs)
 		m.readHits += hitBytes
 		m.readMisses += cs - hitBytes
 		if missBytes > 0 {
 			c.DiskRead(file, missBytes)
 			for i := lo; i < hi; i++ {
-				if ino.at(i) == nil {
-					m.inactive.pushBack(ino.insert(i))
+				if ino.at(i) == 0 {
+					m.pushBack(&m.inactive, m.insert(ino, i))
 				}
 			}
 		}
@@ -205,7 +228,7 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 			c.MemRead(hitBytes)
 		}
 		for i := lo; i < hi; i++ {
-			if f := ino.at(i); f != nil {
+			if f := ino.at(i); f != 0 {
 				m.touch(f)
 			}
 		}
@@ -224,10 +247,13 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 // background writeback and balance_dirty_pages throttling.
 func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
 	ino := m.inode(file)
-	ino.writers++
-	defer m.closeWrite(ino)
 	// Appends start after previously written data, evicted or not.
 	start := ino.size
+	if err := m.growTable(ino, start+size); err != nil {
+		return err
+	}
+	ino.writers++
+	defer m.closeWrite(ino)
 	ino.size += size
 	for off := start; off < start+size; off += m.cfg.ReadChunk {
 		cs := m.cfg.ReadChunk
@@ -244,23 +270,17 @@ func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
 			m.kickFlusher()
 			if p := callerProc(c); p != nil {
 				m.waitProgress(p)
-			} else {
-				f := m.oldestDirty()
-				if f == nil {
-					break
-				}
-				m.dirtyQ = m.dirtyQ[1:]
-				m.markClean(f)
-				c.DiskWrite(f.ino.name, m.cfg.FolioSize)
+			} else if m.writeOldest(c, m.cfg.FolioSize) == 0 {
+				break
 			}
 		}
 		c.MemWrite(cs)
 		now := c.Now()
 		for i := lo; i < hi; i++ {
 			f := ino.at(i)
-			if f == nil {
-				f = ino.insert(i)
-				m.inactive.pushBack(f)
+			if f == 0 {
+				f = m.insert(ino, i)
+				m.pushBack(&m.inactive, f)
 			}
 			m.markDirty(f, now)
 		}
@@ -276,11 +296,4 @@ func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
 		}
 	}
 	return nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -18,10 +18,20 @@
 // the reference timings/profiles the simulators are scored against.
 //
 // Each file name has one inode record: its open-writer count, its written
-// size and a dense folio table indexed by folio number. Folios point at
-// their inode, so the open-write protection test is a field read. Records
-// are never deleted; InvalidateFile empties one in place, so a read or
-// write in flight keeps a reachable record.
+// size and a dense folio table indexed by folio number. Records are never
+// deleted; InvalidateFile empties one in place, so a read or write in
+// flight keeps a reachable record.
+//
+// Folios live in a per-Model arena of pointer-free records, kept in
+// fixed-size pages that the GC neither scans nor write-barriers. A folio is
+// named by its int32 slot: the folio tables, the LRU links, the reclaim
+// cursor and candidates all hold slots, 0 meaning none, and a record names
+// its inode by index, so the open-write protection test is two reads.
+// Evicted and invalidated folios return their slot to a free list, and
+// freeing bumps the slot's generation. The writeback queue is a ring of
+// (slot, generation) entries, stale ones dropped lazily at its front: an
+// entry whose folio was cleaned or whose slot was freed and reused never
+// satisfies it, so writeback order does not depend on slot reuse.
 //
 // Reclaim does not rescan. The inactive list carries a cursor, and every
 // folio before it is dirty, belongs to a file open for writing, or is a
@@ -39,6 +49,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -108,72 +119,143 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// folio is one cache unit. Its fields fit one 64-byte size class:
-// pointing at the inode rather than holding the file name leaves room for
-// seq.
-type folio struct {
-	ino        *inode
-	idx        int64   // slot in ino.folios
+// folioRec is one cache unit: a slot of its Model's folio arena. It holds
+// no pointers, so the arena's pages are noscan and the GC neither scans nor
+// write-barriers them. Links are slot indices, 0 meaning none.
+type folioRec struct {
 	seq        uint64  // insertion order on its current list
 	entry      float64 // time dirtied (writeback expiry)
-	prev, next *folio
-	list       *folioList
+	prev, next int32
+	ino        int32  // index into Model.inos
+	idx        int32  // slot in the inode's folio table
+	gen        uint32 // bumped each time the slot is freed
+	list       listID
 	dirty      bool
 	referenced bool
 }
 
-// folioList is an intrusive LRU list: front = LRU, back = MRU.
+// listID names the list a folio is on.
+type listID uint8
+
+const (
+	unlisted listID = iota
+	inactiveList
+	activeList
+)
+
+const (
+	arenaShift = 12
+	arenaPage  = 1 << arenaShift // folio records per arena page
+)
+
+// folioArena holds a Model's folio records in fixed-size pages: it grows
+// without copying, and each page is one noscan allocation. Slot 0 is never
+// handed out, so a zero index means "not cached". Freed slots are reused
+// last in, first out; freeing bumps the slot's gen, so a dirty-ring entry
+// made before the free no longer matches the slot.
+type folioArena struct {
+	pages []*[arenaPage]folioRec
+	n     int32   // slots handed out so far, slot 0 included
+	free  []int32 // freed slots
+}
+
+// at returns slot i's record.
+func (a *folioArena) at(i int32) *folioRec {
+	return &a.pages[i>>arenaShift][i&(arenaPage-1)]
+}
+
+// alloc returns a fresh, unlisted, clean slot for folio idx of inode ino.
+func (a *folioArena) alloc(ino, idx int32) int32 {
+	var i int32
+	if k := len(a.free); k > 0 {
+		i, a.free = a.free[k-1], a.free[:k-1]
+	} else {
+		if a.n == math.MaxInt32 {
+			panic("linuxref: folio arena full")
+		}
+		if int(a.n>>arenaShift) == len(a.pages) {
+			a.pages = append(a.pages, new([arenaPage]folioRec))
+		}
+		i = a.n
+		a.n++
+	}
+	r := a.at(i)
+	*r = folioRec{ino: ino, idx: idx, gen: r.gen}
+	return i
+}
+
+// release frees slot i, which must be unlisted and untabled.
+func (a *folioArena) release(i int32) {
+	a.at(i).gen++
+	a.free = append(a.free, i)
+}
+
+// folioList is an intrusive LRU list of arena slots: front = LRU, back =
+// MRU.
 type folioList struct {
-	head, tail *folio
+	id         listID
+	head, tail int32
 	count      int64
 	lastSeq    uint64
 	// cursor is where the next protection-honouring reclaim pass of the
 	// inactive list resumes (the active list's is unused): every folio
 	// before it is dirty, belongs to a protected inode, or is pending in
-	// Model.behind. nil means past the tail. Only Model.rewind moves it
+	// Model.behind. 0 means past the tail. Only Model.rewind moves it
 	// back.
-	cursor *folio
+	cursor int32
 }
 
-func (l *folioList) pushBack(f *folio) {
-	if f.list != nil {
+// list returns the list with the given id.
+func (m *Model) list(id listID) *folioList {
+	if id == activeList {
+		return &m.active
+	}
+	return &m.inactive
+}
+
+// pushBack appends unlisted slot f to l as its MRU folio.
+func (m *Model) pushBack(l *folioList, f int32) {
+	r := m.folios.at(f)
+	if r.list != unlisted {
 		panic("linuxref: folio already listed")
 	}
-	f.list = l
-	f.prev = l.tail
-	f.next = nil
-	if l.tail != nil {
-		l.tail.next = f
+	r.list = l.id
+	r.prev = l.tail
+	r.next = 0
+	if l.tail != 0 {
+		m.folios.at(l.tail).next = f
 	} else {
 		l.head = f
 	}
 	l.tail = f
 	l.count++
 	l.lastSeq++
-	f.seq = l.lastSeq
-	if l.cursor == nil {
+	r.seq = l.lastSeq
+	if l.cursor == 0 {
 		l.cursor = f
 	}
 }
 
-func (l *folioList) remove(f *folio) {
-	if f.list != l {
+// remove unlinks slot f from l.
+func (m *Model) remove(l *folioList, f int32) {
+	r := m.folios.at(f)
+	if r.list != l.id {
 		panic("linuxref: folio not in this list")
 	}
 	if l.cursor == f {
-		l.cursor = f.next
+		l.cursor = r.next
 	}
-	if f.prev != nil {
-		f.prev.next = f.next
+	if r.prev != 0 {
+		m.folios.at(r.prev).next = r.next
 	} else {
-		l.head = f.next
+		l.head = r.next
 	}
-	if f.next != nil {
-		f.next.prev = f.prev
+	if r.next != 0 {
+		m.folios.at(r.next).prev = r.prev
 	} else {
-		l.tail = f.prev
+		l.tail = r.prev
 	}
-	f.prev, f.next, f.list = nil, nil, nil
+	r.prev, r.next, r.list = 0, 0, unlisted
 	l.count--
 }
 
@@ -183,42 +265,89 @@ func (l *folioList) remove(f *folio) {
 // keeps a valid record across InvalidateFile.
 type inode struct {
 	name    string
+	id      int32 // index in Model.inos
 	writers int
 	size    int64
-	folios  []*folio // indexed by folio index; nil = not cached
-	cached  int64    // non-nil entries of folios
+	folios  []int32 // arena slot by folio index; 0 = not cached
+	cached  int64   // nonzero entries of folios
 }
 
-// at returns the cached folio at index i, or nil.
-func (ino *inode) at(i int64) *folio {
+// at returns the arena slot of the cached folio at index i, or 0.
+func (ino *inode) at(i int64) int32 {
 	if i < int64(len(ino.folios)) {
 		return ino.folios[i]
 	}
-	return nil
+	return 0
 }
 
-// insert tables a new, unlisted folio at the uncached index i.
-func (ino *inode) insert(i int64) *folio {
-	for int64(len(ino.folios)) <= i {
-		ino.folios = append(ino.folios, nil)
+// reserve grows the folio table to at least hi entries.
+func (ino *inode) reserve(hi int64) {
+	if n := hi - int64(len(ino.folios)); n > 0 {
+		ino.folios = append(ino.folios, make([]int32, n)...)
 	}
-	f := &folio{ino: ino, idx: i}
+}
+
+// insert tables a new, unlisted folio at ino's uncached index i and returns
+// its slot.
+func (m *Model) insert(ino *inode, i int64) int32 {
+	// An InvalidateFile while the operation was blocked may have emptied
+	// the table it reserved.
+	ino.reserve(i + 1)
+	f := m.folios.alloc(ino.id, int32(i))
 	ino.folios[i] = f
 	ino.cached++
 	return f
 }
 
-// untable removes an already-unlisted folio from its table.
-func (ino *inode) untable(f *folio) {
-	ino.folios[f.idx] = nil
+// drop untables an already-unlisted folio and frees its slot.
+func (m *Model) drop(f int32) {
+	r := m.folios.at(f)
+	ino := m.inos[r.ino]
+	ino.folios[r.idx] = 0
 	ino.cached--
+	m.folios.release(f)
 }
 
-// candidate is an entry of Model.behind. It is pending while f is still
-// on the inactive list with the seq it was queued with.
+// candidate is an entry of Model.behind. It is pending while slot f is
+// still on the inactive list with the seq it was queued with.
 type candidate struct {
-	f   *folio
+	f   int32
 	seq uint64
+}
+
+// dirtyEntry is an entry of the dirty ring: slot f as of generation gen.
+// It is live while f is dirty and still at gen; a freed and reused slot
+// never satisfies it.
+type dirtyEntry struct {
+	f   int32
+	gen uint32
+}
+
+// dirtyRing is the writeback FIFO: dirty folios in the order they were
+// dirtied, with entries that went stale dropped lazily at the front.
+type dirtyRing struct {
+	buf  []dirtyEntry // length a power of two
+	head int
+	n    int
+}
+
+func (q *dirtyRing) push(e dirtyEntry) {
+	if q.n == len(q.buf) {
+		buf := make([]dirtyEntry, max(2*len(q.buf), 64))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+// front returns the oldest entry; the ring must not be empty.
+func (q *dirtyRing) front() dirtyEntry { return q.buf[q.head] }
+
+func (q *dirtyRing) pop() {
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 }
 
 // ReclaimStats counts reclaim work since New. The counts are deterministic,
@@ -235,11 +364,13 @@ type ReclaimStats struct {
 type Model struct {
 	cfg      Config
 	inodes   map[string]*inode
+	inos     []*inode // by inode id
+	folios   folioArena
 	inactive folioList
 	active   folioList
-	dirtyQ   []*folio // FIFO by entry time; lazily compacted
-	dirty    int64    // folio count
-	anon     int64    // bytes
+	dirtyQ   dirtyRing // FIFO by entry time; stale entries dropped lazily
+	dirty    int64     // folio count
+	anon     int64     // bytes
 	stats    ReclaimStats
 	// readHits and readMisses are the cumulative application read bytes
 	// served from cached folios and from disk.
@@ -264,7 +395,13 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{cfg: cfg, inodes: make(map[string]*inode)}, nil
+	return &Model{
+		cfg:      cfg,
+		inodes:   make(map[string]*inode),
+		folios:   folioArena{n: 1},
+		inactive: folioList{id: inactiveList},
+		active:   folioList{id: activeList},
+	}, nil
 }
 
 // Config returns the model configuration.
@@ -294,8 +431,9 @@ func (m *Model) ReclaimStats() ReclaimStats { return m.stats }
 func (m *Model) inode(file string) *inode {
 	ino := m.inodes[file]
 	if ino == nil {
-		ino = &inode{name: file}
+		ino = &inode{name: file, id: int32(len(m.inos))}
 		m.inodes[file] = ino
+		m.inos = append(m.inos, ino)
 	}
 	return ino
 }
@@ -312,51 +450,57 @@ func (m *Model) closeWrite(ino *inode) {
 	if ino.writers > 0 || !m.cfg.ProtectOpenWrites {
 		return
 	}
-	var first *folio
+	var first int32
+	var firstSeq uint64
 	for _, f := range ino.folios {
-		if f != nil && !f.dirty && f.list == &m.inactive && (first == nil || f.seq < first.seq) {
-			first = f
+		if f == 0 {
+			continue
+		}
+		if r := m.folios.at(f); !r.dirty && r.list == inactiveList && (first == 0 || r.seq < firstSeq) {
+			first, firstSeq = f, r.seq
 		}
 	}
-	if c := m.inactive.cursor; first != nil && (c == nil || first.seq < c.seq) {
+	if c := m.inactive.cursor; first != 0 && (c == 0 || firstSeq < m.folios.at(c).seq) {
 		m.rewind(first)
 	}
 }
 
-// rewind moves the cursor back to f. Pending candidates at or after f are
-// dropped: the cursor walk reaches them.
-func (m *Model) rewind(f *folio) {
+// rewind moves the cursor back to slot f. Pending candidates at or after f
+// are dropped: the cursor walk reaches them.
+func (m *Model) rewind(f int32) {
 	m.inactive.cursor = f
+	seq := m.folios.at(f).seq
 	kept := m.behind[:0]
 	for _, c := range m.behind[m.behindHead:] {
-		if m.pending(c) && c.seq < f.seq {
+		if m.pending(c) && c.seq < seq {
 			kept = append(kept, c)
 		}
 	}
-	clear(m.behind[len(kept):])
 	m.behind, m.behindHead = kept, 0
 }
 
 func (m *Model) pending(c candidate) bool {
-	return c.f.list == &m.inactive && c.f.seq == c.seq
+	r := m.folios.at(c.f)
+	return r.list == inactiveList && r.seq == c.seq
 }
 
-// queueBehind records f, a clean unprotected inactive folio, as a pending
-// reclaim candidate if the cursor has already passed it.
-func (m *Model) queueBehind(f *folio) {
-	if c := m.inactive.cursor; c != nil && f.seq >= c.seq {
+// queueBehind records slot f, a clean unprotected inactive folio, as a
+// pending reclaim candidate if the cursor has already passed it.
+func (m *Model) queueBehind(f int32) {
+	seq := m.folios.at(f).seq
+	if c := m.inactive.cursor; c != 0 && seq >= m.folios.at(c).seq {
 		return
 	}
-	if n := len(m.behind); n > m.behindHead && m.behind[n-1].seq > f.seq {
+	if n := len(m.behind); n > m.behindHead && m.behind[n-1].seq > seq {
 		m.behindUnsorted = true
 	}
-	m.behind = append(m.behind, candidate{f, f.seq})
+	m.behind = append(m.behind, candidate{f, seq})
 }
 
-// popBehind returns the pending candidate earliest in the list, or nil.
+// popBehind returns the pending candidate earliest in the list, or 0.
 // Entries whose folio left the inactive list since they were queued are
 // dropped on the way.
-func (m *Model) popBehind() *folio {
+func (m *Model) popBehind() int32 {
 	if m.behindUnsorted {
 		slices.SortFunc(m.behind[m.behindHead:], func(a, b candidate) int { return cmp.Compare(a.seq, b.seq) })
 		m.behindUnsorted = false
@@ -367,51 +511,57 @@ func (m *Model) popBehind() *folio {
 		if 2*m.behindHead >= len(m.behind) {
 			// Reuse the popped prefix rather than growing the array.
 			n := copy(m.behind, m.behind[m.behindHead:])
-			clear(m.behind[n:])
 			m.behind, m.behindHead = m.behind[:n], 0
 		}
 		if m.pending(c) {
 			return c.f
 		}
 	}
-	return nil
+	return 0
 }
 
-// markDirty flags f dirty at time now and queues it for writeback.
-func (m *Model) markDirty(f *folio, now float64) {
-	if !f.dirty {
-		f.dirty = true
-		f.entry = now
+// markDirty flags slot f dirty at time now and queues it for writeback.
+func (m *Model) markDirty(f int32, now float64) {
+	if r := m.folios.at(f); !r.dirty {
+		r.dirty = true
+		r.entry = now
 		m.dirty++
-		m.dirtyQ = append(m.dirtyQ, f)
+		m.dirtyQ.push(dirtyEntry{f, r.gen})
 	}
 }
 
-// markClean clears f's dirty flag, making a clean unprotected inactive
+// markClean clears slot f's dirty flag, making a clean unprotected inactive
 // folio a reclaim candidate.
-func (m *Model) markClean(f *folio) {
-	if !f.dirty {
+func (m *Model) markClean(f int32) {
+	r := m.folios.at(f)
+	if !r.dirty {
 		return
 	}
-	f.dirty = false
+	r.dirty = false
 	m.dirty--
-	if f.list == &m.inactive && !m.protected(f.ino) {
+	if r.list == inactiveList && !m.protected(m.inos[r.ino]) {
 		m.queueBehind(f)
 	}
+}
+
+// demote moves the active list's LRU folio to the inactive list, clearing
+// its referenced bit. It reports false when the active list is empty.
+func (m *Model) demote() bool {
+	f := m.active.head
+	if f == 0 {
+		return false
+	}
+	m.remove(&m.active, f)
+	m.folios.at(f).referenced = false
+	m.pushBack(&m.inactive, f)
+	return true
 }
 
 // shrinkActive demotes active-list LRU folios into the inactive list until
 // inactive ≥ active/2 (the kernel's inactive_is_low balancing), clearing
 // referenced bits on the way.
 func (m *Model) shrinkActive() {
-	for m.active.count > 2*m.inactive.count {
-		f := m.active.head
-		if f == nil {
-			return
-		}
-		m.active.remove(f)
-		f.referenced = false
-		m.inactive.pushBack(f)
+	for m.active.count > 2*m.inactive.count && m.demote() {
 	}
 }
 
@@ -455,18 +605,18 @@ func (m *Model) scanInactive(need int64, honorProtection bool) bool {
 	if honorProtection {
 		for m.free() < need {
 			f := m.popBehind()
-			if f == nil {
-				if f = m.inactive.cursor; f == nil {
+			if f == 0 {
+				if f = m.inactive.cursor; f == 0 {
 					break
 				}
 			}
 			if m.reclaimFolio(f, true) && f == m.inactive.cursor {
-				m.inactive.cursor = f.next
+				m.inactive.cursor = m.folios.at(f).next
 			}
 		}
 	} else {
-		for f := m.inactive.head; f != nil && m.free() < need; {
-			next := f.next
+		for f := m.inactive.head; f != 0 && m.free() < need; {
+			next := m.folios.at(f).next
 			m.reclaimFolio(f, false)
 			f = next
 		}
@@ -474,22 +624,23 @@ func (m *Model) scanInactive(need int64, honorProtection bool) bool {
 	return m.stats.Evictions > evictions
 }
 
-// reclaimFolio makes one reclaim decision on inactive folio f and reports
+// reclaimFolio makes one reclaim decision on inactive slot f and reports
 // whether f stays: writeback, or protection when honorProtection, must
 // release it first.
-func (m *Model) reclaimFolio(f *folio, honorProtection bool) (kept bool) {
+func (m *Model) reclaimFolio(f int32, honorProtection bool) (kept bool) {
 	m.stats.Visits++
+	r := m.folios.at(f)
 	switch {
-	case f.dirty || (honorProtection && m.protected(f.ino)):
+	case r.dirty || (honorProtection && m.protected(m.inos[r.ino])):
 		return true
-	case f.referenced:
-		m.inactive.remove(f)
-		f.referenced = false
-		m.active.pushBack(f)
+	case r.referenced:
+		m.remove(&m.inactive, f)
+		r.referenced = false
+		m.pushBack(&m.active, f)
 		m.stats.Promotions++
 	default:
-		m.inactive.remove(f)
-		f.ino.untable(f)
+		m.remove(&m.inactive, f)
+		m.drop(f)
 		m.stats.Evictions++
 	}
 	return false
@@ -502,14 +653,7 @@ func (m *Model) reclaimFolio(f *folio, honorProtection bool) (kept bool) {
 func (m *Model) forceShrinkActive(need int64) bool {
 	batch := need/m.cfg.FolioSize + 1024
 	demoted := false
-	for i := int64(0); i < batch; i++ {
-		f := m.active.head
-		if f == nil {
-			return demoted
-		}
-		m.active.remove(f)
-		f.referenced = false
-		m.inactive.pushBack(f)
+	for i := int64(0); i < batch && m.demote(); i++ {
 		demoted = true
 	}
 	return demoted
@@ -556,13 +700,13 @@ func (m *Model) InvalidateFile(file string) {
 		return
 	}
 	for _, f := range ino.folios {
-		if f != nil {
-			f.list.remove(f) // before markClean: a dropped folio is no candidate
+		if f != 0 {
+			m.remove(m.list(m.folios.at(f).list), f) // before markClean: a dropped folio is no candidate
 			m.markClean(f)
+			m.drop(f)
 		}
 	}
-	clear(ino.folios)
-	ino.folios, ino.cached, ino.size = ino.folios[:0], 0, 0
+	ino.folios, ino.size = ino.folios[:0], 0
 }
 
 // ReleaseAnon implements engine.CacheModel.
@@ -575,31 +719,55 @@ func (m *Model) ReleaseAnon(n int64) {
 
 // CheckInvariants verifies internal consistency (tests).
 func (m *Model) CheckInvariants() error {
+	a := &m.folios
+	if a.n < 1 || a.n > 1 && int(a.n-1)>>arenaShift >= len(a.pages) {
+		return fmt.Errorf("arena hands out %d slots from %d pages", a.n, len(a.pages))
+	}
+	freed := make([]bool, a.n)
+	for _, f := range a.free {
+		if f <= 0 || f >= a.n || freed[f] {
+			return fmt.Errorf("free list holds slot %d twice or out of range", f)
+		}
+		freed[f] = true
+	}
+	// live reports whether f is a slot handed out and not freed.
+	live := func(f int32) bool { return f > 0 && f < a.n && !freed[f] }
+	name := func(f int32) string {
+		r := a.at(f)
+		if r.ino < 0 || int(r.ino) >= len(m.inos) {
+			return fmt.Sprintf("slot %d", f)
+		}
+		return fmt.Sprintf("%s[%d]", m.inos[r.ino].name, r.idx)
+	}
 	var dirtyCount, tabled int64
-	for name, ino := range m.inodes {
-		if ino.name != name || ino.writers < 0 {
-			return fmt.Errorf("inode %q: name %q, %d writers", name, ino.name, ino.writers)
+	for id, ino := range m.inos {
+		if m.inodes[ino.name] != ino || ino.id != int32(id) || ino.writers < 0 {
+			return fmt.Errorf("inode %d %q: misindexed or %d writers", id, ino.name, ino.writers)
 		}
 		var n int64
 		for i, f := range ino.folios {
-			if f == nil {
+			if f == 0 {
 				continue
 			}
-			if f.ino != ino || f.idx != int64(i) {
-				return fmt.Errorf("folio table corruption for %s[%d]", name, i)
+			if !live(f) {
+				return fmt.Errorf("%s[%d] tables dead slot %d", ino.name, i, f)
 			}
-			if f.list == nil {
-				return fmt.Errorf("tabled folio %s[%d] not in any list", name, i)
-			}
-			if f.dirty {
+			if r := a.at(f); r.ino != ino.id || int(r.idx) != i {
+				return fmt.Errorf("folio table corruption for %s[%d]", ino.name, i)
+			} else if r.list == unlisted {
+				return fmt.Errorf("tabled folio %s[%d] not in any list", ino.name, i)
+			} else if r.dirty {
 				dirtyCount++
 			}
 			n++
 		}
 		if n != ino.cached {
-			return fmt.Errorf("inode %q table holds %d folios, cached count %d", name, n, ino.cached)
+			return fmt.Errorf("inode %q table holds %d folios, cached count %d", ino.name, n, ino.cached)
 		}
 		tabled += n
+	}
+	if len(m.inodes) != len(m.inos) {
+		return fmt.Errorf("%d inode names, %d inode records", len(m.inodes), len(m.inos))
 	}
 	if dirtyCount != m.dirty {
 		return fmt.Errorf("dirty count %d, tracked %d", dirtyCount, m.dirty)
@@ -607,35 +775,88 @@ func (m *Model) CheckInvariants() error {
 	if tabled != m.inactive.count+m.active.count {
 		return fmt.Errorf("tabled %d folios, lists hold %d", tabled, m.inactive.count+m.active.count)
 	}
+	if live := int64(a.n) - 1 - int64(len(a.free)); live != tabled {
+		return fmt.Errorf("arena holds %d live slots, %d tabled", live, tabled)
+	}
 	for _, l := range []*folioList{&m.inactive, &m.active} {
 		var seq uint64
-		for f := l.head; f != nil; f = f.next {
-			if f.list != l || f.seq <= seq || f.ino.at(f.idx) != f {
-				return fmt.Errorf("listed folio %s[%d] mislinked, untabled or out of order", f.ino.name, f.idx)
+		var n int64
+		for f, prev := l.head, int32(0); f != 0; prev, f = f, a.at(f).next {
+			if !live(f) {
+				return fmt.Errorf("list %d links dead slot %d", l.id, f)
 			}
-			seq = f.seq
+			r := a.at(f)
+			if r.list != l.id || r.prev != prev || r.seq <= seq || m.inos[r.ino].at(int64(r.idx)) != f {
+				return fmt.Errorf("listed folio %s mislinked, untabled or out of order", name(f))
+			}
+			if seq, n = r.seq, n+1; n > l.count {
+				return fmt.Errorf("list %d longer than its count %d", l.id, l.count)
+			}
+			if r.next == 0 && l.tail != f {
+				return fmt.Errorf("list %d ends at slot %d, tail %d", l.id, f, l.tail)
+			}
+		}
+		if n != l.count {
+			return fmt.Errorf("list %d holds %d folios, count %d", l.id, n, l.count)
 		}
 	}
-	pending := make(map[*folio]bool)
+	// Every dirty folio has a ring entry at its generation, and no entry
+	// is ahead of its slot's generation or matches a freed slot.
+	queued := make([]bool, a.n)
+	q := &m.dirtyQ
+	for k := 0; k < q.n; k++ {
+		e := q.buf[(q.head+k)&(len(q.buf)-1)]
+		if e.f <= 0 || e.f >= a.n {
+			return fmt.Errorf("dirty ring entry %d points at slot %d", k, e.f)
+		}
+		switch r := a.at(e.f); {
+		case e.gen > r.gen:
+			return fmt.Errorf("dirty ring entry %d for %s ahead of its slot: gen %d > %d", k, name(e.f), e.gen, r.gen)
+		case e.gen == r.gen && !live(e.f):
+			return fmt.Errorf("dirty ring entry %d matches freed slot %d", k, e.f)
+		case e.gen == r.gen:
+			queued[e.f] = true
+		}
+	}
+	for f := int32(1); f < a.n; f++ {
+		if !live(f) {
+			if a.at(f).list != unlisted {
+				return fmt.Errorf("freed slot %d is listed", f)
+			}
+		} else if a.at(f).dirty && !queued[f] {
+			return fmt.Errorf("dirty folio %s missing from the dirty ring", name(f))
+		}
+	}
+	pending := make([]bool, a.n)
+	cursorSeq := uint64(0)
+	if cur := m.inactive.cursor; cur != 0 {
+		if !live(cur) {
+			return fmt.Errorf("reclaim cursor on dead slot %d", cur)
+		}
+		cursorSeq = a.at(cur).seq
+	}
 	for _, c := range m.behind[m.behindHead:] {
+		if c.f <= 0 || c.f >= a.n {
+			return fmt.Errorf("reclaim candidate slot %d out of range", c.f)
+		}
 		if m.pending(c) {
-			if cur := m.inactive.cursor; cur != nil && c.seq >= cur.seq {
-				return fmt.Errorf("candidate %s[%d] pending at or after the reclaim cursor", c.f.ino.name, c.f.idx)
+			if m.inactive.cursor != 0 && c.seq >= cursorSeq {
+				return fmt.Errorf("candidate %s pending at or after the reclaim cursor", name(c.f))
 			}
 			pending[c.f] = true
 		}
 	}
-	// A nil cursor lies past the tail: every folio is before it.
+	// A zero cursor lies past the tail: every folio is before it.
 	reached := false
-	for f := m.inactive.head; f != nil; f = f.next {
+	for f := m.inactive.head; f != 0; f = a.at(f).next {
 		if f == m.inactive.cursor {
 			reached = true
 		}
-		if !reached && !f.dirty && !pending[f] && !m.protected(f.ino) {
-			return fmt.Errorf("reclaim cursor past clean unprotected folio %s[%d]", f.ino.name, f.idx)
+		if r := a.at(f); !reached && !r.dirty && !pending[f] && !m.protected(m.inos[r.ino]) {
+			return fmt.Errorf("reclaim cursor past clean unprotected folio %s", name(f))
 		}
 	}
-	if m.inactive.cursor != nil && !reached {
+	if m.inactive.cursor != 0 && !reached {
 		return fmt.Errorf("reclaim cursor not on the inactive list")
 	}
 	if m.free() < 0 {

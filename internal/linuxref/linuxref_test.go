@@ -36,7 +36,7 @@ func (c *seqCaller) DiskWrite(file string, n int64) {
 func (c *seqCaller) MemRead(n int64)  { c.memRd += n; c.now += float64(n) / c.memBW }
 func (c *seqCaller) MemWrite(n int64) { c.memWr += n; c.now += float64(n) / c.memBW }
 
-func testModel(t *testing.T, total int64) *Model {
+func testModel(t testing.TB, total int64) *Model {
 	t.Helper()
 	cfg := DefaultConfig(total)
 	cfg.FolioSize = 10
@@ -50,12 +50,11 @@ func testModel(t *testing.T, total int64) *Model {
 	return m
 }
 
-// TestFolioFitsSizeClass: every cached MiB costs one folio, so a field
-// that pushes it past the 64-byte allocation size class costs a quarter
-// more memory per folio.
+// TestFolioFitsSizeClass: every cached MiB costs one arena record, so a
+// field that pushes it past 40 bytes costs a fifth more memory per folio.
 func TestFolioFitsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(folio{}); n > 64 {
-		t.Fatalf("folio is %d bytes, want ≤ 64", n)
+	if n := unsafe.Sizeof(folioRec{}); n > 40 {
+		t.Fatalf("folioRec is %d bytes, want ≤ 40", n)
 	}
 }
 
@@ -170,7 +169,7 @@ func TestAppendContinuesAfterEviction(t *testing.T) {
 	m.WriteFile(c, "f", 100)
 	// Clean and evict every folio of f (reclaim, not deletion).
 	c.now += 100
-	for m.oldestDirty() != nil {
+	for m.oldestDirty() != 0 {
 		m.writebackBatch(c)
 	}
 	if !m.scanInactive(10000, false) {
@@ -248,6 +247,15 @@ func TestOOMOnImpossibleDemand(t *testing.T) {
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
+	// A read of 10^11 folios runs out of memory as well, without first
+	// growing a folio table for all of them.
+	err = m.ReadFile(c, "huger", 1e12, 1e12)
+	if !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if n := len(m.inode("huger").folios); n > 1000/10 {
+		t.Fatalf("folio table grew to %d entries, want ≤ RAM's 100 folios", n)
+	}
 }
 
 func TestFlusherBatchGroupsPerFile(t *testing.T) {
@@ -258,7 +266,7 @@ func TestFlusherBatchGroupsPerFile(t *testing.T) {
 	m.WriteFile(c, "b", 100)
 	// Force full writeback via the sync fallback.
 	c.now += 100
-	for m.oldestDirty() != nil {
+	for m.oldestDirty() != 0 {
 		m.writebackBatch(c)
 	}
 	if c.writesByFile["a"] != 100 || c.writesByFile["b"] != 100 {
@@ -269,6 +277,32 @@ func TestFlusherBatchGroupsPerFile(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWritebackOrderSurvivesSlotReuse: invalidating a dirty file leaves
+// its dirty-ring entries at the front of the ring and frees its slots, and
+// the files written next reuse those slots. The entries must not match the
+// new folios: writeback still takes the oldest dirty folio, of b, not the
+// younger folio of c that inherited the slot of a's oldest entry.
+func TestWritebackOrderSurvivesSlotReuse(t *testing.T) {
+	m := testModel(t, 10000)
+	c := newSeqCaller()
+	m.WriteFile(c, "a", 100)
+	m.InvalidateFile("a")
+	m.WriteFile(c, "b", 50)
+	m.WriteFile(c, "c", 50)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.writeOldest(c, m.cfg.FolioSize); n != m.cfg.FolioSize {
+		t.Fatalf("wrote %d bytes, want one folio", n)
+	}
+	if c.writesByFile["b"] != m.cfg.FolioSize || c.writesByFile["c"] != 0 {
+		t.Fatalf("writes %v, want b's first folio only", c.writesByFile)
+	}
+	if f := m.inode("b").at(0); m.folios.at(f).dirty {
+		t.Fatal("b's first folio still dirty")
 	}
 }
 
@@ -385,15 +419,17 @@ func TestWriteReclaimsRoomTakenMidWrite(t *testing.T) {
 // free and checks that it promotes and evicts exactly the folios a walk
 // from the head of the inactive list would.
 func checkScanMatchesHeadWalk(m *Model, need int64) error {
-	var promoted, evicted []*folio
+	var promoted, evicted []int32
+	var evictedGen []uint32
 	free := m.free()
-	for f := m.inactive.head; f != nil && free < need; f = f.next {
-		switch {
-		case f.dirty || m.protected(f.ino):
-		case f.referenced:
+	for f := m.inactive.head; f != 0 && free < need; f = m.folios.at(f).next {
+		switch r := m.folios.at(f); {
+		case r.dirty || m.protected(m.inos[r.ino]):
+		case r.referenced:
 			promoted = append(promoted, f)
 		default:
 			evicted = append(evicted, f)
+			evictedGen = append(evictedGen, r.gen)
 			free += m.cfg.FolioSize
 		}
 	}
@@ -403,89 +439,115 @@ func checkScanMatchesHeadWalk(m *Model, need int64) error {
 		return fmt.Errorf("scan promoted %d and evicted %d, head walk %d and %d", p, e, len(promoted), len(evicted))
 	}
 	for _, f := range promoted {
-		if f.list != &m.active {
-			return fmt.Errorf("head walk promotes %s[%d], scan did not", f.ino.name, f.idx)
+		if r := m.folios.at(f); r.list != activeList {
+			return fmt.Errorf("head walk promotes %s[%d], scan did not", m.inos[r.ino].name, r.idx)
 		}
 	}
-	for _, f := range evicted {
-		if f.list != nil {
-			return fmt.Errorf("head walk evicts %s[%d], scan did not", f.ino.name, f.idx)
+	// An evicted folio's slot is freed, which bumps its generation.
+	for i, f := range evicted {
+		if r := m.folios.at(f); r.list != unlisted || r.gen == evictedGen[i] {
+			return fmt.Errorf("head walk evicts %s[%d], scan did not", m.inos[r.ino].name, r.idx)
 		}
 	}
 	return nil
 }
 
-// TestRandomOperationsKeepInvariants drives seeded random reads, writes,
-// invalidations and anon releases, some nested inside an in-flight write,
-// and checks every invariant (the reclaim cursor's included) after each
-// step, with and without open-write protection. Some steps are bare scans,
-// checked against a walk from the head of the inactive list.
-func TestRandomOperationsKeepInvariants(t *testing.T) {
+// opChooser supplies the random choices of runOps; *rand.Rand is one.
+type opChooser interface {
+	Intn(n int) int
+	Int63n(n int64) int64
+}
+
+// runOps drives m through random reads, writes, invalidations, anon
+// releases and writebacks chosen by rng, some nested inside an in-flight
+// write, while more(step) holds, and checks every invariant (the reclaim
+// cursor's and the arena's included) after each step. Some steps are bare
+// scans, checked against a walk from the head of the inactive list.
+func runOps(m *Model, rng opChooser, more func(step int) bool) error {
 	files := []string{"a", "b", "c", "d"}
+	c := &hookCaller{seqCaller: newSeqCaller()}
+	var failure error
+	// op runs one random operation; nested ones never arm the hook.
+	var op func(nested bool) string
+	op = func(nested bool) string {
+		file := files[rng.Intn(len(files))]
+		var err error
+		var desc string
+		switch k := rng.Intn(11); {
+		case k < 3:
+			n := int64(rng.Intn(600) + 1)
+			if m.anon+n > 1000 {
+				m.ReleaseAnon(m.anon)
+			}
+			desc = fmt.Sprintf("read %s %d", file, n)
+			err = m.ReadFile(c, file, n, n+int64(rng.Intn(200)))
+		case k < 7:
+			n := int64(rng.Intn(400) + 1)
+			desc = fmt.Sprintf("write %s %d", file, n)
+			if !nested && rng.Intn(2) == 0 {
+				c.at = rng.Intn(4) + 1
+				if rng.Intn(3) == 0 {
+					inv := files[rng.Intn(len(files))]
+					desc += " invalidating " + inv
+					c.hook = func() { m.InvalidateFile(inv) }
+				} else {
+					c.hook = func() { desc += " overlapping " + op(true) }
+				}
+			}
+			err = m.WriteFile(c, file, n)
+			c.hook = nil
+		case k < 8:
+			desc = "invalidate " + file
+			m.InvalidateFile(file)
+		case k < 9:
+			n := rng.Int63n(m.anon + 1)
+			desc = fmt.Sprintf("release %d", n)
+			m.ReleaseAnon(n)
+		case k < 10:
+			desc = "writeback"
+			c.now += m.cfg.DirtyExpire
+			m.writebackBatch(c)
+		default:
+			need := m.free() + rng.Int63n(300)
+			desc = fmt.Sprintf("scan to %d free", need)
+			err = checkScanMatchesHeadWalk(m, need)
+		}
+		if err != nil && !errors.Is(err, ErrOutOfMemory) && failure == nil {
+			failure = fmt.Errorf("%s: %w", desc, err)
+		}
+		return desc
+	}
+	for step := 0; more(step); step++ {
+		desc := op(false)
+		if failure == nil {
+			failure = m.CheckInvariants()
+		}
+		if failure != nil {
+			return fmt.Errorf("step %d (%s): %w", step, desc, failure)
+		}
+	}
+	return nil
+}
+
+// randomOpsModel is the model runOps drives.
+func randomOpsModel(t testing.TB, protect bool) *Model {
+	m := testModel(t, 2000)
+	m.cfg.ProtectOpenWrites = protect
+	return m
+}
+
+// seededSteps bounds each seeded operation sequence to 300 steps.
+func seededSteps(step int) bool { return step < 300 }
+
+// TestRandomOperationsKeepInvariants runs seeded random operation
+// sequences through runOps, with and without open-write protection.
+func TestRandomOperationsKeepInvariants(t *testing.T) {
 	var work ReclaimStats
 	for _, protect := range []bool{true, false} {
 		for seed := int64(1); seed <= 20; seed++ {
-			m := testModel(t, 2000)
-			m.cfg.ProtectOpenWrites = protect
-			rng := rand.New(rand.NewSource(seed))
-			c := &hookCaller{seqCaller: newSeqCaller()}
-			// op runs one random operation; nested ones never arm the hook.
-			var op func(nested bool) string
-			op = func(nested bool) string {
-				file := files[rng.Intn(len(files))]
-				var err error
-				var desc string
-				switch k := rng.Intn(11); {
-				case k < 3:
-					n := int64(rng.Intn(600) + 1)
-					if m.anon+n > 1000 {
-						m.ReleaseAnon(m.anon)
-					}
-					desc = fmt.Sprintf("read %s %d", file, n)
-					err = m.ReadFile(c, file, n, n+int64(rng.Intn(200)))
-				case k < 7:
-					n := int64(rng.Intn(400) + 1)
-					desc = fmt.Sprintf("write %s %d", file, n)
-					if !nested && rng.Intn(2) == 0 {
-						c.at = rng.Intn(4) + 1
-						if rng.Intn(3) == 0 {
-							inv := files[rng.Intn(len(files))]
-							desc += " invalidating " + inv
-							c.hook = func() { m.InvalidateFile(inv) }
-						} else {
-							c.hook = func() { desc += " overlapping " + op(true) }
-						}
-					}
-					err = m.WriteFile(c, file, n)
-					c.hook = nil
-				case k < 8:
-					desc = "invalidate " + file
-					m.InvalidateFile(file)
-				case k < 9:
-					n := rng.Int63n(m.anon + 1)
-					desc = fmt.Sprintf("release %d", n)
-					m.ReleaseAnon(n)
-				case k < 10:
-					desc = "writeback"
-					c.now += m.cfg.DirtyExpire
-					m.writebackBatch(c)
-				default:
-					need := m.free() + rng.Int63n(300)
-					desc = fmt.Sprintf("scan to %d free", need)
-					if err := checkScanMatchesHeadWalk(m, need); err != nil {
-						t.Fatalf("protect=%v seed %d: %s: %v", protect, seed, desc, err)
-					}
-				}
-				if err != nil && !errors.Is(err, ErrOutOfMemory) {
-					t.Fatalf("protect=%v seed %d: %s: %v", protect, seed, desc, err)
-				}
-				return desc
-			}
-			for step := 0; step < 300; step++ {
-				desc := op(false)
-				if err := m.CheckInvariants(); err != nil {
-					t.Fatalf("protect=%v seed %d step %d (%s): %v", protect, seed, step, desc, err)
-				}
+			m := randomOpsModel(t, protect)
+			if err := runOps(m, rand.New(rand.NewSource(seed)), seededSteps); err != nil {
+				t.Fatalf("protect=%v seed %d: %v", protect, seed, err)
 			}
 			st := m.ReclaimStats()
 			work.Evictions += st.Evictions
@@ -496,4 +558,86 @@ func TestRandomOperationsKeepInvariants(t *testing.T) {
 		t.Fatalf("operations never exercised reclaim: %+v", work)
 	}
 	t.Logf("reclaim work over all seeds: %+v", work)
+}
+
+// byteChooser makes runOps's choices from fuzz bytes: two bytes per Intn,
+// four per Int63n, little-endian, reduced modulo n; zeros once the bytes
+// run out.
+type byteChooser struct{ b []byte }
+
+func (s *byteChooser) next(k int) uint64 {
+	var v uint64
+	for i := 0; i < k && len(s.b) > 0; i++ {
+		v |= uint64(s.b[0]) << (8 * i)
+		s.b = s.b[1:]
+	}
+	return v
+}
+
+func (s *byteChooser) Intn(n int) int       { return int(s.next(2) % uint64(n)) }
+func (s *byteChooser) Int63n(n int64) int64 { return int64(s.next(4) % uint64(n)) }
+
+// more continues while bytes are left, for at most a seeded sequence's
+// length.
+func (s *byteChooser) more(step int) bool { return len(s.b) > 0 && seededSteps(step) }
+
+// recordingChooser passes on a *rand.Rand's choices and records them in
+// byteChooser's encoding, so a seeded sequence becomes a fuzz seed.
+type recordingChooser struct {
+	rng *rand.Rand
+	b   []byte
+}
+
+func (r *recordingChooser) Intn(n int) int {
+	v := r.rng.Intn(n)
+	r.b = append(r.b, byte(v), byte(v>>8))
+	return v
+}
+
+func (r *recordingChooser) Int63n(n int64) int64 {
+	v := r.rng.Int63n(n)
+	r.b = append(r.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	return v
+}
+
+// fuzzOps runs the operations that data encodes: the first byte's low bit
+// turns open-write protection on, the rest are the operations' choices.
+func fuzzOps(t testing.TB, data []byte) (*Model, error) {
+	m := randomOpsModel(t, len(data) > 0 && data[0]&1 == 1)
+	if len(data) == 0 {
+		return m, nil
+	}
+	src := &byteChooser{b: data[1:]}
+	return m, runOps(m, src, src.more)
+}
+
+// FuzzModelOps drives runOps from fuzz bytes. CheckInvariants, arena
+// included, must hold after every step, and every scan must match a head
+// walk; a stale arena index breaks one or the other. Seeds: the operation
+// sequences of TestRandomOperationsKeepInvariants, each checked to replay
+// with the same reclaim work.
+func FuzzModelOps(f *testing.F) {
+	for _, protect := range []bool{true, false} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rec := &recordingChooser{rng: rand.New(rand.NewSource(seed)), b: []byte{0}}
+			if protect {
+				rec.b[0] = 1
+			}
+			m := randomOpsModel(f, protect)
+			if err := runOps(m, rec, seededSteps); err != nil {
+				f.Fatalf("recording protect=%v seed %d: %v", protect, seed, err)
+			}
+			replay, err := fuzzOps(f, rec.b)
+			if err != nil || replay.ReclaimStats() != m.ReclaimStats() {
+				f.Fatalf("protect=%v seed %d replays with %+v, %v; recorded %+v",
+					protect, seed, replay.ReclaimStats(), err, m.ReclaimStats())
+			}
+			f.Add(rec.b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := fuzzOps(t, data); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

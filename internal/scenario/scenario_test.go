@@ -567,3 +567,22 @@ func TestServerCacheTakesServerHostConfig(t *testing.T) {
 		t.Fatalf("writeread ops %v, want %v", ops, want)
 	}
 }
+
+// TestFailedWorkloadErrNamesWorkloadOnce: a workload that runs out of
+// memory fails its Doc with an error that names the instance and the
+// operation, and says "workload" once.
+func TestFailedWorkloadErrNamesWorkloadOnce(t *testing.T) {
+	d := baseDoc()
+	d.Workloads[0].Size = "2GB" // the application's copy exceeds the 1 GiB host
+	res, err := Run(d, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	werr := res.WorkloadErr()
+	if werr == nil {
+		t.Fatal("a 2 GB pipeline on a 1 GiB host completed")
+	}
+	if msg := werr.Error(); !strings.HasPrefix(msg, "workload app[0]: Read 1: ") || strings.Count(msg, "workload") != 1 {
+		t.Fatalf("error %q, want it to start with %q and say \"workload\" once", msg, "workload app[0]: Read 1: ")
+	}
+}

@@ -96,7 +96,7 @@ func RunSynthetic(r Runner, spec SyntheticSpec) error {
 	for task := 0; task < 3; task++ {
 		op := fmt.Sprintf("Read %d", task+1)
 		if err := r.ReadFile(spec.Files[task], op); err != nil {
-			return fmt.Errorf("workload: %s: %w", op, err)
+			return fmt.Errorf("%s: %w", op, err)
 		}
 		if spec.Snapshot {
 			r.SnapshotCache(op)
@@ -104,7 +104,7 @@ func RunSynthetic(r Runner, spec SyntheticSpec) error {
 		r.Compute(spec.CPU*scale, fmt.Sprintf("Compute %d", task+1))
 		op = fmt.Sprintf("Write %d", task+1)
 		if err := r.WriteFile(spec.Files[task+1], spec.Size, op); err != nil {
-			return fmt.Errorf("workload: %s: %w", op, err)
+			return fmt.Errorf("%s: %w", op, err)
 		}
 		if spec.Snapshot {
 			r.SnapshotCache(op)
@@ -156,12 +156,12 @@ func IterativeOps() []string { return []string{"IterRead", "IterCompute", "IterW
 // iteration is simulated.
 func RunIterative(r Runner, spec IterativeSpec) error {
 	if spec.Iterations <= 0 {
-		return fmt.Errorf("workload: iterative: Iterations must be positive")
+		return fmt.Errorf("iterative: Iterations must be positive")
 	}
 	obs, _ := r.(IterationObserver)
 	for i := 0; i < spec.Iterations; {
 		if err := r.ReadFile(spec.Input, "IterRead"); err != nil {
-			return fmt.Errorf("workload: iterative read: %w", err)
+			return fmt.Errorf("iterative read: %w", err)
 		}
 		r.Compute(spec.CPU, "IterCompute")
 		if i > 0 {
@@ -169,11 +169,11 @@ func RunIterative(r Runner, spec IterativeSpec) error {
 			// its still-dirty cache blocks) before rewriting, so every
 			// iteration leaves the same cache state behind.
 			if err := r.DeleteFile(spec.Output); err != nil {
-				return fmt.Errorf("workload: iterative delete: %w", err)
+				return fmt.Errorf("iterative delete: %w", err)
 			}
 		}
 		if err := r.WriteFile(spec.Output, spec.Size, "IterWrite"); err != nil {
-			return fmt.Errorf("workload: iterative write: %w", err)
+			return fmt.Errorf("iterative write: %w", err)
 		}
 		r.ReleaseTaskMemory()
 		i++
@@ -229,12 +229,12 @@ func RunNighres(r Runner) error {
 	for i, step := range NighresSteps() {
 		op := fmt.Sprintf("Read %d", i+1)
 		if err := r.ReadFileN(step.InputFile, step.InputBytes, op); err != nil {
-			return fmt.Errorf("workload: nighres %s: %w", step.Name, err)
+			return fmt.Errorf("nighres %s: %w", step.Name, err)
 		}
 		r.Compute(step.CPU, fmt.Sprintf("Compute %d", i+1))
 		op = fmt.Sprintf("Write %d", i+1)
 		if err := r.WriteFile(step.OutputFile, step.OutputSize, op); err != nil {
-			return fmt.Errorf("workload: nighres %s: %w", step.Name, err)
+			return fmt.Errorf("nighres %s: %w", step.Name, err)
 		}
 		r.ReleaseTaskMemory()
 	}
