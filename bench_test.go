@@ -190,35 +190,6 @@ func BenchmarkAblation_DesignChoices(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_AccessPattern contrasts the paper's sequential
-// round-robin read assumption with the uniform random-access extension on a
-// partially cached file (the future-work item of the conclusion).
-func BenchmarkAblation_AccessPattern(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, pattern := range []core.AccessPattern{core.Sequential, core.Uniform} {
-			mgr, err := core.NewManager(core.DefaultConfig(1 << 40))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io, err := core.NewIOController(mgr, 100<<20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.SetPattern(pattern)
-			c := &benchCaller{}
-			// Half-cache a 10 GB file, then partially re-read it.
-			if err := io.ReadFile(c, "f", 10<<30); err != nil {
-				b.Fatal(err)
-			}
-			mgr.ReleaseAnon(10 << 30)
-			mgr.Evict(5<<30, "")
-			if err := io.Read(c, "f", 5<<30, 10<<30); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks
 

@@ -14,17 +14,18 @@
 //
 // The replacement policy is a second seam: placement, promotion on access
 // and victim order live behind the Policy interface, selected by
-// Config.Policy from a registry ("lru" — the paper's two-list sorted LRU
-// and the default, bit-identical to the pre-seam implementation; "clock" —
-// kernel-style second chance with a reference bit; "fifo" — the degenerate
-// insertion-order baseline; "lfu" — segmented frequency-decay, half-life
-// tunable via Config.LFUHalfLife). The accounting machinery (dirty
+// Config.Policy from a table of named constructors ("lru" — the paper's
+// two-list sorted LRU and the default, bit-identical to the pre-seam
+// implementation; "clock" — kernel-style second chance with a reference
+// bit; "fifo" — the degenerate insertion-order baseline; "lfu" — segmented
+// frequency-decay with a 60 s half-life). Adding a policy is one
+// constructor and one table entry. The accounting machinery (dirty
 // sublists, per-file chains, expiry queue, byte counters, OOM arithmetic)
 // is shared by all policies.
 //
 // Writeback is a third seam: the order dirty blocks are persisted in by
 // the flush passes lives behind the WritebackPolicy interface,
-// selected by Config.Writeback from its own registry ("list-order" — the
+// selected by Config.Writeback from its own table ("list-order" — the
 // paper's implicit order, front dirty block of the replacement policy's
 // lists, bit-identical to the pre-seam implementation and the default;
 // "oldest-first" — Entry order off the expiry queue; "file-rr" —

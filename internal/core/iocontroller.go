@@ -11,57 +11,22 @@ import (
 // rather than corrupting accounting).
 var ErrOutOfMemory = errors.New("core: out of memory (anonymous + unreclaimable cache exceed RAM)")
 
-// AccessPattern selects how reads of partially cached files hit the cache —
-// the extension the paper's conclusion calls for ("File access patterns
-// might also be worth including in the simulation models, as they directly
-// affect page cache content").
-type AccessPattern int
-
-const (
-	// Sequential is the paper's round-robin assumption (§III.A.2): uncached
-	// data is read before cached data (Fig 3).
-	Sequential AccessPattern = iota
-	// Uniform models random uniform access: every chunk hits the cache in
-	// proportion to the file's cached fraction, in expectation. A partial
-	// read of a half-cached file is then half cache hits, where the
-	// sequential pattern would serve it entirely from disk.
-	Uniform
-)
-
-func (p AccessPattern) String() string {
-	switch p {
-	case Sequential:
-		return "sequential"
-	case Uniform:
-		return "uniform"
-	}
-	return "unknown"
-}
-
 // IOController orchestrates chunked file reads and writes against a
 // MemoryManager (§III.B). One controller serves all simulated processes of
 // a host.
 type IOController struct {
-	m       *Manager
-	chunk   int64
-	pattern AccessPattern
+	m     *Manager
+	chunk int64
 }
 
 // NewIOController returns a controller with the given chunk size (the
-// user-defined chunk size of §III.A.2; the paper's experiments use 100 MB)
-// and the paper's sequential access pattern.
+// user-defined chunk size of §III.A.2; the paper's experiments use 100 MB).
 func NewIOController(m *Manager, chunkSize int64) (*IOController, error) {
 	if chunkSize <= 0 {
 		return nil, fmt.Errorf("core: chunk size must be positive")
 	}
 	return &IOController{m: m, chunk: chunkSize}, nil
 }
-
-// SetPattern selects the read access pattern (default Sequential).
-func (io *IOController) SetPattern(p AccessPattern) { io.pattern = p }
-
-// Pattern returns the configured access pattern.
-func (io *IOController) Pattern() AccessPattern { return io.pattern }
 
 // Manager returns the underlying memory manager.
 func (io *IOController) Manager() *Manager { return io.m }
@@ -102,22 +67,9 @@ func (io *IOController) ReadChunk(c Caller, file string, chunkSize, fileSize int
 	if uncached < 0 {
 		uncached = 0
 	}
-	var diskRead int64
-	switch io.pattern {
-	case Uniform:
-		// Expected miss volume under uniform random access: the chunk hits
-		// cached pages with probability cached/fileSize.
-		if fileSize > 0 {
-			diskRead = int64(float64(chunkSize) * float64(uncached) / float64(fileSize))
-		}
-		if diskRead > uncached {
-			diskRead = uncached
-		}
-	default: // Sequential, the paper's Algorithm 2 line 7
-		diskRead = uncached
-		if diskRead > chunkSize {
-			diskRead = chunkSize
-		}
+	diskRead := uncached // line 7
+	if diskRead > chunkSize {
+		diskRead = chunkSize
 	}
 	cacheRead := chunkSize - diskRead // line 8
 	required := chunkSize + diskRead  // line 9: app copy + cache copy

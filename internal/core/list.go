@@ -70,11 +70,6 @@ func (l *List) Front() *Block { return l.head }
 // Back returns the most recently used block (nil when empty).
 func (l *List) Back() *Block { return l.tail }
 
-// FrontDirty returns the least recently used dirty block of the default
-// writeback domain (nil when none) — the whole list's dirty front on
-// managers without per-device domains.
-func (l *List) FrontDirty() *Block { return l.FrontDirtyDomain(0) }
-
 // FrontDirtyDomain returns the least recently used dirty block of one
 // writeback domain (nil when none).
 func (l *List) FrontDirtyDomain(dom int) *Block {
@@ -481,16 +476,6 @@ func (l *List) resize(b *Block, newSize int64) {
 // walk. fn must not mutate the list.
 func (l *List) Each(fn func(*Block) bool) {
 	for b := l.head; b != nil; b = b.next {
-		if !fn(b) {
-			return
-		}
-	}
-}
-
-// EachFile calls fn on every block of file from LRU to MRU; fn returning
-// false stops the walk. fn must not mutate the list.
-func (l *List) EachFile(file string, fn func(*Block) bool) {
-	for b := l.fileFront(file); b != nil; b = b.fnext {
 		if !fn(b) {
 			return
 		}

@@ -35,21 +35,16 @@ type Config struct {
 	// periodic flusher enforces it each wake-up (Manager.FlushPass).
 	DirtyBackgroundRatio float64
 	// Policy selects the replacement policy by registry name ("lru",
-	// "clock", "fifo", "lfu", plus anything RegisterPolicy added). Empty
-	// selects DefaultPolicyName, the paper's two-list sorted LRU. Unknown
-	// names are rejected by Validate — at configuration time, with the
-	// registered names listed — never mid-simulation.
+	// "clock", "fifo", "lfu"). Empty selects DefaultPolicyName, the
+	// paper's two-list sorted LRU. Unknown names are rejected by Validate —
+	// at configuration time, with the registered names listed — never
+	// mid-simulation.
 	Policy string
 	// Writeback selects the writeback policy — the order dirty blocks are
 	// flushed in — by registry name ("list-order", "oldest-first",
-	// "file-rr", "proportional", plus anything RegisterWritebackPolicy
-	// added). Empty selects DefaultWritebackPolicyName, the paper's list
-	// scan order. Unknown names are rejected by Validate.
+	// "file-rr", "proportional"). Empty selects DefaultWritebackPolicyName,
+	// the paper's list scan order. Unknown names are rejected by Validate.
 	Writeback string
-	// LFUHalfLife overrides the segmented-LFU policy's frequency-decay
-	// half-life in simulated seconds (0 selects the built-in default of
-	// 60 s; other policies ignore it). Negative values are rejected.
-	LFUHalfLife float64
 }
 
 // DefaultConfig returns the paper's configuration for a host with the given
@@ -79,8 +74,6 @@ func (c Config) Validate() error {
 	case c.DirtyBackgroundRatio > 0 && c.DirtyBackgroundRatio >= c.DirtyRatio:
 		return fmt.Errorf("core: DirtyBackgroundRatio (%g) must be below DirtyRatio (%g)",
 			c.DirtyBackgroundRatio, c.DirtyRatio)
-	case c.LFUHalfLife < 0:
-		return fmt.Errorf("core: LFUHalfLife must be non-negative")
 	}
 	if err := ValidatePolicyName(c.Policy); err != nil {
 		return err
@@ -130,9 +123,6 @@ type Manager struct {
 	domains  []*wbDomain
 	resolve  func(file string) string
 	domIndex map[string]int
-
-	// compatActive backs Active() for single-list policies (always empty).
-	compatActive *List
 
 	// readHits/readMisses count cached vs disk-served application read
 	// bytes (the policy-ablation experiment's hit-ratio metric).
@@ -185,9 +175,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	pol, err := newPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
-	}
-	if cp, ok := pol.(ConfigurablePolicy); ok {
-		cp.Configure(cfg)
 	}
 	wb, err := newWritebackPolicy(cfg.Writeback)
 	if err != nil {
@@ -319,22 +306,6 @@ func (m *Manager) WritebackPolicy() WritebackPolicy { return m.domains[0].wb }
 
 // DomainWritebackPolicy returns one domain's writeback policy instance.
 func (m *Manager) DomainWritebackPolicy(dom int) WritebackPolicy { return m.domains[dom].wb }
-
-// Inactive and Active expose the policy's lists (read-only use: tests,
-// tracing): for the default two-list LRU these are the paper's inactive and
-// active lists. Other policies map approximately — Inactive is the first
-// victim list, Active the last (or a permanently empty placeholder when the
-// policy keeps a single list).
-func (m *Manager) Inactive() *List { return m.pol.Lists()[0] }
-func (m *Manager) Active() *List {
-	if ls := m.pol.Lists(); len(ls) > 1 {
-		return ls[len(ls)-1]
-	}
-	if m.compatActive == nil {
-		m.compatActive = NewList("active")
-	}
-	return m.compatActive
-}
 
 // Cached returns the cached bytes of file (any dirtiness, any list).
 func (m *Manager) Cached(file string) int64 { return m.cached[file] }

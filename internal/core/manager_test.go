@@ -81,7 +81,7 @@ func TestAddToCacheAndAccounting(t *testing.T) {
 	if m.Cached("f1") != 300 || m.CacheBytes() != 300 || m.Free() != 700 {
 		t.Fatalf("cached=%d cache=%d free=%d", m.Cached("f1"), m.CacheBytes(), m.Free())
 	}
-	if m.Inactive().Len() != 1 || m.Active().Len() != 0 {
+	if m.Policy().Lists()[0].Len() != 1 || m.Policy().Lists()[1].Len() != 0 {
 		t.Fatal("fresh blocks must land in the inactive list")
 	}
 	mustNoInvariantErr(t, m)
@@ -227,10 +227,10 @@ func TestCacheReadPromotesCleanMerged(t *testing.T) {
 	m.AddToCache("f", 100, 2)
 	c.now = 5
 	m.CacheRead(c, "f", 200)
-	if m.Active().Len() != 1 {
-		t.Fatalf("active blocks = %d, want 1 merged", m.Active().Len())
+	if m.Policy().Lists()[1].Len() != 1 {
+		t.Fatalf("active blocks = %d, want 1 merged", m.Policy().Lists()[1].Len())
 	}
-	mb := m.Active().Front()
+	mb := m.Policy().Lists()[1].Front()
 	if mb.Size != 200 || mb.Dirty || mb.Entry != 1 {
 		t.Fatalf("merged block %v (want 200B clean entry=1)", mb)
 	}
@@ -245,18 +245,18 @@ func TestCacheReadMovesDirtyIndividually(t *testing.T) {
 	c := newFakeCaller()
 	m.AddToCache("pad", 10000, 0) // keeps the balancer quiet
 	m.WriteToCache(c, "f", 100)   // entry e1
-	e1 := m.Inactive().Back().Entry
+	e1 := m.Policy().Lists()[0].Back().Entry
 	c.now = 7
 	m.WriteToCache(c, "f", 100)
 	c.now = 9
 	m.CacheRead(c, "f", 200)
-	if m.Active().Len() != 2 {
-		t.Fatalf("active blocks = %d, want 2 (dirty not merged)", m.Active().Len())
+	if m.Policy().Lists()[1].Len() != 2 {
+		t.Fatalf("active blocks = %d, want 2 (dirty not merged)", m.Policy().Lists()[1].Len())
 	}
-	if m.Active().Front().Entry != e1 {
+	if m.Policy().Lists()[1].Front().Entry != e1 {
 		t.Fatal("dirty move lost entry time")
 	}
-	if m.Active().Front().LastAccess != 9 {
+	if m.Policy().Lists()[1].Front().LastAccess != 9 {
 		t.Fatal("dirty move did not update access time")
 	}
 	mustNoInvariantErr(t, m)
@@ -269,8 +269,8 @@ func TestCacheReadPartialSplits(t *testing.T) {
 	c.now = 3
 	m.CacheRead(c, "f", 40)
 	// 40 read → promoted to active; 60 remain inactive.
-	if m.Active().Bytes() != 40 || m.Inactive().Bytes() != 60 {
-		t.Fatalf("active=%d inactive=%d", m.Active().Bytes(), m.Inactive().Bytes())
+	if m.Policy().Lists()[1].Bytes() != 40 || m.Policy().Lists()[0].Bytes() != 60 {
+		t.Fatalf("active=%d inactive=%d", m.Policy().Lists()[1].Bytes(), m.Policy().Lists()[0].Bytes())
 	}
 	if m.Cached("f") != 100 {
 		t.Fatalf("cached = %d", m.Cached("f"))
@@ -299,15 +299,15 @@ func TestCacheReadInactiveBeforeActive(t *testing.T) {
 	m.AddToCache("f", 50, 3) // new inactive block of f
 	c.now = 4
 	m.CacheRead(c, "f", 50) // must consume the inactive 50B, not active bytes
-	if got := bytesOf(m.Inactive(), "f"); got != 0 {
+	if got := bytesOf(m.Policy().Lists()[0], "f"); got != 0 {
 		t.Fatalf("inactive still holds %dB of f; inactive-first order violated", got)
 	}
-	if got := bytesOf(m.Active(), "f"); got != 150 {
+	if got := bytesOf(m.Policy().Lists()[1], "f"); got != 150 {
 		t.Fatalf("active holds %dB of f, want 150", got)
 	}
 	// The 100B block promoted at t=2 must be untouched (order: inactive first).
 	found := false
-	m.Active().Each(func(b *Block) bool {
+	m.Policy().Lists()[1].Each(func(b *Block) bool {
 		if b.File == "f" && b.Size == 100 && b.LastAccess == 2 {
 			found = true
 		}
@@ -327,8 +327,8 @@ func TestBalanceActiveAtMostTwiceInactive(t *testing.T) {
 	}
 	c.now = 20
 	m.CacheRead(c, "f", 1000) // everything promoted → balance must demote
-	if m.Active().Bytes() > 2*m.Inactive().Bytes() {
-		t.Fatalf("unbalanced: active=%d inactive=%d", m.Active().Bytes(), m.Inactive().Bytes())
+	if m.Policy().Lists()[1].Bytes() > 2*m.Policy().Lists()[0].Bytes() {
+		t.Fatalf("unbalanced: active=%d inactive=%d", m.Policy().Lists()[1].Bytes(), m.Policy().Lists()[0].Bytes())
 	}
 	mustNoInvariantErr(t, m)
 }
@@ -492,7 +492,7 @@ func TestPropertyManagerInvariants(t *testing.T) {
 				t.Logf("seed %d op %d: %v", seed, i, err)
 				return false
 			}
-			if m.Active().Bytes() > 2*m.Inactive().Bytes() && m.Inactive().Bytes() > 0 {
+			if m.Policy().Lists()[1].Bytes() > 2*m.Policy().Lists()[0].Bytes() && m.Policy().Lists()[0].Bytes() > 0 {
 				// Balance holds except transiently inside ops (never here).
 				t.Logf("seed %d op %d: unbalanced lists", seed, i)
 				return false

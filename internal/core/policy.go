@@ -64,31 +64,17 @@ type Policy interface {
 	CheckInvariants(m *Manager) error
 }
 
-// ConfigurablePolicy is an optional interface a Policy may implement to
-// consume Config knobs at Manager construction time, after the factory ran
-// and before any block is inserted — the segmented LFU reads
-// Config.LFUHalfLife this way. Validation of the knobs themselves belongs
-// in Config.Validate, which runs first.
-type ConfigurablePolicy interface {
-	Configure(cfg Config)
-}
-
 // DefaultPolicyName is the policy used when Config.Policy is empty: the
 // paper's two-list sorted LRU (§III.A).
 const DefaultPolicyName = "lru"
 
-var policyRegistry = map[string]func() Policy{}
-
-// RegisterPolicy adds a policy constructor under name. Policies register in
-// init functions; duplicate or empty names panic.
-func RegisterPolicy(name string, factory func() Policy) {
-	if name == "" {
-		panic("core: RegisterPolicy with empty name")
-	}
-	if _, dup := policyRegistry[name]; dup {
-		panic(fmt.Sprintf("core: RegisterPolicy duplicate %q", name))
-	}
-	policyRegistry[name] = factory
+// policyRegistry maps each cache-policy name to its constructor. Adding a
+// policy is one constructor and one entry here.
+var policyRegistry = map[string]func() Policy{
+	DefaultPolicyName: newLRUPolicy,
+	"clock":           newClockPolicy,
+	"fifo":            newFIFOPolicy,
+	"lfu":             newLFUPolicy,
 }
 
 // PolicyNames returns the registered policy names, sorted.

@@ -2,12 +2,10 @@ package core
 
 import "fmt"
 
-func init() {
-	RegisterPolicy("clock", func() Policy {
-		p := &clockPolicy{list: NewList("clock")}
-		p.lists = []*List{p.list}
-		return p
-	})
+func newClockPolicy() Policy {
+	p := &clockPolicy{list: NewList("clock")}
+	p.lists = []*List{p.list}
+	return p
 }
 
 // clockPolicy is kernel-style CLOCK / second chance: one queue with a

@@ -1,11 +1,9 @@
 package core
 
-func init() {
-	RegisterPolicy("fifo", func() Policy {
-		p := &fifoPolicy{list: NewList("fifo")}
-		p.lists = []*List{p.list}
-		return p
-	})
+func newFIFOPolicy() Policy {
+	p := &fifoPolicy{list: NewList("fifo")}
+	p.lists = []*List{p.list}
+	return p
 }
 
 // fifoPolicy is the degenerate baseline: one queue in insertion order, no

@@ -5,22 +5,19 @@ import (
 	"math"
 )
 
-func init() {
-	RegisterPolicy("lfu", func() Policy {
-		p := &lfuPolicy{halfLife: lfuDefaultHalfLife}
-		for i := range p.buckets {
-			p.buckets[i] = NewList(fmt.Sprintf("lfu%d", i))
-			p.lists = append(p.lists, p.buckets[i])
-		}
-		return p
-	})
+func newLFUPolicy() Policy {
+	p := &lfuPolicy{}
+	for i := range p.buckets {
+		p.buckets[i] = NewList(fmt.Sprintf("lfu%d", i))
+		p.lists = append(p.lists, p.buckets[i])
+	}
+	return p
 }
 
-// lfuDefaultHalfLife is the default frequency-decay half-life in simulated
-// seconds: every half-life that passes without an access halves a block's
-// effective frequency, so bursts of historical popularity age out instead
-// of pinning blocks forever (plain LFU's classic failure mode). Overridden
-// per manager by Config.LFUHalfLife (platform JSON: "lfuHalfLife").
+// lfuDefaultHalfLife is the frequency-decay half-life in simulated seconds:
+// every half-life that passes without an access halves a block's effective
+// frequency, so bursts of historical popularity age out instead of pinning
+// blocks forever (plain LFU's classic failure mode).
 const lfuDefaultHalfLife = 60
 
 // lfuBuckets is the number of frequency classes. Four levels (0, 1, 2-3,
@@ -39,17 +36,8 @@ const lfuBuckets = 4
 // (and demoted) or reached by the eviction scan — the standard lazy-decay
 // approximation, chosen because eager decay would cost a full-cache sweep.
 type lfuPolicy struct {
-	buckets  [lfuBuckets]*List
-	lists    []*List
-	halfLife float64
-}
-
-// Configure applies Config.LFUHalfLife (ConfigurablePolicy): 0 keeps the
-// default. Validation (non-negativity) already ran in Config.Validate.
-func (p *lfuPolicy) Configure(cfg Config) {
-	if cfg.LFUHalfLife > 0 {
-		p.halfLife = cfg.LFUHalfLife
-	}
+	buckets [lfuBuckets]*List
+	lists   []*List
 }
 
 func (p *lfuPolicy) Name() string            { return "lfu" }
@@ -58,7 +46,7 @@ func (p *lfuPolicy) EvictableLists() []*List { return p.lists }
 
 // epochAt converts a simulated time into a decay epoch.
 func (p *lfuPolicy) epochAt(now float64) int32 {
-	return int32(now / p.halfLife)
+	return int32(now / lfuDefaultHalfLife)
 }
 
 // effFreq returns b's frequency decayed to the given epoch.
@@ -137,7 +125,7 @@ func (p *lfuPolicy) Rebalance(*Manager) {}
 // epoch by the same whole-bucket count; the sub-bucket remainder is folded
 // into the next decay, the same rounding lazy decay always applies.
 func (p *lfuPolicy) ShiftTimes(delta float64) {
-	shift := int32(math.Floor(delta / p.halfLife))
+	shift := int32(math.Floor(delta / lfuDefaultHalfLife))
 	if shift == 0 {
 		return
 	}

@@ -1,11 +1,9 @@
 package core
 
-func init() {
-	RegisterPolicy(DefaultPolicyName, func() Policy {
-		p := &lruPolicy{inactive: NewList("inactive"), active: NewList("active")}
-		p.lists = []*List{p.inactive, p.active}
-		return p
-	})
+func newLRUPolicy() Policy {
+	p := &lruPolicy{inactive: NewList("inactive"), active: NewList("active")}
+	p.lists = []*List{p.inactive, p.active}
+	return p
 }
 
 // lruPolicy is the paper's Memory Manager structure (§III.A): two LRU lists

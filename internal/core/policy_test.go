@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -18,12 +19,17 @@ func newPolicyManager(t *testing.T, policy string, total int64) *Manager {
 
 func TestPolicyRegistry(t *testing.T) {
 	names := PolicyNames()
-	if len(names) < 4 {
-		t.Fatalf("expected ≥4 registered policies, got %v", names)
+	if want := []string{"clock", "fifo", "lfu", "lru"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("registered policies %v, want %v", names, want)
 	}
-	for _, want := range []string{"lru", "clock", "fifo", "lfu"} {
-		if err := ValidatePolicyName(want); err != nil {
-			t.Fatalf("%s not registered: %v", want, err)
+	// Every constructor builds the policy its table key names: a swapped
+	// entry would mislabel ablation rows and snapshot policy names.
+	for _, name := range names {
+		if err := ValidatePolicyName(name); err != nil {
+			t.Fatalf("%s not registered: %v", name, err)
+		}
+		if got := newPolicyManager(t, name, 1000).Policy().Name(); got != name {
+			t.Fatalf("policy %q constructs %q", name, got)
 		}
 	}
 	// The default is LRU, both via "" and explicitly.

@@ -46,9 +46,6 @@ func testIOControllerConservation(t *testing.T, policy, wb string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rng.Intn(2) == 0 {
-			io.SetPattern(Uniform)
-		}
 		c := newFakeCaller()
 		files := map[string]int64{} // written sizes
 		names := []string{"a", "b", "c"}

@@ -112,7 +112,6 @@ func testSnapshotRoundTrip(t *testing.T, policy, wb string) {
 			cfg.DirtyBackgroundRatio = 0.10
 		}
 		chunk := int64(500 + rng.Intn(2000))
-		uniform := rng.Intn(2) == 0
 
 		newRig := func() *snapshotRig {
 			m, err := NewManager(cfg)
@@ -122,9 +121,6 @@ func testSnapshotRoundTrip(t *testing.T, policy, wb string) {
 			ioc, err := NewIOController(m, chunk)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if uniform {
-				ioc.SetPattern(Uniform)
 			}
 			return &snapshotRig{m: m, io: ioc, c: newFakeCaller(), files: map[string]int64{}}
 		}

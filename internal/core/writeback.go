@@ -70,18 +70,13 @@ type WritebackPolicy interface {
 // list scan order (bit-identical to the pre-seam implementation).
 const DefaultWritebackPolicyName = "list-order"
 
-var writebackRegistry = map[string]func() WritebackPolicy{}
-
-// RegisterWritebackPolicy adds a writeback-policy constructor under name.
-// Policies register in init functions; duplicate or empty names panic.
-func RegisterWritebackPolicy(name string, factory func() WritebackPolicy) {
-	if name == "" {
-		panic("core: RegisterWritebackPolicy with empty name")
-	}
-	if _, dup := writebackRegistry[name]; dup {
-		panic(fmt.Sprintf("core: RegisterWritebackPolicy duplicate %q", name))
-	}
-	writebackRegistry[name] = factory
+// writebackRegistry maps each writeback-policy name to its constructor.
+// Adding a writeback policy is one constructor and one entry here.
+var writebackRegistry = map[string]func() WritebackPolicy{
+	DefaultWritebackPolicyName: newListOrderWriteback,
+	"oldest-first":             newOldestFirstWriteback,
+	"file-rr":                  newFileRRWriteback,
+	"proportional":             newProportionalWriteback,
 }
 
 // WritebackPolicyNames returns the registered writeback-policy names, sorted.

@@ -1,10 +1,6 @@
 package core
 
-func init() {
-	RegisterWritebackPolicy("file-rr", func() WritebackPolicy {
-		return &fileRRWriteback{q: newWBFileQueues()}
-	})
-}
+func newFileRRWriteback() WritebackPolicy { return &fileRRWriteback{q: newWBFileQueues()} }
 
 // fileRRWriteback is per-inode round-robin writeback, the shape of Linux's
 // flusher: the kernel queues dirty inodes on a bdi's b_io list and writes a

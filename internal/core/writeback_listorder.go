@@ -1,10 +1,6 @@
 package core
 
-func init() {
-	RegisterWritebackPolicy(DefaultWritebackPolicyName, func() WritebackPolicy {
-		return &listOrderWriteback{}
-	})
-}
+func newListOrderWriteback() WritebackPolicy { return &listOrderWriteback{} }
 
 // listOrderWriteback is the paper's implicit writeback order, preserved
 // bit-identically: the front dirty block of the replacement policy's lists,

@@ -1,10 +1,6 @@
 package core
 
-func init() {
-	RegisterWritebackPolicy("oldest-first", func() WritebackPolicy {
-		return &oldestFirstWriteback{}
-	})
-}
+func newOldestFirstWriteback() WritebackPolicy { return &oldestFirstWriteback{} }
 
 // oldestFirstWriteback flushes the domain's oldest dirty data first,
 // regardless of which list (or which file) holds it — pure age order, the

@@ -1,9 +1,7 @@
 package core
 
-func init() {
-	RegisterWritebackPolicy("proportional", func() WritebackPolicy {
-		return &proportionalWriteback{q: newWBFileQueues()}
-	})
+func newProportionalWriteback() WritebackPolicy {
+	return &proportionalWriteback{q: newWBFileQueues()}
 }
 
 // proportionalWriteback apportions flushed bytes across files in proportion

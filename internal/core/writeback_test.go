@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -230,8 +231,25 @@ func TestWritebackBackgroundThreshold(t *testing.T) {
 	}
 }
 
+func TestWritebackPolicyRegistry(t *testing.T) {
+	names := WritebackPolicyNames()
+	if want := []string{"file-rr", "list-order", "oldest-first", "proportional"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("registered writeback policies %v, want %v", names, want)
+	}
+	// Every constructor builds the policy its table key names: a swapped
+	// entry would mislabel ablation rows and snapshot policy names.
+	for _, name := range names {
+		if err := ValidateWritebackPolicyName(name); err != nil {
+			t.Fatalf("%s not registered: %v", name, err)
+		}
+		if got := wbTestManager(t, name, 1000).WritebackPolicy().Name(); got != name {
+			t.Fatalf("writeback policy %q constructs %q", name, got)
+		}
+	}
+}
+
 // TestWritebackConfigValidation covers the new Config knobs' fail-fast
-// paths: unknown writeback names, inverted threshold pairs, negative decay.
+// paths: unknown writeback names and inverted threshold pairs.
 func TestWritebackConfigValidation(t *testing.T) {
 	base := DefaultConfig(1000)
 	bad := []func(*Config){
@@ -239,7 +257,6 @@ func TestWritebackConfigValidation(t *testing.T) {
 		func(c *Config) { c.DirtyBackgroundRatio = -0.1 },
 		func(c *Config) { c.DirtyBackgroundRatio = 0.20 }, // == DirtyRatio
 		func(c *Config) { c.DirtyBackgroundRatio = 0.50 }, // > DirtyRatio
-		func(c *Config) { c.LFUHalfLife = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := base
@@ -267,45 +284,5 @@ func TestWritebackConfigValidation(t *testing.T) {
 	}
 	if m2 := wbTestManager(t, "", 1000); m2.WritebackPolicy().Name() != DefaultWritebackPolicyName {
 		t.Fatalf("default writeback policy %q", m2.WritebackPolicy().Name())
-	}
-}
-
-// TestLFUHalfLifeKnob verifies Config.LFUHalfLife reaches the policy: with
-// a tiny half-life a burst of historical hits decays away and the block
-// drops back to the bottom bucket; with the 60 s default it stays hot.
-func TestLFUHalfLifeKnob(t *testing.T) {
-	run := func(halfLife float64) int {
-		cfg := DefaultConfig(100000)
-		cfg.Policy = "lfu"
-		cfg.LFUHalfLife = halfLife
-		m, err := NewManager(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := newFakeCaller()
-		c.now = 1
-		m.AddToCache("a", 100, c.now)
-		for i := 0; i < 5; i++ { // drive the block into the top bucket
-			c.now += 0.1
-			m.CacheRead(c, "a", 100)
-		}
-		c.now += 10 // 10 s of idleness, then one touch applies the decay
-		m.CacheRead(c, "a", 100)
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		for i, l := range m.Policy().Lists() {
-			if l.FileBytes("a") > 0 {
-				return i
-			}
-		}
-		t.Fatal("block vanished")
-		return -1
-	}
-	if got := run(0); got != lfuBuckets-1 {
-		t.Fatalf("default half-life: block in bucket %d, want %d", got, lfuBuckets-1)
-	}
-	if got := run(0.5); got >= lfuBuckets-1 {
-		t.Fatalf("0.5 s half-life: block still in bucket %d after 10 s idle", got)
 	}
 }

@@ -100,15 +100,13 @@ func (s *Simulation) addLinuxrefHost(spec platform.HostSpec, mode Mode, chunk in
 // implies: core.DefaultConfig of its RAM, the replacement policy from
 // "cachePolicy" (empty: the default LRU), the writeback policy from
 // "writebackPolicy" (empty: the paper's list order), the background
-// writeback threshold from "dirtyBackgroundRatio" (0: disabled), the LFU
-// decay half-life from "lfuHalfLife" (0: the core default) and the
+// writeback threshold from "dirtyBackgroundRatio" (0: disabled) and the
 // open-write eviction protection from "evictExcludesOpenWrites".
 func HostCacheConfig(hc platform.HostConfig, ram int64) core.Config {
 	cfg := core.DefaultConfig(ram)
 	cfg.Policy = hc.CachePolicy
 	cfg.Writeback = hc.WritebackPolicy
 	cfg.DirtyBackgroundRatio = hc.DirtyBackgroundRatio
-	cfg.LFUHalfLife = hc.LFUHalfLife
 	cfg.EvictExcludesOpenWrites = hc.EvictExcludesOpenWrites
 	return cfg
 }

@@ -180,8 +180,8 @@ func TestBuildPlatformCachePolicy(t *testing.T) {
 }
 
 func TestBuildPlatformWritebackKnobs(t *testing.T) {
-	// The per-host "writebackPolicy", "dirtyBackgroundRatio" and
-	// "lfuHalfLife" knobs must reach the built cache model.
+	// The per-host "writebackPolicy" and "dirtyBackgroundRatio" knobs must
+	// reach the built cache model.
 	cfg, err := platform.LoadConfig(strings.NewReader(twoNodeConfig))
 	if err != nil {
 		t.Fatal(err)

@@ -201,18 +201,6 @@ func MergeDevices(ps []grid.Payload) (*DevicesResult, error) {
 	return res, nil
 }
 
-// RunDevicesAblation compares one global writeback domain against
-// per-device domains on a mixed-speed (NVMe+HDD) host under a concurrent
-// flush storm, reporting each writer's wall time, throttle time and the
-// CAWL-modeled prediction.
-func RunDevicesAblation(quick bool) (*DevicesResult, error) {
-	ps, err := runGrid(DevicesCells("devices", quick))
-	if err != nil {
-		return nil, fmt.Errorf("device ablation: %w", err)
-	}
-	return MergeDevices(ps)
-}
-
 // Render prints the ablation table.
 func (r *DevicesResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "== Per-device writeback ablation: mixed-speed flush storm vs CAWL ==")

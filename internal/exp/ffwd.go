@@ -158,18 +158,6 @@ func MergeFFwd(quick bool, ps []grid.Payload) (*FFwdResult, error) {
 	return res, nil
 }
 
-// RunFFwdAblation runs every repeated-iteration configuration twice — exact
-// and with phase fast-forward — and reports the makespan disagreement plus
-// how many iterations the detector skipped. Cells fan out over the default
-// in-process pool.
-func RunFFwdAblation(quick bool) (*FFwdResult, error) {
-	ps, err := runGrid(FFwdCells("ffwd", quick))
-	if err != nil {
-		return nil, fmt.Errorf("ffwd ablation: %w", err)
-	}
-	return MergeFFwd(quick, ps)
-}
-
 // Render prints the ablation as one table, exact vs fast-forwarded.
 func (r *FFwdResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "== Fast-forward ablation: exact vs phase-skipped repeated pipelines ==")

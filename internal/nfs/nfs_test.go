@@ -261,7 +261,11 @@ func newRigWithWriteback(t *testing.T, wb string, bg float64) *rig {
 
 // serverFileDirty sums a file's dirty bytes over the server manager's lists.
 func serverFileDirty(m *core.Manager, file string) int64 {
-	return m.Inactive().FileDirtyBytes(file) + m.Active().FileDirtyBytes(file)
+	var n int64
+	for _, l := range m.Policy().Lists() {
+		n += l.FileDirtyBytes(file)
+	}
+	return n
 }
 
 // TestServerWritebackFlushOrderPolicy drives the same over-threshold write

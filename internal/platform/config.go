@@ -26,19 +26,18 @@ import (
 //	}
 //
 // "cachePolicy" selects the host's page-cache replacement policy by
-// core registry name ("lru", "clock", "fifo", "lfu"; empty or omitted means
+// core policy name ("lru", "clock", "fifo", "lfu"; empty or omitted means
 // the paper's two-list LRU), and "writebackPolicy" the dirty-flush order
 // ("list-order", "oldest-first", "file-rr", "proportional"; empty or
 // omitted means the paper's list order). Unknown names are rejected when
 // the config is loaded, with the registered names listed.
 // "dirtyBackgroundRatio" sets vm.dirty_background_ratio (0 or omitted:
-// background writeback disabled, the paper's single-threshold model) and
-// "lfuHalfLife" the segmented-LFU frequency-decay half-life in seconds
-// (0 or omitted: the built-in 60 s default). "perDeviceWriteback" splits
-// the host's writeback into per-disk domains — each disk gets its own
-// dirty thresholds (scaled by its write-bandwidth share, or overridden by
-// the disk's "dirtyRatio"/"dirtyBackgroundRatio"), its own flusher, and
-// writer-driven wakeups — matching Linux's per-bdi flusher threads.
+// background writeback disabled, the paper's single-threshold model).
+// "perDeviceWriteback" splits the host's writeback into per-disk domains —
+// each disk gets its own dirty thresholds (scaled by its write-bandwidth
+// share, or overridden by the disk's "dirtyRatio"/"dirtyBackgroundRatio"),
+// its own flusher, and writer-driven wakeups — matching Linux's per-bdi
+// flusher threads.
 // "evictExcludesOpenWrites" keeps the blocks of files open for writing out
 // of eviction (core.Config.EvictExcludesOpenWrites; the paper's model
 // evicts them). "model" selects the host's cache model: omitted is the
@@ -64,9 +63,6 @@ type HostConfig struct {
 	WritebackPolicy string `json:"writebackPolicy"`
 	// DirtyBackgroundRatio is vm.dirty_background_ratio (0 = disabled).
 	DirtyBackgroundRatio float64 `json:"dirtyBackgroundRatio"`
-	// LFUHalfLife overrides the segmented-LFU decay half-life in seconds
-	// (0 = the core default; ignored by the other policies).
-	LFUHalfLife float64 `json:"lfuHalfLife"`
 	// PerDeviceWriteback gives each of the host's disks its own writeback
 	// domain — per-device dirty thresholds, flusher and writer-driven
 	// wakeups — instead of the single host-wide flusher (false, the
@@ -157,9 +153,6 @@ func (c *Config) Validate() error {
 		if h.DirtyBackgroundRatio < 0 || h.DirtyBackgroundRatio >= 1 {
 			return fmt.Errorf("platform: host %q: dirtyBackgroundRatio must be in [0,1)", h.Name)
 		}
-		if h.LFUHalfLife < 0 {
-			return fmt.Errorf("platform: host %q: lfuHalfLife must be non-negative", h.Name)
-		}
 		if err := h.validateModel(); err != nil {
 			return err
 		}
@@ -227,7 +220,6 @@ func (h HostConfig) validateModel() error {
 		{h.CachePolicy != "", "cachePolicy"},
 		{h.WritebackPolicy != "", "writebackPolicy"},
 		{h.DirtyBackgroundRatio != 0, "dirtyBackgroundRatio"},
-		{h.LFUHalfLife != 0, "lfuHalfLife"},
 		{h.PerDeviceWriteback, "perDeviceWriteback"},
 		{h.EvictExcludesOpenWrites, "evictExcludesOpenWrites"},
 	} {

@@ -123,13 +123,13 @@ func TestWritebackPolicyConfig(t *testing.T) {
 	// The writeback knobs parse and surface on the host config; unknown
 	// names and out-of-range ratios are rejected at load time.
 	cfg := strings.Replace(goodConfig, `"memWriteMBps": 2764,`,
-		`"memWriteMBps": 2764, "writebackPolicy": "file-rr", "dirtyBackgroundRatio": 0.1, "lfuHalfLife": 30,`, 1)
+		`"memWriteMBps": 2764, "writebackPolicy": "file-rr", "dirtyBackgroundRatio": 0.1,`, 1)
 	c, err := LoadConfig(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := c.Hosts[0]
-	if h.WritebackPolicy != "file-rr" || h.DirtyBackgroundRatio != 0.1 || h.LFUHalfLife != 30 {
+	if h.WritebackPolicy != "file-rr" || h.DirtyBackgroundRatio != 0.1 {
 		t.Fatalf("host = %+v", h)
 	}
 	bad := strings.Replace(goodConfig, `"memWriteMBps": 2764,`, `"memWriteMBps": 2764, "writebackPolicy": "elevator",`, 1)
@@ -142,7 +142,7 @@ func TestWritebackPolicyConfig(t *testing.T) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
-	for _, field := range []string{`"dirtyBackgroundRatio": -0.1,`, `"dirtyBackgroundRatio": 1.0,`, `"lfuHalfLife": -1,`} {
+	for _, field := range []string{`"dirtyBackgroundRatio": -0.1,`, `"dirtyBackgroundRatio": 1.0,`} {
 		bad := strings.Replace(goodConfig, `"memWriteMBps": 2764,`, `"memWriteMBps": 2764, `+field, 1)
 		if _, err := LoadConfig(strings.NewReader(bad)); err == nil {
 			t.Fatalf("accepted %s", field)

@@ -359,7 +359,6 @@ func TestValidateRejects(t *testing.T) {
 		{"linuxref cachePolicy", linuxref(func(d *Doc) { d.Platform.Hosts[0].CachePolicy = "lru" }), "cachePolicy"},
 		{"linuxref writebackPolicy", linuxref(func(d *Doc) { d.Platform.Hosts[0].WritebackPolicy = "oldest-first" }), "writebackPolicy"},
 		{"linuxref dirtyBackgroundRatio", linuxref(func(d *Doc) { d.Platform.Hosts[0].DirtyBackgroundRatio = 0.1 }), "dirtyBackgroundRatio"},
-		{"linuxref lfuHalfLife", linuxref(func(d *Doc) { d.Platform.Hosts[0].LFUHalfLife = 10 }), "lfuHalfLife"},
 		{"linuxref perDeviceWriteback", linuxref(func(d *Doc) { d.Platform.Hosts[0].PerDeviceWriteback = true }), "perDeviceWriteback"},
 		{"linuxref evictExcludesOpenWrites", linuxref(func(d *Doc) { d.Platform.Hosts[0].EvictExcludesOpenWrites = true }), "evictExcludesOpenWrites"},
 		{"linuxref mode", linuxref(func(d *Doc) { d.Mode = "cacheless" }), "mode cacheless"},

@@ -124,3 +124,91 @@ func TestDecodeRejectsBadStates(t *testing.T) {
 		t.Fatalf("well-formed document rejected: %v", err)
 	}
 }
+
+// fuzzMem is the RAM of the managers FuzzSnapshotRestore seeds from and
+// restores into.
+const fuzzMem = 1 << 20
+
+// seedSnapshot encodes a snapshot of one manager under the given policies,
+// taken after a short mixed sequence of writes (one past the dirty
+// threshold), a read, a partial flush and an expiry pass, so its state holds
+// clean and dirty blocks of several files and, for the file-queue writeback
+// policies, a ring.
+func seedSnapshot(tb testing.TB, policy, writeback string) []byte {
+	tb.Helper()
+	cfg := core.DefaultConfig(fuzzMem)
+	cfg.Policy, cfg.Writeback = policy, writeback
+	m, err := core.NewManager(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	io, err := core.NewIOController(m, 16<<10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := &fakeCaller{}
+	for i, file := range []string{"a", "b", "c", "d"} {
+		c.now = float64(10 * i)
+		if err := io.WriteFile(c, file, 64<<10); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	c.now = 35
+	if err := io.ReadFile(c, "a", 64<<10); err != nil {
+		tb.Fatal(err)
+	}
+	m.ReleaseAnon(64 << 10)
+	m.Flush(c, 24<<10)
+	c.now = 45
+	m.FlushExpiredDomain(c, 0)
+	m.OpenWrite("d")
+	var buf bytes.Buffer
+	if err := Encode(&buf, &File{
+		SavedAtSimS: c.now,
+		Hosts:       map[string]*core.ManagerState{"node0": m.SnapshotState()},
+		Files:       []FileMeta{{Name: "a", Partition: "scratch", Size: 64 << 10}},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzSnapshotRestore decodes arbitrary bytes as a snapshot. Every accepted
+// host, cgroup or server state whose policy names validate is restored into
+// a fresh manager under those policies; a restore may fail, but one that
+// succeeds must survive the warm-start rebase ShiftTimes(-SavedAtSimS) with
+// its invariants intact. Nothing may panic.
+func FuzzSnapshotRestore(f *testing.F) {
+	for _, policy := range core.PolicyNames() {
+		for _, writeback := range core.WritebackPolicyNames() {
+			f.Add(seedSnapshot(f, policy, writeback))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, states := range []map[string]*core.ManagerState{file.Hosts, file.Cgroups, file.Servers} {
+			for name, st := range states {
+				if core.ValidatePolicyName(st.Policy) != nil || core.ValidateWritebackPolicyName(st.Writeback) != nil {
+					continue
+				}
+				cfg := core.DefaultConfig(fuzzMem)
+				cfg.Policy, cfg.Writeback = st.Policy, st.Writeback
+				m, err := core.NewManager(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if m.RestoreState(st) != nil {
+					continue
+				}
+				m.ShiftTimes(-file.SavedAtSimS)
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatalf("%s: restored state breaks invariants after ShiftTimes(%g): %v",
+						name, -file.SavedAtSimS, err)
+				}
+			}
+		}
+	})
+}

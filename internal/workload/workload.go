@@ -147,9 +147,6 @@ const (
 	IterOutput = "iter_scratch"
 )
 
-// IterativeOps lists the iterative pipeline's per-iteration op labels.
-func IterativeOps() []string { return []string{"IterRead", "IterCompute", "IterWrite"} }
-
 // RunIterative executes the repeated-iteration pipeline on r. When r
 // implements IterationObserver (the engine with fast-forward armed), the
 // loop advances past analytically skipped iterations; otherwise every
