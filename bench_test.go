@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/fluid"
+	"repro/internal/grid"
 	"repro/internal/platform"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -72,16 +73,33 @@ func BenchmarkTable3_Bandwidths(b *testing.B) {
 	}
 }
 
+// runMerged runs one experiment family's cells on the default pool and
+// merges their payloads.
+func runMerged[R any](b *testing.B, specs []grid.Spec, merge func([]grid.Payload) (R, error)) R {
+	b.Helper()
+	ps, err := exp.RunCells(specs, grid.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := merge(ps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // ---------------------------------------------------------------------------
 // Fig 4 (Exp 1)
+
+func runExp1(b *testing.B, size int64) *exp.Exp1Result {
+	return runMerged(b, exp.Exp1Cells("exp1", size),
+		func(ps []grid.Payload) (*exp.Exp1Result, error) { return exp.MergeExp1(size, ps) })
+}
 
 func benchExp1(b *testing.B, size int64) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp1(size)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExp1(b, size)
 		if i == 0 {
 			b.ReportMetric(res.MeanErr[exp.StackCacheless], "wrench-err-%")
 			b.ReportMetric(res.MeanErr[exp.StackCache], "cache-err-%")
@@ -94,10 +112,7 @@ func BenchmarkFig4a_Exp1Errors100GB(b *testing.B) { benchExp1(b, 100*units.GB) }
 
 func BenchmarkFig4b_MemoryProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp1(20 * units.GB)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExp1(b, 20*units.GB)
 		for _, st := range []exp.Stack{exp.StackReal, exp.StackPysim, exp.StackCache} {
 			if len(res.Mem[st].Points) == 0 {
 				b.Fatalf("no memory profile for %s", st)
@@ -108,10 +123,7 @@ func BenchmarkFig4b_MemoryProfiles(b *testing.B) {
 
 func BenchmarkFig4c_CacheContents(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp1(20 * units.GB)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExp1(b, 20*units.GB)
 		for _, st := range []exp.Stack{exp.StackReal, exp.StackCache} {
 			if len(res.Snaps[st].Snaps) != 6 {
 				b.Fatalf("%s: %d snapshots, want 6", st, len(res.Snaps[st].Snaps))
@@ -123,20 +135,21 @@ func BenchmarkFig4c_CacheContents(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Fig 5 (Exp 2), Fig 6 (Exp 4), Fig 7 (Exp 3)
 
-func BenchmarkFig5_Exp2Concurrent(b *testing.B) {
+func benchConcurrent(b *testing.B, remote bool) {
+	levels := []int{1, 8, 32}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunExp2([]int{1, 8, 32}, 2); err != nil {
-			b.Fatal(err)
-		}
+		runMerged(b, exp.ConcurrentCells("concurrent", remote, 3*units.GB, levels, 2),
+			func(ps []grid.Payload) (*exp.ConcurrentResult, error) {
+				return exp.MergeConcurrent(remote, levels, 2, ps)
+			})
 	}
 }
 
+func BenchmarkFig5_Exp2Concurrent(b *testing.B) { benchConcurrent(b, false) }
+
 func BenchmarkFig6_Exp4Nighres(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp4()
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runMerged(b, exp.Exp4Cells("exp4"), exp.MergeExp4)
 		if i == 0 {
 			b.ReportMetric(res.MeanErr[exp.StackCacheless], "wrench-err-%")
 			b.ReportMetric(res.MeanErr[exp.StackCache], "cache-err-%")
@@ -144,13 +157,7 @@ func BenchmarkFig6_Exp4Nighres(b *testing.B) {
 	}
 }
 
-func BenchmarkFig7_Exp3NFS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunExp3([]int{1, 8, 32}, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig7_Exp3NFS(b *testing.B) { benchConcurrent(b, true) }
 
 // ---------------------------------------------------------------------------
 // Fig 8: the benchmark IS the figure — wall-clock simulation time per
@@ -178,10 +185,8 @@ func BenchmarkFig8_CacheNFS32(b *testing.B)    { benchSimTime(b, engine.ModeWrit
 
 func BenchmarkAblation_DesignChoices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunAblations(20 * units.GB)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runMerged(b, exp.AblationCells("ablations", 20*units.GB),
+			func(ps []grid.Payload) (*exp.AblationResult, error) { return exp.MergeAblation(20*units.GB, ps) })
 		if i == 0 {
 			for _, row := range res.Rows {
 				b.Logf("%-32s %6.1f%%", row.Name, row.MeanErr)

@@ -13,7 +13,7 @@ import (
 func runCached(t *testing.T, dir string) (string, map[string]string, int) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "timings.json")
-	stdout, csvs := runGrid(t, "-workers", "2", "-cache", dir, "-timings-json", path)
+	stdout, csvs := runTestGrid(t, "-workers", "2", "-cache", dir, "-timings-json", path)
 	return stdout, csvs, readTimings(t, path).Cells
 }
 
@@ -51,7 +51,7 @@ func captureStderr(t *testing.T, f func()) string {
 // without a cache, and each executes exactly the cells it has no good
 // entry for.
 func TestCacheByteIdentical(t *testing.T) {
-	stdout1, csv1 := runGrid(t, "-workers", "1")
+	stdout1, csv1 := runTestGrid(t, "-workers", "1")
 	dir := filepath.Join(t.TempDir(), "cache")
 
 	stdout, csvs, cells := runCached(t, dir)

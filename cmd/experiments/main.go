@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -52,41 +53,43 @@ func main() {
 func Main(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		all       = fs.Bool("all", false, "run every experiment (default when no selector given)")
-		quick     = fs.Bool("quick", false, "thin the sweeps for a fast pass")
-		exp1      = fs.Bool("exp1", false, "Exp 1: single-threaded accuracy (Figs 4a-4c)")
-		exp2      = fs.Bool("exp2", false, "Exp 2: concurrent applications, local disk (Fig 5)")
-		exp3      = fs.Bool("exp3", false, "Exp 3: concurrent applications, NFS (Fig 7)")
-		exp4      = fs.Bool("exp4", false, "Exp 4: Nighres workflow (Fig 6)")
-		fig8      = fs.Bool("fig8", false, "Fig 8: simulation-time scaling")
-		timings   = fs.Bool("timings", false, "include wall-clock timings in Fig 8 output and print per-cell progress plus the grid utilization summary (nondeterministic across runs)")
-		ablations = fs.Bool("ablations", false, "design-choice ablations")
-		policies  = fs.Bool("policies", false, "cache-policy ablation across registered policies (not part of -all)")
-		wbacks    = fs.Bool("writebacks", false, "writeback-policy ablation across registered writeback policies (not part of -all)")
-		devs      = fs.Bool("devices", false, "per-device writeback ablation on a mixed-speed NVMe+HDD host vs the CAWL write cost model (not part of -all)")
-		ffwd      = fs.Bool("ffwd", false, "fast-forward speedup/error ablation on repeated-iteration pipelines (not part of -all)")
-		tables    = fs.Bool("tables", false, "print Tables I-III")
-		profiles  = fs.Bool("profiles", false, "print Fig 4b memory profiles (with -exp1)")
-		contents  = fs.Bool("contents", false, "print Fig 4c cache contents (with -exp1)")
-		sizes     = fs.String("sizes", "20,100", "Exp 1 file sizes in GB, comma-separated")
-		reps      = fs.Int("reps", 5, "real-proxy repetitions for Exps 2-3")
-		outDir    = fs.String("out", "results", "output directory for CSV files")
+		all      = fs.Bool("all", false, "run every experiment (default when no selector given)")
+		quick    = fs.Bool("quick", false, "thin the sweeps for a fast pass")
+		timings  = fs.Bool("timings", false, "include wall-clock timings in Fig 8 output and print per-cell progress plus the grid utilization summary (nondeterministic across runs)")
+		tables   = fs.Bool("tables", false, "print Tables I-III")
+		profiles = fs.Bool("profiles", false, "print Fig 4b memory profiles (with -exp1)")
+		contents = fs.Bool("contents", false, "print Fig 4c cache contents (with -exp1)")
+		sizes    = fs.String("sizes", "20,100", "Exp 1 file sizes in GB, comma-separated")
+		reps     = fs.Int("reps", 5, "real-proxy repetitions for Exps 2-3")
+		outDir   = fs.String("out", "results", "output directory for CSV files")
 
 		workers     = fs.Int("workers", 0, "grid worker count (0: GOMAXPROCS)")
 		cellTO      = fs.Duration("cell-timeout", 0, "per-cell timeout (0: none)")
 		cacheDir    = fs.String("cache", "", "result cache directory: replay the stored payload of every cell this binary already computed there, run the rest and store them")
 		timingsJSON = fs.String("timings-json", "", "write the grid utilization summary as machine-readable JSON to FILE")
 	)
+	selected := make(map[string]*bool, len(exp.Families))
+	for _, f := range exp.Families {
+		selected[f.Flag] = fs.Bool(f.Flag, false, f.Usage)
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	drain := grid.Options{Workers: *workers, Timeout: *cellTO}
-	if !(*exp1 || *exp2 || *exp3 || *exp4 || *fig8 || *ablations || *tables || *policies || *wbacks || *devs || *ffwd) {
+	chosen := *tables
+	for _, on := range selected {
+		chosen = chosen || *on
+	}
+	if !chosen {
 		*all = true
 	}
 	if *all {
-		*exp1, *exp2, *exp3, *exp4, *fig8, *ablations, *tables = true, true, true, true, true, true, true
-		*profiles, *contents = true, true
+		for _, f := range exp.Families {
+			if f.InAll {
+				*selected[f.Flag] = true
+			}
+		}
+		*tables, *profiles, *contents = true, true, true
 	}
 	if *reps < 1 {
 		fmt.Fprintf(os.Stderr, "experiments: -reps must be at least 1, got %d\n", *reps)
@@ -100,16 +103,24 @@ func Main(args []string, stdout io.Writer) int {
 		}
 	}
 	var sizesGB []int
-	if *exp1 {
+	if *selected["exp1"] {
+		seen := map[int]bool{}
 		for _, gbStr := range strings.Split(*sizes, ",") {
 			gb, err := strconv.Atoi(strings.TrimSpace(gbStr))
-			if err == nil && gb <= 0 {
+			switch {
+			case err != nil:
+			case gb <= 0:
 				err = fmt.Errorf("size must be positive")
+			case int64(gb) > math.MaxInt64/units.GB:
+				err = fmt.Errorf("%d GB overflows int64 bytes", gb)
+			case seen[gb]:
+				err = fmt.Errorf("size %d GB repeated", gb)
 			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: bad -sizes entry %q: %v\n", gbStr, err)
 				return 2
 			}
+			seen[gb] = true
 			sizesGB = append(sizesGB, gb)
 		}
 	}
@@ -129,159 +140,13 @@ func Main(args []string, stdout io.Writer) int {
 	// Build the report's sections in output order; the grid runs their cells
 	// in one shared pool and the emitter streams each section out as soon as
 	// its cells and every earlier section are done.
+	opts := exp.Options{Quick: *quick, SizesGB: sizesGB, Levels: levels, Reps: *reps,
+		Timings: *timings, Profiles: *profiles, Contents: *contents}
 	var sections []exp.Section
-	if *exp1 {
-		for _, gb := range sizesGB {
-			gb := gb
-			size := int64(gb) * units.GB
-			key := fmt.Sprintf("exp1-%dgb", gb)
-			sections = append(sections, exp.Section{
-				Key:   key,
-				Specs: exp.Exp1Cells(key, size),
-				Merge: func(ps []grid.Payload) (*exp.Output, error) {
-					res, err := exp.MergeExp1(size, ps)
-					if err != nil {
-						return nil, err
-					}
-					out := &exp.Output{Render: func(w io.Writer) {
-						res.Render(w)
-						if *profiles {
-							res.RenderMemProfiles(w)
-						}
-						if *contents {
-							res.RenderCacheContents(w)
-						}
-						fmt.Fprintln(w)
-					}}
-					for _, st := range exp.Exp1Stacks() {
-						ms := res.Mem[st]
-						if ms == nil {
-							continue
-						}
-						out.CSVs = append(out.CSVs, exp.CSV{
-							Name:  fmt.Sprintf("exp1_%dgb_mem_%s.csv", gb, st),
-							Write: ms.WriteCSV,
-						})
-					}
-					return out, nil
-				},
-			})
+	for _, f := range exp.Families {
+		if *selected[f.Flag] {
+			sections = append(sections, f.Sections(opts)...)
 		}
-	}
-	if *exp2 {
-		sections = append(sections, concurrentSection("exp2", false, levels, *reps, "exp2_fig5.csv"))
-	}
-	if *exp3 {
-		sections = append(sections, concurrentSection("exp3", true, levels, *reps, "exp3_fig7.csv"))
-	}
-	if *exp4 {
-		sections = append(sections, exp.Section{
-			Key:   "exp4",
-			Specs: exp.Exp4Cells("exp4"),
-			Merge: func(ps []grid.Payload) (*exp.Output, error) {
-				res, err := exp.MergeExp4(ps)
-				if err != nil {
-					return nil, err
-				}
-				return &exp.Output{Render: renderThenBlank(res.Render)}, nil
-			},
-		})
-	}
-	if *fig8 {
-		sections = append(sections, exp.Section{
-			Key:   "fig8",
-			Specs: exp.Fig8Cells("fig8", levels),
-			Merge: func(ps []grid.Payload) (*exp.Output, error) {
-				res, err := exp.MergeFig8(levels, *timings, ps)
-				if err != nil {
-					return nil, err
-				}
-				return &exp.Output{
-					Render: renderThenBlank(res.Render),
-					CSVs:   []exp.CSV{{Name: "fig8_simtime.csv", Write: res.WriteCSV}},
-				}, nil
-			},
-		})
-	}
-	if *ablations {
-		sections = append(sections, exp.Section{
-			Key:   "ablations",
-			Specs: exp.AblationCells("ablations", 100*units.GB),
-			Merge: func(ps []grid.Payload) (*exp.Output, error) {
-				res, err := exp.MergeAblation(100*units.GB, ps)
-				if err != nil {
-					return nil, err
-				}
-				return &exp.Output{Render: renderThenBlank(res.Render)}, nil
-			},
-		})
-	}
-	if *policies {
-		sections = append(sections, exp.Section{
-			Key:   "policies",
-			Specs: exp.PolicyCells("policies", *quick),
-			Merge: func(ps []grid.Payload) (*exp.Output, error) {
-				res, err := exp.MergePolicy(*quick, ps)
-				if err != nil {
-					return nil, err
-				}
-				return &exp.Output{
-					Render: renderThenBlank(res.Render),
-					CSVs:   []exp.CSV{{Name: "policy_ablation.csv", Write: res.WriteCSV}},
-				}, nil
-			},
-		})
-	}
-	if *wbacks {
-		sections = append(sections, exp.Section{
-			Key:   "writebacks",
-			Specs: exp.WritebackCells("writebacks", *quick),
-			Merge: func(ps []grid.Payload) (*exp.Output, error) {
-				res, err := exp.MergeWriteback(*quick, ps)
-				if err != nil {
-					return nil, err
-				}
-				return &exp.Output{
-					Render: renderThenBlank(res.Render),
-					CSVs: []exp.CSV{
-						{Name: "writeback_ablation.csv", Write: res.WriteCSV},
-						{Name: "writeback_hitratio.csv", Write: res.WriteSeriesCSV},
-					},
-				}, nil
-			},
-		})
-	}
-	if *devs {
-		sections = append(sections, exp.Section{
-			Key:   "devices",
-			Specs: exp.DevicesCells("devices", *quick),
-			Merge: func(ps []grid.Payload) (*exp.Output, error) {
-				res, err := exp.MergeDevices(ps)
-				if err != nil {
-					return nil, err
-				}
-				return &exp.Output{
-					Render: renderThenBlank(res.Render),
-					CSVs:   []exp.CSV{{Name: "device_ablation.csv", Write: res.WriteCSV}},
-				}, nil
-			},
-		})
-	}
-	if *ffwd {
-		sections = append(sections, exp.Section{
-			Key:   "ffwd",
-			Specs: exp.FFwdCells("ffwd", *quick),
-			Merge: func(ps []grid.Payload) (*exp.Output, error) {
-				res, err := exp.MergeFFwd(*quick, ps)
-				if err != nil {
-					return nil, err
-				}
-				return &exp.Output{
-					Render: renderThenBlank(res.Render),
-					CSVs:   []exp.CSV{{Name: "ffwd_ablation.csv", Write: res.WriteCSV}},
-				}, nil
-			},
-		})
 	}
 	if len(sections) == 0 {
 		return 0
@@ -384,32 +249,6 @@ func cached(cache *grid.Cache, specs []grid.Spec, deliver func(grid.Result)) ([]
 			fmt.Fprintf(os.Stderr, "experiments: cache: storing %s: %v\n", r.Coord, err)
 		}
 		deliver(r)
-	}
-}
-
-// concurrentSection builds the Exp 2/3 (Fig 5/7) section.
-func concurrentSection(key string, remote bool, levels []int, reps int, csvName string) exp.Section {
-	return exp.Section{
-		Key:   key,
-		Specs: exp.ConcurrentCells(key, remote, 3*units.GB, levels, reps),
-		Merge: func(ps []grid.Payload) (*exp.Output, error) {
-			res, err := exp.MergeConcurrent(remote, levels, reps, ps)
-			if err != nil {
-				return nil, err
-			}
-			return &exp.Output{
-				Render: renderThenBlank(res.Render),
-				CSVs:   []exp.CSV{{Name: csvName, Write: res.WriteCSV}},
-			}, nil
-		},
-	}
-}
-
-// renderThenBlank appends the blank separator line every section ends with.
-func renderThenBlank(render func(io.Writer)) func(io.Writer) {
-	return func(w io.Writer) {
-		render(w)
-		fmt.Fprintln(w)
 	}
 }
 

@@ -7,24 +7,25 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/metrics"
 )
 
-// runGridArgs is a small but multi-section grid: 39 cells across four
+// testGridArgs is a small but multi-section grid: 39 cells across four
 // experiment families, fast enough to run repeatedly in a unit test.
-func runGridArgs(dir string, extra ...string) []string {
+func testGridArgs(dir string, extra ...string) []string {
 	return append([]string{
 		"-exp1", "-sizes", "3", "-exp3", "-exp4", "-policies",
 		"-quick", "-reps", "2", "-out", dir,
 	}, extra...)
 }
 
-// runGrid executes the test grid and returns (stdout, CSV name -> content).
-func runGrid(t *testing.T, extra ...string) (string, map[string]string) {
+// runTestGrid executes the test grid and returns (stdout, CSV name -> content).
+func runTestGrid(t *testing.T, extra ...string) (string, map[string]string) {
 	t.Helper()
 	dir := t.TempDir()
 	var b strings.Builder
-	if code := Main(runGridArgs(dir, extra...), &b); code != 0 {
+	if code := Main(testGridArgs(dir, extra...), &b); code != 0 {
 		t.Fatalf("exit %d with args %v", code, extra)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
@@ -70,8 +71,8 @@ func expectIdentical(t *testing.T, label string, stdoutA, stdoutB string, csvA, 
 // report and every CSV must be byte-identical no matter how many workers
 // the grid fans out over.
 func TestParallelOutputByteIdentical(t *testing.T) {
-	stdout1, csv1 := runGrid(t, "-workers", "1")
-	stdout8, csv8 := runGrid(t, "-workers", "8")
+	stdout1, csv1 := runTestGrid(t, "-workers", "1")
+	stdout8, csv8 := runTestGrid(t, "-workers", "8")
 	expectIdentical(t, "workers 1 vs 8", stdout1, stdout8, csv1, csv8)
 }
 
@@ -79,7 +80,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 // parseable, and consistent with the run.
 func TestTimingsJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "timings.json")
-	runGrid(t, "-workers", "2", "-timings-json", path)
+	runTestGrid(t, "-workers", "2", "-timings-json", path)
 	rep := readTimings(t, path)
 	if rep.Cells != 39 {
 		t.Errorf("cells = %d, want the test grid's 39", rep.Cells)
@@ -182,6 +183,8 @@ func TestBadSizeFlag(t *testing.T) {
 		{"-exp1", "-sizes", "abc"},
 		{"-exp1", "-sizes", "0"},
 		{"-exp1", "-sizes", "3,-5"},
+		{"-exp1", "-sizes", "1,1"},
+		{"-exp1", "-sizes", "10000000000"},
 		{"-exp2", "-quick", "-reps", "0"},
 		{"-tables", "-exp4", "-cache", notADir},
 	} {
@@ -191,6 +194,20 @@ func TestBadSizeFlag(t *testing.T) {
 		}
 		if b.Len() != 0 {
 			t.Errorf("%v: wrote to stdout: %q", args, b.String())
+		}
+	}
+}
+
+// TestREADMENamesEveryFamily checks that README.md names every experiment
+// family's selector flag.
+func TestREADMENamesEveryFamily(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range exp.Families {
+		if !strings.Contains(string(readme), "`-"+f.Flag+"`") {
+			t.Errorf("family flag -%s is not in README.md", f.Flag)
 		}
 	}
 }

@@ -112,17 +112,6 @@ func MergeAblation(size int64, ps []grid.Payload) (*AblationResult, error) {
 	return res, nil
 }
 
-// RunAblations quantifies the design choices listed in ablationVariants on the
-// Exp 1 workload at the given size. Cells fan out over the default
-// in-process pool.
-func RunAblations(size int64) (*AblationResult, error) {
-	ps, err := runGrid(AblationCells("ablations", size))
-	if err != nil {
-		return nil, fmt.Errorf("ablation: %w", err)
-	}
-	return MergeAblation(size, ps)
-}
-
 // doc runs the synthetic pipeline once on the reference stack or on the
 // named variant of the page-cache model's local platform.
 func (a ablationArgs) doc() (*scenario.Doc, scenario.RunOpts, error) {

@@ -11,10 +11,9 @@ import (
 // This file is the experiment side of the grid seam: every experiment family
 // enumerates its independent simulation cells as grid.Specs (self-describing
 // coordinates + parameters) and provides a Merge that reassembles the
-// coordinate-ordered payloads into the family's result struct. The merge
-// performs the exact arithmetic the old sequential loops did, in the same
-// order, so reports and CSVs are byte-identical to a sequential run
-// regardless of worker count or cache state.
+// coordinate-ordered payloads into the family's result struct. Each merge
+// fixes its arithmetic and float-accumulation order, so reports and CSVs
+// are byte-identical for every worker count and cache state.
 
 // CSV is one output file of a section.
 type CSV struct {
@@ -51,11 +50,12 @@ func SpecsOf(sections []Section) []grid.Spec {
 	return out
 }
 
-// runGridOpts executes specs on a pool and returns the payloads in
-// coordinate order; the first cell failure aborts with that cell's error
-// (the programmatic API keeps the old fail-fast contract, while
-// cmd/experiments' emitter degrades per section instead).
-func runGridOpts(specs []grid.Spec, opts grid.Options) ([]grid.Payload, error) {
+// RunCells executes specs on a pool and returns the payloads in coordinate
+// order; the first cell failure aborts with that cell's error (callers that
+// merge one family fail fast, while cmd/experiments' emitter degrades per
+// section instead). The merge discipline makes the result identical for
+// any pool.
+func RunCells(specs []grid.Spec, opts grid.Options) ([]grid.Payload, error) {
 	var failed error
 	var ps []grid.Payload
 	if _, err := grid.Run(specs, opts, func(r grid.Result) {
@@ -74,12 +74,6 @@ func runGridOpts(specs []grid.Spec, opts grid.Options) ([]grid.Payload, error) {
 	}
 	grid.SortPayloads(ps)
 	return ps, nil
-}
-
-// runGrid is runGridOpts on the default in-process pool (GOMAXPROCS
-// workers). The merge discipline makes the result identical for any pool.
-func runGrid(specs []grid.Spec) ([]grid.Payload, error) {
-	return runGridOpts(specs, grid.Options{})
 }
 
 // decodePayload unmarshals one cell payload into its typed form.
@@ -105,7 +99,7 @@ func decodeAll[P any](ps []grid.Payload) ([]P, error) {
 }
 
 // wantCells checks a section received exactly its cell count (a merge
-// precondition: the emitter only merges complete sections, and runGrid
+// precondition: the emitter only merges complete sections, and RunCells
 // fails fast, so a mismatch means mis-enumerated coordinates).
 func wantCells(ps []grid.Payload, n int) error {
 	if len(ps) != n {

@@ -125,10 +125,10 @@ func TestEmitterFailedSectionSkipped(t *testing.T) {
 	}
 }
 
-// TestRunGridFailsFast checks the programmatic API (RunExp1 etc. use it)
-// surfaces the first cell failure as an error.
-func TestRunGridFailsFast(t *testing.T) {
-	_, err := runGrid([]grid.Spec{echoSpec("s", 0, 1), echoSpec("s", 1, -5)})
+// TestRunCellsFailsFast checks RunCells surfaces the first cell failure as
+// an error.
+func TestRunCellsFailsFast(t *testing.T) {
+	_, err := RunCells([]grid.Spec{echoSpec("s", 0, 1), echoSpec("s", 1, -5)}, grid.Options{})
 	if err == nil || !strings.Contains(err.Error(), "negative v") {
 		t.Fatalf("err = %v, want the failing cell's error", err)
 	}

@@ -105,17 +105,6 @@ func MergeExp1(size int64, ps []grid.Payload) (*Exp1Result, error) {
 	return res, nil
 }
 
-// RunExp1 executes Exp 1 for one input size across all four stacks:
-// real-proxy, prototype, cacheless baseline, and page-cache model. Cells
-// fan out over the default in-process pool.
-func RunExp1(size int64) (*Exp1Result, error) {
-	ps, err := runGrid(Exp1Cells("exp1", size))
-	if err != nil {
-		return nil, fmt.Errorf("exp1: %w", err)
-	}
-	return MergeExp1(size, ps)
-}
-
 // doc runs the synthetic pipeline once on the stack's local platform,
 // sampling memory every second and snapshotting the cache after every op.
 func (a exp1Args) doc() (*scenario.Doc, scenario.RunOpts, error) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/scenario"
-	"repro/internal/units"
 )
 
 // ConcurrentPoint is one x-position of Figs 5/7: N concurrent application
@@ -174,28 +173,6 @@ func MergeConcurrent(remote bool, levels []int, reps int, ps []grid.Payload) (*C
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// RunExp2 executes the local concurrent-applications experiment (Fig 5):
-// N instances, each a 3-task synthetic app on its own 3 GB files, all
-// sharing one node and one local disk. reps sets the real-proxy repetition
-// count (the paper uses 5). Cells fan out over the default in-process pool.
-func RunExp2(levels []int, reps int) (*ConcurrentResult, error) {
-	return runConcurrent("exp2", levels, reps, false)
-}
-
-// RunExp3 executes the NFS variant (Fig 7): same workload, all I/O on a
-// remote partition with a writethrough server cache.
-func RunExp3(levels []int, reps int) (*ConcurrentResult, error) {
-	return runConcurrent("exp3", levels, reps, true)
-}
-
-func runConcurrent(section string, levels []int, reps int, remote bool) (*ConcurrentResult, error) {
-	ps, err := runGrid(ConcurrentCells(section, remote, 3*units.GB, levels, reps))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", section, err)
-	}
-	return MergeConcurrent(remote, levels, reps, ps)
 }
 
 func minF(a, b float64) float64 {

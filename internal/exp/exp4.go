@@ -72,18 +72,6 @@ func MergeExp4(ps []grid.Payload) (*Exp4Result, error) {
 	return res, nil
 }
 
-// RunExp4 executes the real-application experiment: the four-step Nighres
-// cortical reconstruction workflow (Table II) on a single node with local
-// I/O, comparing the cacheless baseline and the page-cache model against
-// the real proxy. Cells fan out over the default in-process pool.
-func RunExp4() (*Exp4Result, error) {
-	ps, err := runGrid(Exp4Cells("exp4"))
-	if err != nil {
-		return nil, fmt.Errorf("exp4: %w", err)
-	}
-	return MergeExp4(ps)
-}
-
 // doc runs the Nighres workflow once on the stack's local platform.
 func (a exp4Args) doc() (*scenario.Doc, scenario.RunOpts, error) {
 	d, err := NighresDoc(a.Stack)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/units"
 )
 
@@ -12,12 +13,44 @@ import (
 // figure) on reduced-scale runs, so the full evaluation in cmd/experiments
 // is continuously verified by `go test`.
 
+// runMerged runs specs on pool opts and merges their payloads, failing the
+// test on the first cell or merge error.
+func runMerged[R any](t *testing.T, specs []grid.Spec, opts grid.Options, merge func([]grid.Payload) (R, error)) R {
+	t.Helper()
+	ps, err := RunCells(specs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := merge(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func exp1(t *testing.T, size int64) *Exp1Result {
+	t.Helper()
+	return runMerged(t, Exp1Cells("exp1", size), grid.Options{},
+		func(ps []grid.Payload) (*Exp1Result, error) { return MergeExp1(size, ps) })
+}
+
+func concurrent(t *testing.T, remote bool, levels []int, reps int) *ConcurrentResult {
+	t.Helper()
+	return runMerged(t, ConcurrentCells("concurrent", remote, 3*units.GB, levels, reps), grid.Options{},
+		func(ps []grid.Payload) (*ConcurrentResult, error) { return MergeConcurrent(remote, levels, reps, ps) })
+}
+
+// simTime runs Fig 8 on a one-worker pool: it measures time, and
+// co-scheduled cells would contend.
+func simTime(t *testing.T, levels []int) *SimTimeResult {
+	t.Helper()
+	return runMerged(t, Fig8Cells("fig8", levels), grid.Options{Workers: 1},
+		func(ps []grid.Payload) (*SimTimeResult, error) { return MergeFig8(levels, false, ps) })
+}
+
 func TestExp1HeadlineErrorReduction(t *testing.T) {
 	for _, gb := range []int64{20, 100} {
-		res, err := RunExp1(gb * units.GB)
-		if err != nil {
-			t.Fatalf("%dGB: %v", gb, err)
-		}
+		res := exp1(t, gb*units.GB)
 		wrench := res.MeanErr[StackCacheless]
 		cache := res.MeanErr[StackCache]
 		// The paper's headline: the page-cache model reduces error by a
@@ -41,14 +74,8 @@ func TestExp1WrenchErrorDropsAt100GB(t *testing.T) {
 	// Paper: "WRENCH simulation errors were substantially lower with 100 GB
 	// files than with 20 GB files" (part of the data no longer fits in
 	// cache, so a cacheless model is less wrong).
-	res20, err := RunExp1(20 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res100, err := RunExp1(100 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res20 := exp1(t, 20*units.GB)
+	res100 := exp1(t, 100*units.GB)
 	if res100.MeanErr[StackCacheless] >= res20.MeanErr[StackCacheless] {
 		t.Fatalf("wrench err: 20GB=%.0f%% 100GB=%.0f%%, expected decrease",
 			res20.MeanErr[StackCacheless], res100.MeanErr[StackCacheless])
@@ -67,10 +94,7 @@ func TestExp1IntermediateSizes(t *testing.T) {
 	// headline reduction holds at those sizes, and errors vary smoothly
 	// between the 20 GB and 100 GB regimes.
 	for _, gb := range []int64{20, 50, 75, 100} {
-		res, err := RunExp1(gb * units.GB)
-		if err != nil {
-			t.Fatalf("%dGB: %v", gb, err)
-		}
+		res := exp1(t, gb*units.GB)
 		cache, wrench := res.MeanErr[StackCache], res.MeanErr[StackCacheless]
 		if cache*3 > wrench {
 			t.Fatalf("%dGB: reduction lost (cache %.0f%%, wrench %.0f%%)", gb, cache, wrench)
@@ -89,10 +113,7 @@ func TestExp1PysimAgreesWithEngine(t *testing.T) {
 	// The paper validates its WRENCH implementation by agreement with the
 	// prototype ("exhibited nearly identical memory profiles"). At 20 GB
 	// (no memory pressure) the two must match op-for-op.
-	res, err := RunExp1(20 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := exp1(t, 20*units.GB)
 	for i, op := range res.Ops {
 		p := res.Durations[StackPysim][i]
 		c := res.Durations[StackCache][i]
@@ -107,10 +128,7 @@ func TestExp1PysimAgreesWithEngine(t *testing.T) {
 }
 
 func TestExp1MemoryProfilesConsistent(t *testing.T) {
-	res, err := RunExp1(20 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := exp1(t, 20*units.GB)
 	for _, st := range []Stack{StackReal, StackPysim, StackCache} {
 		ms := res.Mem[st]
 		if ms == nil || len(ms.Points) == 0 {
@@ -134,10 +152,7 @@ func TestExp1MemoryProfilesConsistent(t *testing.T) {
 func TestExp1CacheContentsAllFilesCached20GB(t *testing.T) {
 	// Paper Fig 4c: "With 20 GB files, the simulated cache content exactly
 	// matched reality, since all files fitted in page cache."
-	res, err := RunExp1(20 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := exp1(t, 20*units.GB)
 	for _, st := range []Stack{StackReal, StackCache} {
 		last := res.Snaps[st].Snaps[len(res.Snaps[st].Snaps)-1]
 		var total int64
@@ -151,10 +166,7 @@ func TestExp1CacheContentsAllFilesCached20GB(t *testing.T) {
 }
 
 func TestExp2Shapes(t *testing.T) {
-	res, err := RunExp2([]int{1, 16, 32}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := concurrent(t, false, []int{1, 16, 32}, 2)
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	// Reads: cache model tracks real; cacheless hugely over.
 	if last.ReadTime[StackCacheless] < 2*last.ReadTime[StackReal] {
@@ -183,10 +195,7 @@ func TestExp2Shapes(t *testing.T) {
 }
 
 func TestExp3WritesDiskBoundForAll(t *testing.T) {
-	res, err := RunExp3([]int{1, 16}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := concurrent(t, true, []int{1, 16}, 2)
 	// Paper: NFS server is writethrough, so page-cache simulation
 	// "manifested only for reads" — both simulators put writes at disk
 	// speed, and both slightly underestimate the real writes.
@@ -211,10 +220,7 @@ func TestExp3WritesDiskBoundForAll(t *testing.T) {
 }
 
 func TestExp4NighresErrorReduction(t *testing.T) {
-	res, err := RunExp4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMerged(t, Exp4Cells("exp4"), grid.Options{}, MergeExp4)
 	if res.MeanErr[StackCache]*3 > res.MeanErr[StackCacheless] {
 		t.Fatalf("cache %.0f%% not ≪ wrench %.0f%%",
 			res.MeanErr[StackCache], res.MeanErr[StackCacheless])
@@ -230,10 +236,7 @@ func TestExp4NighresErrorReduction(t *testing.T) {
 }
 
 func TestSimTimeScalesLinearly(t *testing.T) {
-	res, err := RunSimTime([]int{1, 8, 16, 24, 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simTime(t, []int{1, 8, 16, 24, 32})
 	for _, s := range res.Series {
 		if len(s.N) != 5 {
 			t.Fatalf("%s: %d points", s.Label, len(s.N))
@@ -249,10 +252,7 @@ func TestSimTimeScalesLinearly(t *testing.T) {
 }
 
 func TestSimTimeTimingsGate(t *testing.T) {
-	res, err := RunSimTime([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simTime(t, []int{1, 2})
 	var render, csv strings.Builder
 	res.Render(&render)
 	if err := res.WriteCSV(&csv); err != nil {
@@ -281,10 +281,8 @@ func TestSimTimeTimingsGate(t *testing.T) {
 }
 
 func TestAblationOrdering(t *testing.T) {
-	res, err := RunAblations(100 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMerged(t, AblationCells("ablations", 100*units.GB), grid.Options{},
+		func(ps []grid.Payload) (*AblationResult, error) { return MergeAblation(100*units.GB, ps) })
 	byName := map[string]float64{}
 	for _, r := range res.Rows {
 		byName[r.Name] = r.MeanErr
@@ -309,10 +307,8 @@ func TestAblationOrdering(t *testing.T) {
 }
 
 func TestPolicyAblationQuick(t *testing.T) {
-	res, err := RunPolicyAblation(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMerged(t, PolicyCells("policies", true), grid.Options{},
+		func(ps []grid.Payload) (*PolicyResult, error) { return MergePolicy(true, ps) })
 	if len(res.Policies) < 4 {
 		t.Fatalf("expected ≥4 registered policies, got %v", res.Policies)
 	}
@@ -366,10 +362,7 @@ func TestPolicyAblationQuick(t *testing.T) {
 }
 
 func TestRendersProduceOutput(t *testing.T) {
-	res1, err := RunExp1(20 * units.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := exp1(t, 20*units.GB)
 	var b strings.Builder
 	res1.Render(&b)
 	res1.RenderMemProfiles(&b)
@@ -380,10 +373,7 @@ func TestRendersProduceOutput(t *testing.T) {
 			t.Fatalf("render missing %q", want)
 		}
 	}
-	res2, err := RunExp2([]int{1, 4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := concurrent(t, false, []int{1, 4}, 1)
 	b.Reset()
 	res2.Render(&b)
 	if !strings.Contains(b.String(), "Fig 5") {
@@ -452,10 +442,8 @@ func TestPaperConstants(t *testing.T) {
 }
 
 func TestWritebackAblationQuick(t *testing.T) {
-	res, err := RunWritebackAblation(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMerged(t, WritebackCells("writebacks", true), grid.Options{},
+		func(ps []grid.Payload) (*WritebackResult, error) { return MergeWriteback(true, ps) })
 	if len(res.Policies) < 4 {
 		t.Fatalf("expected ≥4 registered writeback policies, got %v", res.Policies)
 	}

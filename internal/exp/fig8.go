@@ -119,18 +119,6 @@ func MergeFig8(levels []int, timings bool, ps []grid.Payload) (*SimTimeResult, e
 	return res, nil
 }
 
-// RunSimTime measures wall-clock simulation time for the Fig 8
-// configurations: baseline and page-cache model, local and NFS. It runs its
-// cells on a one-worker pool — this experiment measures time, and
-// co-scheduled cells would contend.
-func RunSimTime(levels []int) (*SimTimeResult, error) {
-	ps, err := runGridOpts(Fig8Cells("fig8", levels), grid.Options{Workers: 1})
-	if err != nil {
-		return nil, fmt.Errorf("fig8: %w", err)
-	}
-	return MergeFig8(levels, false, ps)
-}
-
 // RunSimTimeConfig measures one Fig 8 configuration (used by the root
 // benchmarks, where the Go benchmark harness provides the repetitions).
 func RunSimTimeConfig(mode engine.Mode, remote bool, levels []int) (SimTimeSeries, error) {

@@ -161,21 +161,6 @@ func MergePolicy(quick bool, ps []grid.Payload) (*PolicyResult, error) {
 	return res, nil
 }
 
-// RunPolicyAblation runs every registered page-cache policy across the
-// paper's workloads — the single-threaded synthetic pipeline (Exp 1, on the
-// paper node and on a memory-pressured 32 GiB node where the 4×20 GB
-// working set forces evictions), the Exp 2 concurrency profile, and the
-// Nighres workflow (Exp 4) — and reports per-cell makespan and read-hit
-// ratio. quick thins the grid to the 20 GB synthetic and Nighres runs.
-// Cells fan out over the default in-process pool.
-func RunPolicyAblation(quick bool) (*PolicyResult, error) {
-	ps, err := runGrid(PolicyCells("policies", quick))
-	if err != nil {
-		return nil, fmt.Errorf("policy ablation: %w", err)
-	}
-	return MergePolicy(quick, ps)
-}
-
 // Render prints the ablation as one table per workload, best makespan first
 // within each.
 func (r *PolicyResult) Render(w io.Writer) {

@@ -251,23 +251,6 @@ func MergeWriteback(quick bool, ps []grid.Payload) (*WritebackResult, error) {
 	return res, nil
 }
 
-// RunWritebackAblation runs every registered writeback policy — with
-// background writeback disabled (the paper's single-threshold model) and
-// enabled at the Linux default 0.10 — across write-heavy workloads:
-// a concurrent write-then-reread burst under memory pressure, the paper's
-// synthetic pipeline on a pressured node, and an NFS write burst against a
-// writeback server. Each cell reports makespan, flushed bytes, writer
-// throttle time and read-hit ratio; local cells additionally record the
-// hit-ratio evolution as a time series. quick thins the grid to the write
-// burst and the NFS cell. Cells fan out over the default in-process pool.
-func RunWritebackAblation(quick bool) (*WritebackResult, error) {
-	ps, err := runGrid(WritebackCells("writebacks", quick))
-	if err != nil {
-		return nil, fmt.Errorf("writeback ablation: %w", err)
-	}
-	return MergeWriteback(quick, ps)
-}
-
 // Render prints the ablation as one table per workload.
 func (r *WritebackResult) Render(w io.Writer) {
 	fmt.Fprintln(w, "== Writeback ablation: flush scheduling per writeback policy ==")
