@@ -71,6 +71,62 @@ func (b *Block) split(n int64) *Block {
 	return nb
 }
 
+// blockPool is a Manager's free lists, shared by all of its policy's lists:
+// the blocks that left its cache for good and the file chains those lists
+// emptied. Every site that creates a block or chain takes from it first, so
+// a warmed-up Manager creates them without allocating.
+type blockPool struct {
+	blocks freeList[Block]
+	chains freeList[fileChain]
+}
+
+// newBlock returns a block holding v, recycled when one is free.
+func (bp *blockPool) newBlock(v Block) *Block {
+	b := bp.blocks.get()
+	*b = v
+	return b
+}
+
+// freeList is a stack of cleared records kept for reuse.
+type freeList[T comparable] []*T
+
+// get returns a cleared record, recycled when one is free.
+func (f *freeList[T]) get() *T {
+	s := *f
+	if len(s) == 0 {
+		return new(T)
+	}
+	x := s[len(s)-1]
+	s[len(s)-1] = nil
+	*f = s[:len(s)-1]
+	return x
+}
+
+// put clears x, so no stale link or owner survives, and keeps it for reuse.
+// Nothing may reach x any more: no list, chain, expiry or writeback queue.
+func (f *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	*f = append(*f, x)
+}
+
+// check verifies every record on the list is cleared and listed once, and
+// returns the listed records as a set.
+func (f freeList[T]) check(what string) (map[*T]bool, error) {
+	set := make(map[*T]bool, len(f))
+	var zero T
+	for _, x := range f {
+		if set[x] {
+			return nil, fmt.Errorf("%s %p on the free list twice", what, x)
+		}
+		set[x] = true
+		if *x != zero {
+			return nil, fmt.Errorf("free %s %p not cleared: %v", what, x, *x)
+		}
+	}
+	return set, nil
+}
+
 func (b *Block) String() string {
 	d := "clean"
 	if b.Dirty {

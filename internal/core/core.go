@@ -145,9 +145,17 @@
 // access times — the products of repeated partial flush/demotion splits —
 // are coalesced on insert (policy metadata must match too, so no policy
 // merges blocks it would treat differently), which bounds block-count
-// growth in fragmented workloads. All of this is pure bookkeeping: under
-// the default policy the simulated behavior (which bytes move, in which
-// order, at which simulated times) is bit-identical to the unindexed,
-// pre-seam implementation, and Manager.CheckInvariants verifies every
-// index structure — and the policy's own structure — block by block.
+// growth in fragmented workloads.
+//
+// Blocks are recycled per Manager: one free list, shared by the policy's
+// lists, takes back every block that leaves the cache for good (evicted,
+// invalidated, merged by a read hit, absorbed by coalescing) and every
+// emptied file chain, and every site that creates either takes from it
+// first, so a warmed-up Manager creates blocks without allocating.
+//
+// All of this is pure bookkeeping: under the default policy the simulated
+// behavior (which bytes move, in which order, at which simulated times) is
+// bit-identical to the unindexed, pre-seam implementation, and
+// Manager.CheckInvariants verifies every index structure — the free list
+// and the policy's own structure included — block by block.
 package core

@@ -30,6 +30,10 @@ type List struct {
 
 	dsegs []dirtySeg
 	files map[string]*fileChain
+	// pool is the owning Manager's free lists (a private one for a
+	// standalone list): blocks absorbed by coalescing and emptied file
+	// chains go back to it.
+	pool *blockPool
 }
 
 // dirtySeg is one writeback domain's dirty sublist within the list: chain
@@ -49,7 +53,7 @@ type fileChain struct {
 
 // NewList returns an empty list with a diagnostic name ("inactive"/"active").
 func NewList(name string) *List {
-	return &List{name: name, files: make(map[string]*fileChain)}
+	return &List{name: name, files: make(map[string]*fileChain), pool: new(blockPool)}
 }
 
 // Name returns the list's diagnostic name.
@@ -145,13 +149,15 @@ func coalescible(a, b *Block) bool {
 // any list, and its LastAccess must be ≥ the current tail's (the caller
 // guarantees this because simulated time is monotonic). If b is
 // indistinguishable from the current tail (same file, both clean, equal
-// times) it is coalesced into the tail instead of being linked.
+// times) it is coalesced into the tail instead of being linked, and b goes
+// back to the Manager's free list: the caller must not use it afterwards.
 func (l *List) PushBack(b *Block) {
 	if b.owner != nil {
 		panic("core: block already in a list")
 	}
 	if t := l.tail; t != nil && coalescible(t, b) {
 		l.resize(t, t.Size+b.Size)
+		l.pool.blocks.put(b)
 		return
 	}
 	b.owner = l
@@ -219,6 +225,7 @@ func (l *List) InsertSorted(b *Block) {
 	p := l.accessPredecessor(b.LastAccess)
 	if p != nil && coalescible(p, b) {
 		l.resize(p, p.Size+b.Size)
+		l.pool.blocks.put(b)
 		return
 	}
 	pos := l.head
@@ -309,6 +316,7 @@ func (l *List) insertBefore(nb, pos *Block) {
 	}
 	if p := pos.prev; p != nil && coalescible(p, nb) {
 		l.resize(p, p.Size+nb.Size)
+		l.pool.blocks.put(nb)
 		return
 	}
 	nb.owner = l
@@ -351,7 +359,7 @@ func (l *List) Remove(b *Block) {
 func (l *List) chain(file string) *fileChain {
 	fc := l.files[file]
 	if fc == nil {
-		fc = &fileChain{}
+		fc = l.pool.chains.get()
 		l.files[file] = fc
 	}
 	return fc
@@ -435,6 +443,7 @@ func (l *List) account(b *Block, sign int64) {
 	}
 	if fc.head == nil && fc.bytes == 0 {
 		delete(l.files, b.File)
+		l.pool.chains.put(fc)
 	}
 }
 

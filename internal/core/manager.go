@@ -138,6 +138,12 @@ type Manager struct {
 	// ForcedEvictions counts safety-valve direct reclaims (see UseAnon);
 	// zero in well-formed workloads.
 	ForcedEvictions int64
+
+	// pool recycles the blocks that leave the cache for good (evicted,
+	// invalidated, merged by a read hit, absorbed by coalescing) and the
+	// emptied file chains into the ones the cache creates next. Every
+	// policy list shares it.
+	pool blockPool
 }
 
 // wbDomain is one writeback domain: the per-device slice of the manager's
@@ -180,13 +186,17 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{
+	m := &Manager{
 		cfg:     cfg,
 		pol:     pol,
 		domains: []*wbDomain{{wb: wb, share: 1}},
 		cached:  make(map[string]int64),
 		writing: make(map[string]int),
-	}, nil
+	}
+	for _, l := range pol.Lists() {
+		l.pool = &m.pool
+	}
+	return m, nil
 }
 
 // DomainConfig describes one per-device writeback domain for
@@ -640,6 +650,7 @@ func (m *Manager) dropBlockPrefix(l *List, b *Block, want int64) int64 {
 		n := b.Size
 		l.Remove(b)
 		m.addCached(b.File, -n)
+		m.pool.blocks.put(b)
 		return n
 	}
 	l.resize(b, b.Size-want)
@@ -771,8 +782,8 @@ func (m *Manager) cleanBlockPrefix(l *List, b *Block, want int64) int64 {
 		return b.Size
 	}
 	l.resize(b, b.Size-want)
-	nb := &Block{File: b.File, Size: want, Entry: b.Entry, LastAccess: b.LastAccess,
-		dom: b.dom, ref: b.ref, freq: b.freq, freqEpoch: b.freqEpoch}
+	nb := m.pool.newBlock(Block{File: b.File, Size: want, Entry: b.Entry, LastAccess: b.LastAccess,
+		dom: b.dom, ref: b.ref, freq: b.freq, freqEpoch: b.freqEpoch})
 	l.insertBefore(nb, b)
 	return want
 }
@@ -822,7 +833,7 @@ func (m *Manager) AddToCache(file string, n int64, now float64) int64 {
 	if n > m.Free() {
 		return n - m.Free() // truly no room; caller surfaces the OOM
 	}
-	b := &Block{File: file, Size: n, Entry: now, LastAccess: now, dom: m.domainOf(file)}
+	b := m.pool.newBlock(Block{File: file, Size: n, Entry: now, LastAccess: now, dom: m.domainOf(file)})
 	m.pol.Insert(m, b)
 	m.addCached(file, n)
 	m.pol.Rebalance(m)
@@ -843,14 +854,17 @@ func (m *Manager) WriteToCache(c Caller, file string, n int64) int64 {
 	if n > m.Free() {
 		return n - m.Free()
 	}
-	b := &Block{File: file, Size: n, Entry: c.Now(), LastAccess: c.Now(), Dirty: true, dom: m.domainOf(file)}
+	dom := m.domainOf(file)
+	b := m.pool.newBlock(Block{File: file, Size: n, Entry: c.Now(), LastAccess: c.Now(), Dirty: true, dom: dom})
 	m.pol.Insert(m, b)
 	m.noteDirty(b)
 	m.addCached(file, n)
 	m.pol.Rebalance(m)
+	// MemWrite blocks, and other processes may flush, evict and recycle b
+	// meanwhile: only dom is read afterwards.
 	c.MemWrite(n)
-	if d := m.domains[b.dom]; d.wake != nil &&
-		m.domainBackgroundEnabled(b.dom) && m.DomainDirty(b.dom) > m.DomainBackgroundThreshold(b.dom) {
+	if d := m.domains[dom]; d.wake != nil &&
+		m.domainBackgroundEnabled(dom) && m.DomainDirty(dom) > m.DomainBackgroundThreshold(dom) {
 		d.wake()
 	}
 	return 0
@@ -889,6 +903,7 @@ func (m *Manager) InvalidateFile(file string) int64 {
 				m.noteClean(b)
 			}
 			l.Remove(b)
+			m.pool.blocks.put(b)
 			b = next
 		}
 	}
@@ -1028,10 +1043,20 @@ func (m *Manager) CachedFiles() []string {
 // and then the policies' own structural invariants (Policy.CheckInvariants:
 // list ordering for the access-ordered policies, bucket assignment for LFU;
 // WritebackPolicy.CheckInvariants per domain: per-file dirty-queue and ring
-// structure for the file-queue writeback policies). Tests call it after
-// randomized operation sequences. It returns an error describing the first
-// violation found.
+// structure for the file-queue writeback policies). The free list is
+// checked too: every free block and chain is cleared, none is free twice,
+// and no list, file chain, expiry queue or writeback queue reaches one.
+// Tests call it after randomized operation sequences. It returns an error
+// describing the first violation found.
 func (m *Manager) CheckInvariants() error {
+	free, err := m.pool.blocks.check("block")
+	if err != nil {
+		return err
+	}
+	freeChains, err := m.pool.chains.check("file chain")
+	if err != nil {
+		return err
+	}
 	var perFile = map[string]int64{}
 	fileDom := map[string]int{}
 	dirtySet := map[*Block]bool{}
@@ -1046,7 +1071,15 @@ func (m *Manager) CheckInvariants() error {
 		fileSeq := map[string][]*Block{}
 		fileBytes := map[string]int64{}
 		fileDirty := map[string]int64{}
+		if l.pool != &m.pool {
+			return fmt.Errorf("list %s does not share the manager's free list", l.name)
+		}
+		// The dirty sublists and file chains are checked block for block
+		// against this walk below, so a free block they reach fails too.
 		for b := l.Front(); b != nil; b = b.next {
+			if free[b] {
+				return fmt.Errorf("list %s reaches free block %p", l.name, b)
+			}
 			if b.owner != l {
 				return fmt.Errorf("block %v has wrong owner", b)
 			}
@@ -1138,9 +1171,12 @@ func (m *Manager) CheckInvariants() error {
 					l.name, f, fc.bytes, fileBytes[f], fc.dirty, fileDirty[f])
 			}
 		}
-		for f := range l.files {
+		for f, fc := range l.files {
 			if len(fileSeq[f]) == 0 {
 				return fmt.Errorf("list %s has stale file chain %s", l.name, f)
+			}
+			if freeChains[fc] {
+				return fmt.Errorf("list %s file chain %s is on the free list", l.name, f)
 			}
 		}
 	}
@@ -1150,6 +1186,9 @@ func (m *Manager) CheckInvariants() error {
 		var eqN int
 		lastEntry := math.Inf(-1) // timestamps may be negative after a rebase
 		for b := d.eqHead; b != nil; b = b.enext {
+			if free[b] {
+				return fmt.Errorf("domain %d expiry queue reaches free block %p", dom, b)
+			}
 			if !b.Dirty || !dirtySet[b] {
 				return fmt.Errorf("domain %d expiry queue holds non-dirty or foreign block %v", dom, b)
 			}

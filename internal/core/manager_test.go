@@ -504,3 +504,54 @@ func TestPropertyManagerInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// clockCaller is a Caller that only advances its clock: unlike fakeCaller
+// it logs nothing, so it allocates nothing.
+type clockCaller struct{ now float64 }
+
+func (c *clockCaller) Now() float64                   { return c.now }
+func (c *clockCaller) DiskRead(file string, n int64)  { c.now += float64(n) / 465e6 }
+func (c *clockCaller) DiskWrite(file string, n int64) { c.now += float64(n) / 465e6 }
+func (c *clockCaller) MemRead(n int64)                { c.now += float64(n) / 4812e6 }
+func (c *clockCaller) MemWrite(n int64)               { c.now += float64(n) / 4812e6 }
+
+// TestManagerCycleAllocatesNothing pins block recycling: once warmed up, a
+// write → flush → read hit → evict → invalidate cycle takes every block it
+// creates (whole, split off, merged) from the manager's free list and
+// allocates nothing, under every cache policy.
+func TestManagerCycleAllocatesNothing(t *testing.T) {
+	for _, policy := range PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			cfg := DefaultConfig(100000)
+			cfg.Policy = policy
+			m, err := NewManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &clockCaller{}
+			cycle := func() {
+				m.WriteToCache(c, "a", 4000)
+				m.WriteToCache(c, "b", 3000)
+				m.Flush(c, 5000) // all of a, part of b: a split
+				m.CacheRead(c, "a", 2500)
+				m.CacheRead(c, "b", 1000)
+				m.AddToCache("c", 2000, c.Now())
+				m.Evict(3000, "b")
+				for _, f := range []string{"a", "b", "c"} {
+					m.InvalidateFile(f)
+				}
+				c.now++
+			}
+			for i := 0; i < 10; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+				t.Fatalf("%v allocations per cycle, want 0", allocs)
+			}
+			if len(m.pool.blocks) == 0 {
+				t.Fatal("no block reached the free list")
+			}
+			mustNoInvariantErr(t, m)
+		})
+	}
+}

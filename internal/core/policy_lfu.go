@@ -38,6 +38,7 @@ const lfuBuckets = 4
 type lfuPolicy struct {
 	buckets [lfuBuckets]*List
 	lists   []*List
+	touched []*Block // ReadHit's scratch, kept so a hit allocates nothing
 }
 
 func (p *lfuPolicy) Name() string            { return "lfu" }
@@ -90,7 +91,7 @@ func (p *lfuPolicy) Insert(m *Manager, b *Block) {
 // re-encountered — and re-counted — by the same hit.
 func (p *lfuPolicy) ReadHit(m *Manager, file string, amount int64, now float64) {
 	remaining := amount
-	var touched []*Block
+	touched := p.touched[:0]
 	for _, l := range p.buckets {
 		for b := l.fileFront(file); b != nil && remaining > 0; b = b.fnext {
 			touched = append(touched, b)
@@ -109,6 +110,8 @@ func (p *lfuPolicy) ReadHit(m *Manager, file string, amount int64, now float64) 
 			nb.PushBack(b)
 		}
 	}
+	clear(touched)
+	p.touched = touched[:0]
 }
 
 // EvictClean scans buckets lowest-frequency-first, oldest placement first

@@ -46,15 +46,15 @@ func (p *lruPolicy) ReadHit(m *Manager, file string, amount int64, now float64) 
 			if take > remaining {
 				take = remaining
 			}
-			moved := b
-			if take == b.Size {
-				l.Remove(b)
-			} else {
-				// Split: the LRU-side prefix is the portion read now.
-				l.resize(b, b.Size-take)
-				moved = &Block{File: file, Size: take, Entry: b.Entry, LastAccess: b.LastAccess, Dirty: b.Dirty, dom: b.dom}
-			}
-			if moved.Dirty {
+			if b.Dirty {
+				moved := b
+				if take == b.Size {
+					l.Remove(b)
+				} else {
+					// Split: the LRU-side prefix is the portion read now.
+					l.resize(b, b.Size-take)
+					moved = m.pool.newBlock(Block{File: file, Size: take, Entry: b.Entry, Dirty: true, dom: b.dom})
+				}
 				moved.LastAccess = now
 				p.active.PushBack(moved)
 				if moved != b {
@@ -63,11 +63,19 @@ func (p *lruPolicy) ReadHit(m *Manager, file string, amount int64, now float64) 
 					m.noteDirtySplit(moved, b)
 				}
 			} else {
-				mergedSize += moved.Size
-				if moved.Entry < mergedEntry {
-					mergedEntry = moved.Entry
+				// The bytes read join the merged block; a wholly read
+				// block leaves the cache, a partly read one keeps the rest.
+				mergedSize += take
+				if b.Entry < mergedEntry {
+					mergedEntry = b.Entry
 				}
-				mergedDom = moved.dom // one file, one domain
+				mergedDom = b.dom // one file, one domain
+				if take == b.Size {
+					l.Remove(b)
+					m.pool.blocks.put(b)
+				} else {
+					l.resize(b, b.Size-take)
+				}
 			}
 			remaining -= take
 			b = next
@@ -77,7 +85,7 @@ func (p *lruPolicy) ReadHit(m *Manager, file string, amount int64, now float64) 
 	consume(p.active)
 
 	if mergedSize > 0 {
-		p.active.PushBack(&Block{File: file, Size: mergedSize, Entry: mergedEntry, LastAccess: now, dom: mergedDom})
+		p.active.PushBack(m.pool.newBlock(Block{File: file, Size: mergedSize, Entry: mergedEntry, LastAccess: now, dom: mergedDom}))
 	}
 }
 
@@ -111,9 +119,9 @@ func (p *lruPolicy) Rebalance(m *Manager) {
 			continue
 		}
 		p.active.resize(b, b.Size-excess)
-		nb := &Block{File: b.File, Size: excess, Entry: b.Entry, LastAccess: b.LastAccess, Dirty: b.Dirty, dom: b.dom}
-		p.inactive.InsertSorted(nb)
-		if nb.Dirty {
+		nb := m.pool.newBlock(Block{File: b.File, Size: excess, Entry: b.Entry, LastAccess: b.LastAccess, Dirty: b.Dirty, dom: b.dom})
+		p.inactive.InsertSorted(nb) // may absorb and free nb, but only if clean
+		if b.Dirty {
 			// Split of a queued dirty block: same Entry, slots in next to b.
 			m.noteDirtySplit(nb, b)
 		}

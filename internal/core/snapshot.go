@@ -218,11 +218,11 @@ func (m *Manager) RestoreState(st *ManagerState) error {
 			if bs.Size <= 0 {
 				return fmt.Errorf("core: RestoreState: non-positive block size %d for %s", bs.Size, bs.File)
 			}
-			b := &Block{
+			b := m.pool.newBlock(Block{
 				File: bs.File, Size: bs.Size, Entry: bs.Entry, LastAccess: bs.LastAccess,
 				Dirty: bs.Dirty, ref: bs.Ref, freq: bs.Freq, freqEpoch: bs.FreqEpoch,
 				dom: m.domainOf(bs.File), // before restoreAppend: it segments by dom
-			}
+			})
 			lists[i].restoreAppend(b)
 			m.addCached(b.File, b.Size)
 			blocks[i] = append(blocks[i], b)

@@ -202,6 +202,9 @@ func (q *wbFileQueues) checkInvariants(m *Manager) error {
 		n := 0
 		lastEntry := math.Inf(-1) // timestamps may be negative after a rebase
 		for b := fq.head; b != nil; b = b.wnext {
+			if b.owner == nil {
+				return fmt.Errorf("writeback: queue %s reaches block %p, which is in no list (freed?)", file, b)
+			}
 			if b.File != file || !b.Dirty {
 				return fmt.Errorf("writeback: queue %s holds foreign or clean block %v", file, b)
 			}

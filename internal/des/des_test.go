@@ -3,9 +3,11 @@ package des
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -633,6 +635,123 @@ func TestFutureWakeAllocatesNothing(t *testing.T) {
 	stop = true
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSignalWaitTimeoutAllocatesNothing pins allocation-free Signal waits:
+// once warmed up, a process whose timed wait expires every virtual second
+// and one woken by a Broadcast every virtual second allocate nothing per
+// wake.
+func TestSignalWaitTimeoutAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	idle, kick := NewSignal(k), NewSignal(k)
+	stop := false
+	timeouts, broadcasts := 0, 0
+	k.Spawn("poller", func(p *Proc) {
+		for !stop {
+			if !idle.WaitTimeout(p, 1) {
+				timeouts++
+			}
+		}
+	})
+	k.Spawn("waiter", func(p *Proc) {
+		for !stop {
+			if kick.WaitTimeout(p, 10) {
+				broadcasts++
+			}
+		}
+	})
+	k.Spawn("kicker", func(p *Proc) {
+		for !stop {
+			p.Sleep(1)
+			kick.Broadcast()
+		}
+	})
+	horizon := 10.5
+	if err := k.RunUntil(horizon); err != nil {
+		t.Fatal(err)
+	}
+	t0, b0 := timeouts, broadcasts
+	allocs := testing.AllocsPerRun(100, func() {
+		horizon++
+		if err := k.RunUntil(horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if timeouts-t0 != 101 || broadcasts-b0 != 101 {
+		t.Fatalf("%d timeouts and %d broadcast wakes while measuring, want 101 each",
+			timeouts-t0, broadcasts-b0)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per timed-out and broadcast wait, want 0", allocs)
+	}
+	stop = true
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An entry a timed-out wait leaves on one Signal must not wake the same
+// process's later wait on another Signal, and a Broadcast wakes the live
+// waiters in wait order around such an entry.
+func TestStaleSignalEntryDoesNotWakeLaterWait(t *testing.T) {
+	k := NewKernel()
+	first, second := NewSignal(k), NewSignal(k)
+	var order []string
+	var wokeAt float64
+	k.Spawn("a", func(p *Proc) {
+		first.WaitTimeout(p, 1) // times out, leaving its entry on first
+		if second.WaitTimeout(p, 100) {
+			wokeAt = p.Now()
+		}
+	})
+	k.Spawn("b", func(p *Proc) {
+		p.Sleep(2)
+		first.Wait(p)
+		order = append(order, "b")
+	})
+	k.Spawn("c", func(p *Proc) {
+		p.Sleep(2)
+		first.Wait(p)
+		order = append(order, "c")
+	})
+	k.Spawn("kicker", func(p *Proc) {
+		p.Sleep(3)
+		first.Broadcast()
+		p.Sleep(2)
+		second.Broadcast()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if wokeAt != 5 {
+		t.Fatalf("a woke from second at %v, want 5 (its broadcast, not first's)", wokeAt)
+	}
+	if got := fmt.Sprint(order); got != "[b c]" {
+		t.Fatalf("wake order %s, want [b c]", got)
+	}
+}
+
+// Each process's coroutine ends with its function: once a thousand short
+// processes have finished, the goroutine count is back at its baseline.
+func TestFinishedProcsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	for i := 0; i < 1000; i++ {
+		k.Spawn("short", func(p *Proc) { p.Sleep(float64(i % 7)) })
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Goroutines outside this test (the testing framework's own) may still
+	// be winding down; allow them a moment, never the 1000 coroutines.
+	n := runtime.NumGoroutine()
+	for try := 0; n > base && try < 100; try++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after 1000 finished processes, baseline %d", n, base)
 	}
 }
 

@@ -2,10 +2,11 @@
 // with cooperative coroutine processes, in the style of SimGrid actors (the
 // substrate the paper's WRENCH implementation runs on).
 //
-// Exactly one goroutine runs at any instant: either the kernel loop or a
-// single simulated process. Processes hand a scheduling token back to the
-// kernel whenever they block (Sleep, Future.Get, Signal.Wait, ...), which
-// makes executions fully deterministic: events fire in (time, sequence)
+// Each process is a coroutine (iter.Pull). The kernel loop resumes a process
+// with a direct coroutine switch, and the process switches straight back
+// whenever it blocks (Sleep, Future.Get, Signal.Wait, ...), so exactly one of
+// them runs at any instant and no handoff passes through the Go scheduler.
+// That makes executions fully deterministic: events fire in (time, sequence)
 // order, and sequence numbers are allocated deterministically.
 //
 // # Complexity of the event core
@@ -31,7 +32,8 @@
 // Every wakeup of a parked process (Spawn's start, Sleep, Future.Set,
 // Signal.Broadcast, Semaphore.Release) is a pooled event that carries the
 // process itself instead of a "resume p" closure, so a wakeup allocates
-// nothing. The parked set is a slice with each process's index tracked, so
+// nothing. A Signal wait keeps its state in the waiting Proc and reuses one
+// timeout callback per Proc, so timed waits allocate nothing either. The parked set is a slice with each process's index tracked, so
 // parking and resuming are O(1) appends and swap-removals. A Future's
 // waiter list keeps its backing array across Set, and Future.Reset re-arms
 // a resolved future for reuse: a process that loops over Sleep or over a
@@ -144,8 +146,6 @@ type Kernel struct {
 	fastq    []*event
 	fastHead int
 	free     []*event
-	yield    chan struct{} // processes hand the token back on this channel
-	live     int           // spawned, not yet terminated
 	// parked holds the processes waiting for a wakeup event, in no
 	// particular order; each Proc records its index for O(1) removal.
 	parked  []*Proc
@@ -157,7 +157,7 @@ type Kernel struct {
 
 // NewKernel returns an empty simulation at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time in seconds.

@@ -1,24 +1,44 @@
+//go:build go1.23
+
+// The go1.23 build tag lets this file use iter.Pull while the root go.mod
+// still declares go 1.22, as perfbench's go.mod does; it goes when the next
+// benchmark change bumps both go.mod files.
+
 package des
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that runs cooperatively under the
-// kernel. Only one process (or the kernel loop) executes at a time; every
-// blocking call parks the goroutine and returns the token to the kernel.
+// Proc is a simulated process: a coroutine that runs cooperatively under the
+// kernel. The kernel resumes it with a direct coroutine switch and every
+// blocking call switches straight back, so only one process (or the kernel
+// loop) executes at a time and no handoff goes through the Go scheduler.
 //
-// A Proc must only be used from its own goroutine (the function passed to
+// The coroutine is created at the process's start event, not in Spawn, and
+// its goroutine exits when the process's function returns.
+//
+// A Proc must only be used from its own coroutine (the function passed to
 // Spawn). Kernel callbacks must never call parking methods.
 type Proc struct {
-	k          *Kernel
-	name       string
-	id         uint64 // spawn sequence number
-	parkIdx    int    // index in k.parked while parked
-	resume     chan struct{}
+	k       *Kernel
+	name    string
+	id      uint64 // spawn sequence number
+	parkIdx int    // index in k.parked while parked
+	// fn is the process body until the start event hands it to the
+	// coroutine; next resumes the coroutine and yield, called from inside
+	// it, switches back to the kernel.
+	fn         func(p *Proc)
+	next       func() (struct{}, bool)
+	yield      func(struct{}) bool
 	terminated bool
 	done       *Future[struct{}]
+	// wait is the process's current (or last) Signal wait, and onTimeout
+	// the timer callback ending it, built on the first timed wait.
+	wait      sigWait
+	onTimeout func()
 }
 
 // Spawn creates a process executing fn, scheduled to start at the current
@@ -26,25 +46,28 @@ type Proc struct {
 // reaches its start event. A panic in fn terminates the process and makes
 // the kernel's Run return a *ProcPanic.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, id: k.procSeq, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, id: k.procSeq, fn: fn}
 	k.procSeq++
 	p.done = NewFuture[struct{}](k)
-	k.live++
-	go func() {
-		<-p.resume // wait for the start event to hand us the token
-		defer func() {
-			if r := recover(); r != nil && k.panicked == nil {
-				k.panicked = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			p.terminated = true
-			k.live--
-			p.done.Set(struct{}{})
-			k.yield <- struct{}{} // final token handoff; goroutine exits
-		}()
-		fn(p)
-	}()
 	k.wake(p)
 	return p
+}
+
+// run is the coroutine body: it executes the process function, records a
+// panic, and resolves the process's done future before the coroutine ends.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	k := p.k
+	defer func() {
+		if r := recover(); r != nil && k.panicked == nil {
+			k.panicked = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+		p.terminated = true
+		p.done.Set(struct{}{})
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
 }
 
 // ProcPanic is the error Run returns when a simulated process panicked. The
@@ -61,25 +84,29 @@ func (e *ProcPanic) Error() string {
 	return fmt.Sprintf("des: process %q panicked: %v\n%s", e.Proc, e.Value, e.Stack)
 }
 
-// switchTo hands the execution token to p and blocks the kernel until p
-// parks again or terminates. Must be called from kernel context.
+// switchTo resumes p, creating its coroutine on the first call (the start
+// event), and returns once p parks again or terminates. Must be called from
+// kernel context.
 func (k *Kernel) switchTo(p *Proc) {
 	if p.terminated {
 		return
 	}
-	p.resume <- struct{}{}
-	<-k.yield
+	if p.next == nil {
+		p.next, _ = iter.Pull(p.run)
+	}
+	if _, running := p.next(); !running {
+		p.next, p.yield = nil, nil
+	}
 }
 
-// park yields the token back to the kernel and blocks until some event
-// resumes this process. A wakeup must already be registered, otherwise the
-// kernel will report a deadlock when the queue drains.
+// park switches back to the kernel and returns when some event resumes this
+// process. A wakeup must already be registered, otherwise the kernel will
+// report a deadlock when the queue drains.
 func (p *Proc) park() {
 	k := p.k
 	p.parkIdx = len(k.parked)
 	k.parked = append(k.parked, p)
-	k.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	last := len(k.parked) - 1
 	moved := k.parked[last]
 	k.parked[p.parkIdx] = moved
@@ -184,14 +211,30 @@ func (f *Future[T]) Peek() (T, bool) { return f.val, f.set }
 // Signal is a broadcast condition variable for processes. Waiters park until
 // the next Broadcast; there is no counting (a Broadcast with no waiters is
 // lost), matching classic condition-variable semantics.
+//
+// A wait allocates nothing once warmed up: its state lives in the waiting
+// Proc, and the Signal queues only (process, generation) entries. An entry
+// is live while its generation is the process's current wait and that wait
+// has not ended, so an entry a timed-out wait leaves behind on one Signal
+// can never wake a later wait on another.
 type Signal struct {
 	k       *Kernel
-	waiters []*sigWaiter
+	waiters []sigEntry
 }
 
-type sigWaiter struct {
-	p        *Proc
-	timer    Timer // zero value when waiting without timeout
+// sigEntry is one wait's place in a Signal's waiter list.
+type sigEntry struct {
+	p   *Proc
+	gen uint64
+}
+
+// live reports whether the entry's wait is still pending.
+func (e sigEntry) live() bool { return e.gen == e.p.wait.gen && !e.p.wait.done }
+
+// sigWait is a process's record of its current (or last) Signal wait.
+type sigWait struct {
+	gen      uint64 // bumped by every wait
+	timer    Timer  // zero value when waiting without timeout
 	done     bool
 	signaled bool
 }
@@ -205,24 +248,30 @@ func (s *Signal) Wait(p *Proc) { s.WaitTimeout(p, -1) }
 // WaitTimeout parks p until the next Broadcast or until d seconds elapse
 // (d < 0 waits forever). It reports whether the wakeup was a Broadcast.
 func (s *Signal) WaitTimeout(p *Proc, d float64) bool {
-	// Compact timed-out entries so repeated timeouts do not accumulate.
+	// Compact ended entries so repeated timeouts do not accumulate.
 	live := s.waiters[:0]
-	for _, old := range s.waiters {
-		if !old.done {
-			live = append(live, old)
+	for _, e := range s.waiters {
+		if e.live() {
+			live = append(live, e)
 		}
 	}
+	clear(s.waiters[len(live):])
 	s.waiters = live
-	w := &sigWaiter{p: p}
-	s.waiters = append(s.waiters, w)
+	w := &p.wait
+	w.gen++
+	w.done, w.signaled, w.timer = false, false, Timer{}
+	s.waiters = append(s.waiters, sigEntry{p: p, gen: w.gen})
 	if d >= 0 {
-		w.timer = s.k.After(d, func() {
-			if w.done {
-				return
+		if p.onTimeout == nil {
+			p.onTimeout = func() {
+				if p.wait.done {
+					return
+				}
+				p.wait.done = true
+				p.k.switchTo(p)
 			}
-			w.done = true
-			s.k.switchTo(w.p)
-		})
+		}
+		w.timer = s.k.After(d, p.onTimeout)
 	}
 	p.park()
 	return w.signaled
@@ -230,14 +279,15 @@ func (s *Signal) WaitTimeout(p *Proc, d float64) bool {
 
 // Broadcast wakes every current waiter at the current virtual time.
 func (s *Signal) Broadcast() {
-	for _, w := range s.waiters {
-		if w.done {
+	for _, e := range s.waiters {
+		if !e.live() {
 			continue
 		}
+		w := &e.p.wait
 		w.done = true
 		w.signaled = true
 		w.timer.Cancel()
-		s.k.wake(w.p)
+		s.k.wake(e.p)
 	}
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
