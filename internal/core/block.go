@@ -71,13 +71,15 @@ func (b *Block) split(n int64) *Block {
 	return nb
 }
 
-// blockPool is a Manager's free lists, shared by all of its policy's lists:
-// the blocks that left its cache for good and the file chains those lists
-// emptied. Every site that creates a block or chain takes from it first, so
-// a warmed-up Manager creates them without allocating.
+// blockPool is a Manager's free lists, shared by all of its policy's lists
+// and writeback domains: the blocks that left its cache for good, the file
+// chains those lists emptied and the per-file writeback queues whose file
+// went clean. Every site that creates a block, chain or queue takes from it
+// first, so a warmed-up Manager creates them without allocating.
 type blockPool struct {
 	blocks freeList[Block]
 	chains freeList[fileChain]
+	queues freeList[wbFileQueue]
 }
 
 // newBlock returns a block holding v, recycled when one is free.

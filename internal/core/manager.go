@@ -140,9 +140,10 @@ type Manager struct {
 	ForcedEvictions int64
 
 	// pool recycles the blocks that leave the cache for good (evicted,
-	// invalidated, merged by a read hit, absorbed by coalescing) and the
-	// emptied file chains into the ones the cache creates next. Every
-	// policy list shares it.
+	// invalidated, merged by a read hit, absorbed by coalescing), the
+	// emptied file chains and the per-file writeback queues of files that
+	// went clean into the ones the cache creates next. Every policy list
+	// and writeback domain shares it.
 	pool blockPool
 }
 
@@ -1045,7 +1046,9 @@ func (m *Manager) CachedFiles() []string {
 // WritebackPolicy.CheckInvariants per domain: per-file dirty-queue and ring
 // structure for the file-queue writeback policies). The free list is
 // checked too: every free block and chain is cleared, none is free twice,
-// and no list, file chain, expiry queue or writeback queue reaches one.
+// and no list, file chain, expiry queue or writeback queue reaches one; the
+// per-file writeback policies check the free writeback queues the same way
+// and that none of them is still mapped to a file.
 // Tests call it after randomized operation sequences. It returns an error
 // describing the first violation found.
 func (m *Manager) CheckInvariants() error {

@@ -518,40 +518,53 @@ func (c *clockCaller) MemWrite(n int64)               { c.now += float64(n) / 48
 // TestManagerCycleAllocatesNothing pins block recycling: once warmed up, a
 // write → flush → read hit → evict → invalidate cycle takes every block it
 // creates (whole, split off, merged) from the manager's free list and
-// allocates nothing, under every cache policy.
+// allocates nothing, under every cache and writeback policy. The per-file
+// writeback policies also take each file's dirty queue from the free list
+// when the clean file gets dirty again.
 func TestManagerCycleAllocatesNothing(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
-			cfg := DefaultConfig(100000)
-			cfg.Policy = policy
-			m, err := NewManager(cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, wb := range WritebackPolicyNames() {
+				t.Run(wb, func(t *testing.T) {
+					cfg := DefaultConfig(100000)
+					cfg.Policy = policy
+					cfg.Writeback = wb
+					m, err := NewManager(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := &clockCaller{}
+					cycle := func() {
+						m.WriteToCache(c, "a", 4000)
+						m.WriteToCache(c, "b", 3000)
+						m.Flush(c, 5000) // all of a, part of b: a split
+						m.CacheRead(c, "a", 2500)
+						m.CacheRead(c, "b", 1000)
+						m.AddToCache("c", 2000, c.Now())
+						m.Evict(3000, "b")
+						for _, f := range []string{"a", "b", "c"} {
+							m.InvalidateFile(f)
+						}
+						c.now++
+					}
+					for i := 0; i < 10; i++ {
+						cycle()
+					}
+					if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+						t.Fatalf("%v allocations per cycle, want 0", allocs)
+					}
+					if len(m.pool.blocks) == 0 {
+						t.Fatal("no block reached the free list")
+					}
+					switch m.WritebackPolicy().(type) {
+					case *fileRRWriteback, *proportionalWriteback:
+						if len(m.pool.queues) == 0 {
+							t.Fatal("no writeback queue reached the free list")
+						}
+					}
+					mustNoInvariantErr(t, m)
+				})
 			}
-			c := &clockCaller{}
-			cycle := func() {
-				m.WriteToCache(c, "a", 4000)
-				m.WriteToCache(c, "b", 3000)
-				m.Flush(c, 5000) // all of a, part of b: a split
-				m.CacheRead(c, "a", 2500)
-				m.CacheRead(c, "b", 1000)
-				m.AddToCache("c", 2000, c.Now())
-				m.Evict(3000, "b")
-				for _, f := range []string{"a", "b", "c"} {
-					m.InvalidateFile(f)
-				}
-				c.now++
-			}
-			for i := 0; i < 10; i++ {
-				cycle()
-			}
-			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-				t.Fatalf("%v allocations per cycle, want 0", allocs)
-			}
-			if len(m.pool.blocks) == 0 {
-				t.Fatal("no block reached the free list")
-			}
-			mustNoInvariantErr(t, m)
 		})
 	}
 }

@@ -35,10 +35,12 @@ func newWBFileQueues() *wbFileQueues {
 // is given (the halves share File and Entry, so adjacency preserves Entry
 // order), at the tail otherwise (Entry times are assigned from the
 // monotonic simulated clock, so appends preserve Entry order too).
-func (q *wbFileQueues) noteDirty(b, sibling *Block) {
+// A file's queue is taken from m's free list.
+func (q *wbFileQueues) noteDirty(m *Manager, b, sibling *Block) {
 	fq := q.files[b.File]
 	if fq == nil {
-		fq = &wbFileQueue{file: b.File}
+		fq = m.pool.queues.get()
+		fq.file = b.File
 		q.files[b.File] = fq
 	}
 	pos := fq.tail
@@ -65,8 +67,9 @@ func (q *wbFileQueues) noteDirty(b, sibling *Block) {
 }
 
 // noteClean unlinks b from its file's queue, retiring the file from the
-// ring (and the map) when its last dirty block goes.
-func (q *wbFileQueues) noteClean(b *Block) {
+// ring (and the map) when its last dirty block goes and returning its queue
+// to m's free list.
+func (q *wbFileQueues) noteClean(m *Manager, b *Block) {
 	fq := q.files[b.File]
 	if fq == nil {
 		return
@@ -86,6 +89,7 @@ func (q *wbFileQueues) noteClean(b *Block) {
 	if fq.blocks == 0 {
 		q.ringRemove(fq)
 		delete(q.files, b.File)
+		m.pool.queues.put(fq)
 	}
 }
 
@@ -184,9 +188,13 @@ func (q *wbFileQueues) restoreAux(st *WritebackState) error {
 
 // checkInvariants verifies the queues against the manager's lists: every
 // dirty block in exactly its file's queue, queues in Entry order with sound
-// back-links, the ring holding exactly the files with dirty blocks, and the
-// cursor (when set) on the ring.
+// back-links, the ring holding exactly the files with dirty blocks, the
+// cursor (when set) on the ring, and no queue on the free list.
 func (q *wbFileQueues) checkInvariants(m *Manager) error {
+	free, err := m.pool.queues.check("writeback queue")
+	if err != nil {
+		return err
+	}
 	// Reference per-file dirty sequences don't need list order — queues are
 	// Entry-ordered — so counting per file is enough alongside membership.
 	want := map[string]int{}
@@ -196,6 +204,9 @@ func (q *wbFileQueues) checkInvariants(m *Manager) error {
 		}
 	}
 	for file, fq := range q.files {
+		if free[fq] {
+			return fmt.Errorf("writeback: queue %s is on the free list", file)
+		}
 		if fq.blocks == 0 {
 			return fmt.Errorf("writeback: empty queue retained for %s", file)
 		}

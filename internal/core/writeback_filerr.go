@@ -22,8 +22,8 @@ type fileRRWriteback struct {
 func (p *fileRRWriteback) Name() string       { return "file-rr" }
 func (p *fileRRWriteback) BindDomain(dom int) { p.q.dom = dom }
 
-func (p *fileRRWriteback) NoteDirty(m *Manager, b, sibling *Block) { p.q.noteDirty(b, sibling) }
-func (p *fileRRWriteback) NoteClean(m *Manager, b *Block)          { p.q.noteClean(b) }
+func (p *fileRRWriteback) NoteDirty(m *Manager, b, sibling *Block) { p.q.noteDirty(m, b, sibling) }
+func (p *fileRRWriteback) NoteClean(m *Manager, b *Block)          { p.q.noteClean(m, b) }
 func (p *fileRRWriteback) NoteFlushed(m *Manager, b *Block)        { p.q.advancePast(b.File) }
 
 // NextDirty returns the oldest dirty block of the round-robin cursor's

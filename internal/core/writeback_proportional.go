@@ -25,9 +25,11 @@ type proportionalWriteback struct {
 func (p *proportionalWriteback) Name() string       { return "proportional" }
 func (p *proportionalWriteback) BindDomain(dom int) { p.q.dom = dom }
 
-func (p *proportionalWriteback) NoteDirty(m *Manager, b, sibling *Block) { p.q.noteDirty(b, sibling) }
-func (p *proportionalWriteback) NoteClean(m *Manager, b *Block)          { p.q.noteClean(b) }
-func (p *proportionalWriteback) NoteFlushed(m *Manager, b *Block)        {}
+func (p *proportionalWriteback) NoteDirty(m *Manager, b, sibling *Block) {
+	p.q.noteDirty(m, b, sibling)
+}
+func (p *proportionalWriteback) NoteClean(m *Manager, b *Block)   { p.q.noteClean(m, b) }
+func (p *proportionalWriteback) NoteFlushed(m *Manager, b *Block) {}
 
 // NextDirty returns the oldest dirty block of the file with the largest
 // dirty backlog. Per-file dirty bytes come from the lists' incremental

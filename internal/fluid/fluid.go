@@ -37,6 +37,14 @@
 //	Utilization                               O(1) — per-resource allocated
 //	                                          counters refreshed at solve
 //
+// Most components are one resource whose activities are all plain: one
+// use, Coef 1, no bound, as every local device transfer is. Each resource
+// counts its non-plain users, so spotting such a component is O(1), and
+// solvePlain solves it in one pass instead:
+//
+//	one-resource component of m plain acts    O(m) [no discovery, ordering,
+//	                                          sort or filling rounds]
+//
 // The O(A) passes are deliberate. Remaining-work decrements must be
 // applied at every event instant, in activity start order, so that float
 // accumulation — and with it every completion time and event ordering —
@@ -82,6 +90,10 @@ type Resource struct {
 	allocated float64
 	// mark is the component-discovery epoch stamp.
 	mark uint64
+	// nonPlain counts the uses of this resource by live activities that are
+	// not plain (see Activity.plain); at 0 the resource is a component of
+	// its own that solvePlain can solve.
+	nonPlain int
 
 	// scratch state used during progressive filling
 	capLeft float64
@@ -122,6 +134,7 @@ type Activity struct {
 	done      *des.Future[struct{}]
 	start     float64
 	frozen    bool   // scratch flag during progressive filling
+	plain     bool   // one use, Coef 1, no bound; fixed in Start
 	mark      uint64 // component-discovery epoch stamp
 }
 
@@ -227,6 +240,7 @@ func (s *System) start(work float64, bound float64, uses []Use) *Activity {
 		eps:       math.Max(1e-6, 1e-9*work),
 		done:      a.done,
 		start:     s.k.Now(),
+		plain:     len(uses) == 1 && uses[0].Coef == 1 && bound <= 0,
 	}
 	if len(uses) == 0 && bound <= 0 {
 		panic("fluid: activity with no resources and no rate bound")
@@ -256,6 +270,9 @@ func (s *System) start(work float64, bound float64, uses []Use) *Activity {
 	for i, u := range a.uses {
 		a.posIn = append(a.posIn, len(u.Res.acts))
 		u.Res.acts = append(u.Res.acts, resUse{a: a, useIdx: i})
+		if !a.plain {
+			u.Res.nonPlain++
+		}
 	}
 	s.acts = append(s.acts, a)
 	s.solveAffected(seeds, a)
@@ -341,6 +358,9 @@ func (s *System) unregister(a *Activity) {
 		moved.a.posIn[moved.useIdx] = p
 		r.acts[last] = resUse{}
 		r.acts = r.acts[:last]
+		if !a.plain {
+			r.nonPlain--
+		}
 	}
 }
 
@@ -352,6 +372,9 @@ func (s *System) unregister(a *Activity) {
 // unaffected components keep their cached solution.
 func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 	if len(seedRes) == 0 && started == nil {
+		return
+	}
+	if s.solvePlain(seedRes, started) {
 		return
 	}
 	s.epoch++
@@ -509,6 +532,51 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 }
 
 func cmpResID(a, b *Resource) int { return a.id - b.id }
+
+// solvePlain is solveAffected for the common case where every affected
+// resource holds only plain activities, so each is a component of its own:
+// n activities of Coef 1 on one resource. Progressive filling would finish
+// in one round there: load is n additions of 1, exactly float64(n); every
+// activity freezes at share = capacity/load; allocated is share added n
+// times, which is not always n*share. solvePlain performs those operations
+// and no others, so its rates and allocated counters are bit-identical to
+// the general path's. It reports false, touching nothing, when some
+// affected resource has a non-plain user.
+func (s *System) solvePlain(seedRes []*Resource, started *Activity) bool {
+	if started != nil && (!started.plain || started.uses[0].Res.nonPlain != 0) {
+		return false
+	}
+	for _, r := range seedRes {
+		if r.nonPlain != 0 {
+			return false
+		}
+	}
+	s.epoch++
+	if started != nil {
+		s.solveResource(started.uses[0].Res)
+	}
+	for _, r := range seedRes {
+		s.solveResource(r)
+	}
+	return true
+}
+
+// solveResource shares a plain resource's capacity among its activities,
+// once per solve (the epoch mark drops repeated seeds). A drained resource
+// keeps no allocation.
+func (s *System) solveResource(r *Resource) {
+	if r.mark == s.epoch {
+		return
+	}
+	r.mark = s.epoch
+	share := r.capacity / float64(len(r.acts))
+	allocated := 0.0
+	for _, ru := range r.acts {
+		ru.a.rate = share
+		allocated += share
+	}
+	r.allocated = allocated
+}
 
 // releaseScratch hands the component buffers back for reuse, dropping the
 // activity pointers so completed activities stay collectable.

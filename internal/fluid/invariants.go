@@ -101,7 +101,10 @@ func (s *System) solveOracle() []float64 {
 //   - the per-resource activity lists and the per-activity position index
 //     form a consistent bijection with the live activity set;
 //   - per-resource allocated counters match a fresh Σ coef·rate scan and
-//     never exceed capacity;
+//     never exceed capacity; on a resource whose users are all plain every
+//     term of the scan is the same, so there they match bit for bit;
+//   - each resource's non-plain counter matches a recount of its uses by
+//     live activities that are not plain;
 //   - live activities appear in start order with positive remaining work;
 //   - every live rate equals, bit for bit, the rate a full progressive
 //     filling over the whole system (solveOracle) would assign;
@@ -164,8 +167,14 @@ func (s *System) CheckInvariants() error {
 		}
 	}
 	totalUses := 0
+	nonPlain := make(map[*Resource]int)
 	for _, a := range s.acts {
 		totalUses += len(a.uses)
+		if !a.plain {
+			for _, u := range a.uses {
+				nonPlain[u.Res]++
+			}
+		}
 	}
 	listed := 0
 	for _, r := range s.resources {
@@ -178,13 +187,21 @@ func (s *System) CheckInvariants() error {
 				return fmt.Errorf("resource %q: entry %d points at a dead activity", r.name, i)
 			}
 		}
+		if r.nonPlain != nonPlain[r] {
+			return fmt.Errorf("resource %q: non-plain counter %d, recount %d", r.name, r.nonPlain, nonPlain[r])
+		}
 		// Allocated counter vs full rescan (tolerance: float accumulation
-		// order differs between the counter and the scan).
+		// order differs between the counter and the scan, unless every
+		// term is the same).
 		scan := 0.0
 		for _, e := range r.acts {
 			scan += e.a.uses[e.useIdx].Coef * e.a.rate
 		}
-		if tol := 1e-9 * r.capacity; math.Abs(r.allocated-scan) > tol {
+		tol := 1e-9 * r.capacity
+		if r.nonPlain == 0 {
+			tol = 0
+		}
+		if math.Abs(r.allocated-scan) > tol {
 			return fmt.Errorf("resource %q: allocated %v, rescan %v", r.name, r.allocated, scan)
 		}
 		if r.allocated > r.capacity*(1+1e-9) {

@@ -27,13 +27,12 @@ const (
 // DeviceSpec configures a storage-class device (disk or RAM viewed as a
 // transfer device). Bandwidths are bytes/second.
 type DeviceSpec struct {
-	Name      string
-	ReadBW    float64
-	WriteBW   float64
-	LatencyS  float64 // per-operation fixed latency, seconds
-	Capacity  int64   // bytes; ≤0 means unlimited (RAM uses its own accounting)
-	Channels  DiskChannelMode
-	PerStream float64 // optional per-stream rate cap (≤0: none)
+	Name     string
+	ReadBW   float64
+	WriteBW  float64
+	LatencyS float64 // per-operation fixed latency, seconds
+	Capacity int64   // bytes; ≤0 means unlimited (RAM uses its own accounting)
+	Channels DiskChannelMode
 }
 
 // Device is a realized storage-class device on a fluid system.
@@ -98,7 +97,7 @@ func (d *Device) Read(p *des.Proc, n int64) {
 	if d.spec.LatencyS > 0 {
 		p.Sleep(d.spec.LatencyS)
 	}
-	d.sys.Do(p, float64(n), d.spec.PerStream, fluid.Use{Res: d.read, Coef: 1})
+	d.sys.Do(p, float64(n), 0, fluid.Use{Res: d.read, Coef: 1})
 }
 
 // Write blocks p for the fair-shared duration of an n-byte write.
@@ -109,7 +108,7 @@ func (d *Device) Write(p *des.Proc, n int64) {
 	if d.spec.LatencyS > 0 {
 		p.Sleep(d.spec.LatencyS)
 	}
-	d.sys.Do(p, float64(n), d.spec.PerStream, fluid.Use{Res: d.write, Coef: 1})
+	d.sys.Do(p, float64(n), 0, fluid.Use{Res: d.write, Coef: 1})
 }
 
 // LinkSpec configures a network link (full-duplex: each direction is an
